@@ -67,7 +67,6 @@ from .simulator import (
     grasp,
     object_pose,
     render_synthetic_features,
-    run_skill,
     step_sim,
 )
 from .skill import (

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 data/matching error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -26,14 +27,14 @@ import numpy as np
 
 from . import __version__
 from .errors import FileFormatError, TaskAxesError
-from .evaluation import run_noise_sweep, run_validation
+from .evaluation import run_validation
 from .features import MatchConfig, match_keypoint, read_depth_mask, read_feature_grid, window_average, cosine_map
 from .geometry import CameraIntrinsics
 from .grounding import GroundingConfig, ground_spec, spec_from_json
 from .scenes import TASKS, load_scene, write_task_bundle
 from .simulator import RunConfig, SkillRunner
 from .skill import parse_skill
-from .controllers import Gains, Limits
+from .controllers import Gains
 
 
 def _sha256(path) -> str:
@@ -133,60 +134,63 @@ def cmd_ground(flags, out_dir):
     return 0, inputs
 
 
+def _overlay(base, data, path, prefix=""):
+    """Copy of config dataclass `base` with the values of JSON object
+    `data`, each cast to the type of the default it replaces.
+
+    A nested config takes a nested object, except MatchConfig, whose keys
+    sit beside the other grounding keys. Unknown keys are rejected by
+    their dotted name.
+    """
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{path}: {prefix[:-1] or 'config'} must be a JSON object")
+    data = dict(data)
+    changes = {}
+    for f in dataclasses.fields(base):
+        old = getattr(base, f.name)
+        if isinstance(old, MatchConfig):
+            keys = [g.name for g in dataclasses.fields(old) if g.name in data]
+            changes[f.name] = _overlay(old, {k: data.pop(k) for k in keys}, path, prefix)
+        elif f.name not in data:
+            continue
+        elif dataclasses.is_dataclass(old):
+            changes[f.name] = _overlay(old, data.pop(f.name), path, f"{prefix}{f.name}.")
+        else:
+            value = data.pop(f.name)
+            try:
+                changes[f.name] = type(old)(value)
+            except (TypeError, ValueError):
+                raise FileFormatError(f"{path}: {prefix}{f.name}: expected "
+                                      f"{type(old).__name__}, got {value!r}") from None
+    if data:
+        raise FileFormatError(f"{path}: unknown key "
+                              + ", ".join(repr(prefix + k) for k in sorted(data)))
+    return dataclasses.replace(base, **changes)
+
+
 def _run_config(flags, inputs):
-    """RunConfig plus parse-time gain/limit presets from --config JSON."""
-    cfg = RunConfig()
-    gains = None
-    limits = None
-    if flags.get("config"):
-        data = _load_json(flags["config"])
-        inputs.append(flags["config"])
-        if "gains" in data:
-            g = data["gains"]
-            gains = Gains(kp=float(g.get("kp", Gains.kp)),
-                          kr=float(g.get("kr", Gains.kr)),
-                          kf=float(g.get("kf", Gains.kf)))
-        if "limits" in data:
-            lim = data["limits"]
-            limits = Limits(v_max=float(lim.get("v_max", Limits.v_max)),
-                            w_max=float(lim.get("w_max", Limits.w_max)))
-        grounding = data.get("grounding", {})
-        cfg = RunConfig(
-            dt=float(data.get("dt", cfg.dt)),
-            grasp_tol=float(data.get("grasp_tol", cfg.grasp_tol)),
-            limits=limits or Limits(),
-            grounding=GroundingConfig(
-                match=MatchConfig(
-                    mode=grounding.get("mode", "hard"),
-                    temperature=float(grounding.get("temperature", 0.01)),
-                    window_radius=int(grounding.get("window_radius", 1))),
-                min_score=float(grounding.get("min_score", 0.4)),
-                normal_radius=float(grounding.get("normal_radius", 0.02)),
-                min_neighbors=int(grounding.get("min_neighbors", 8))))
-    return cfg, gains, limits
+    """RunConfig and default controller gains: the class defaults, with
+    the --config JSON overlaid when one is given."""
+    path = flags.get("config")
+    data = {}
+    if path:
+        data = _load_json(path)
+        inputs.append(path)
+        if not isinstance(data, dict):
+            raise FileFormatError(f"{path}: config must be a JSON object")
+    gains = _overlay(Gains(), data.get("gains", {}), path, "gains.")
+    cfg = _overlay(RunConfig(), {k: v for k, v in data.items() if k != "gains"}, path)
+    return cfg, gains
 
 
 def cmd_run(flags, out_dir):
     skill_path = flags["skill"]
     inputs = [skill_path, flags["scene"]]
-    cfg, gains, limits = _run_config(flags, inputs)
+    cfg, gains = _run_config(flags, inputs)
     with open(skill_path, "r", encoding="utf-8") as fh:
-        skill = parse_skill(fh.read(), default_gains=gains, default_limits=limits)
-    scene, ref_scene = load_scene(flags["scene"])
-    scene_json = _load_json(flags["scene"])
-    scene_dir = os.path.dirname(os.path.abspath(flags["scene"]))
-    ref_name = scene_json.get("reference")
-    if ref_name:
-        inputs.append(os.path.join(scene_dir, ref_name))
-    feature_files = None
-    if "feature_files" in scene_json:
-        # pre-extracted grids; the simulator then skips synthetic rendering
-        ff = scene_json["feature_files"]
-        paths = [os.path.join(scene_dir, ff[k]) for k in ("ref", "target",
-                                                          "target_depth")]
-        inputs.extend(paths)
-        feature_files = (read_feature_grid(paths[0]), read_feature_grid(paths[1]),
-                         read_depth_mask(paths[2]))
+        skill = parse_skill(fh.read(), default_gains=gains, default_limits=cfg.limits)
+    scene, ref_scene, feature_files, scene_paths = load_scene(flags["scene"])
+    inputs.extend(scene_paths)
     if flags.get("seed") is not None:
         scene.features.seed = int(flags["seed"])
         if ref_scene is not None:
@@ -202,6 +206,8 @@ def cmd_run(flags, out_dir):
 
     runner = SkillRunner(skill, scene, specs, ref_scene=ref_scene, config=cfg,
                          feature_files=feature_files)
+    # grounding here, not inside run(), lets a grounding error exit 2 before
+    # any output is written; run() would report it as a failed run (exit 3)
     runner.ground_all()
     result = runner.run()
     log_name = flags.get("log") or "log.jsonl"
@@ -231,10 +237,10 @@ def _write_trajectory_csv(path, log):
 def cmd_validate(flags, out_dir):
     if flags.get("noise_sweep"):
         sigmas = [float(s) for s in flags["noise_sweep"].split(",") if s.strip()]
-        stats = {"sweep": run_noise_sweep(sigmas, flags["trials"],
+        stats = {"sweep": [run_validation(flags["trials"], noise_sigma=s,
                                           mode=flags["mode"],
                                           temperature=flags["temp"],
-                                          seed=flags["seed"])}
+                                          seed=flags["seed"]) for s in sigmas]}
     else:
         stats = run_validation(flags["trials"], noise_sigma=flags["noise"],
                                mode=flags["mode"], temperature=flags["temp"],
@@ -286,11 +292,12 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_match_flags(p):
-        p.add_argument("--mode", choices=("hard", "soft"), default="soft")
-        p.add_argument("--temp", type=float, default=0.01,
-                       help="soft-argmax temperature (default 0.01)")
-        p.add_argument("--window", type=int, default=1,
-                       help="reference window radius in pixels (default 1 = 3x3)")
+        p.add_argument("--mode", choices=("hard", "soft"), default=MatchConfig.mode)
+        p.add_argument("--temp", type=float, default=MatchConfig.temperature,
+                       help="soft-argmax temperature (default %(default)s)")
+        p.add_argument("--window", type=int, default=MatchConfig.window_radius,
+                       help="reference window radius r in pixels, averaging "
+                            "(2r+1)x(2r+1) (default %(default)s)")
 
     p = sub.add_parser("match", help="transfer keypoints between feature grids")
     p.add_argument("--ref", required=True, help="reference .fgrd")
@@ -311,7 +318,8 @@ def _build_parser():
     p.add_argument("--cloud", help="optional [[x,y,z],...] JSON; defaults to the "
                                    "cloud deprojected from the depth file")
     add_match_flags(p)
-    p.add_argument("--min-score", type=float, default=0.4, dest="min_score")
+    p.add_argument("--min-score", type=float, default=GroundingConfig.min_score,
+                   dest="min_score")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="execute a skill in the simulator")
@@ -326,8 +334,8 @@ def _build_parser():
     p = sub.add_parser("validate", help="grounding accuracy statistics")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--mode", choices=("hard", "soft"), default="soft")
-    p.add_argument("--temp", type=float, default=0.01)
+    p.add_argument("--mode", choices=("hard", "soft"), default=MatchConfig.mode)
+    p.add_argument("--temp", type=float, default=MatchConfig.temperature)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-sweep", dest="noise_sweep", default=None,
                    help="comma-separated sigma list; overrides --noise")

@@ -169,13 +169,9 @@ class ObservationBundle:
 
     grounded: GroundedParams
     measured_force: np.ndarray
-    time: int
-    dt: float
 
     def __post_init__(self):
         self.measured_force = np.asarray(self.measured_force, dtype=np.float64)
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
 
 
 def _keypoint(obs, label):

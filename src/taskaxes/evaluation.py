@@ -14,7 +14,7 @@ orientation convention is a determinism device, not a semantic claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .scenes import make_grounding_spec, sample_box, sample_cylinder, snap_to_cl
 from .simulator import FeatureRenderConfig, Scene, SceneObject, render_synthetic_features
 
 _INTR = CameraIntrinsics(fx=680.0, fy=680.0, cx=320.0, cy=240.0, width=640, height=480)
-_FEATURES = FeatureRenderConfig(dim=24, length_scale=0.02, noise_sigma=0.0, seed=11)
+_FEATURES = FeatureRenderConfig(seed=11)
 
 _REF_POSES = {"paddle": ((-0.07, 0.0, 0.44), 0.0), "dish": ((0.085, 0.0, 0.44), 0.0)}
 
@@ -88,12 +88,9 @@ def _geometry():
     return _GEOMETRY
 
 
-def _make_scene(poses, noise_sigma=0.0, seed=None) -> Scene:
+def _make_scene(poses, noise_sigma=0.0) -> Scene:
     geo = _geometry()
-    features = FeatureRenderConfig(dim=_FEATURES.dim,
-                                   length_scale=_FEATURES.length_scale,
-                                   noise_sigma=noise_sigma,
-                                   seed=_FEATURES.seed if seed is None else seed)
+    features = replace(_FEATURES, noise_sigma=noise_sigma)
     objects = [SceneObject(name=name, pose=pose, cloud=geo[name].cloud,
                            truth_keypoints=geo[name].keypoints)
                for name, pose in poses.items()]
@@ -163,7 +160,7 @@ def quantization_bound_m(max_depth=0.46) -> float:
 
 
 def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
-                   temperature: float = 0.01, seed: int = 0,
+                   temperature: float = MatchConfig.temperature, seed: int = 0,
                    min_score: float = 0.2) -> dict:
     """Ground the validation spec on `trials` transformed scenes.
 
@@ -261,10 +258,3 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
         },
     })
     return stats
-
-
-def run_noise_sweep(sigmas, trials: int, mode: str = "soft",
-                    temperature: float = 0.01, seed: int = 0) -> list:
-    """Validation statistics across noise levels, in the given order."""
-    return [run_validation(trials, noise_sigma=s, mode=mode,
-                           temperature=temperature, seed=seed) for s in sigmas]

@@ -134,7 +134,8 @@ class MatchConfig:
             raise ConfigError("window radius must be >= 0")
 
 
-def window_average(grid: FeatureGrid, u: int, v: int, radius: int = 1) -> np.ndarray:
+def window_average(grid: FeatureGrid, u: int, v: int,
+                   radius: int = MatchConfig.window_radius) -> np.ndarray:
     """Mean descriptor over a (2r+1)^2 window clipped to the image bounds."""
     if radius < 0:
         raise ConfigError("window radius must be >= 0")

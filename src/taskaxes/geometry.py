@@ -14,14 +14,9 @@ import numpy as np
 
 from .errors import ConfigError, NonPositiveDepth, OutOfBounds
 
-UNIT_TOL = 1e-9
 WORLD_X = np.array([1.0, 0.0, 0.0])
 WORLD_Y = np.array([0.0, 1.0, 0.0])
 WORLD_Z = np.array([0.0, 0.0, 1.0])
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(v))
 
 
 def unit(v) -> np.ndarray:

@@ -105,11 +105,10 @@ class GroundedParams:
     keypoints: dict = field(default_factory=dict)
     scores: dict = field(default_factory=dict)
     axes: dict = field(default_factory=dict)
-    timestamp: int = 0
 
     def to_json(self):
         return {
-            "timestamp": self.timestamp,
+            "timestamp": 0,
             "keypoints": {
                 label: {"position": [float(x) for x in pos],
                         "score": float(self.scores.get(label, 1.0))}
@@ -225,21 +224,20 @@ def _neighborhood(points, at, radius, min_neighbors):
     return evals, evecs
 
 
-def surface_normal(points, at, radius: float = 0.02, min_neighbors: int = 8,
-                   view_origin=(0.0, 0.0, 0.0)) -> np.ndarray:
+def surface_normal(points, at, radius: float = GroundingConfig.normal_radius,
+                   min_neighbors: int = GroundingConfig.min_neighbors) -> np.ndarray:
     """Smallest-covariance eigenvector of the local neighborhood.
 
-    The sign is chosen so the normal points toward the camera (negative
-    dot with the viewing ray); when the viewing ray is tangent, the sign
-    prefers world +Z.
+    The sign is chosen so the normal points toward the camera at the
+    world origin (negative dot with the viewing ray); when the viewing
+    ray is tangent, the sign prefers world +Z.
     """
     evals, evecs = _neighborhood(points, at, radius, min_neighbors)
     if evals[1] - evals[0] <= _EIG_TOL:
         raise DegenerateNeighborhood(
             "no unique surface normal (two smallest eigenvalues coincide)")
     n = evecs[:, 0]
-    view = np.asarray(at, dtype=np.float64) - np.asarray(view_origin, dtype=np.float64)
-    facing = float(n @ view)
+    facing = float(n @ np.asarray(at, dtype=np.float64))
     if abs(facing) > 1e-9:
         if facing > 0:
             n = -n
@@ -248,7 +246,8 @@ def surface_normal(points, at, radius: float = 0.02, min_neighbors: int = 8,
     return n
 
 
-def edge_direction(points, at, radius: float = 0.02, min_neighbors: int = 8) -> np.ndarray:
+def edge_direction(points, at, radius: float = GroundingConfig.normal_radius,
+                   min_neighbors: int = GroundingConfig.min_neighbors) -> np.ndarray:
     """Largest-covariance eigenvector: the dominant local elongation.
 
     The sign is fixed so the dot with world +X (then +Y, then +Z) is
@@ -269,7 +268,7 @@ def edge_direction(points, at, radius: float = 0.02, min_neighbors: int = 8) -> 
 
 def ground_spec(spec: GroundingSpec, ref: FeatureGrid, target: FeatureGrid,
                 target_depth: DepthMask, cloud, intr: CameraIntrinsics,
-                cfg: GroundingConfig = None, timestamp: int = 0) -> GroundedParams:
+                cfg: GroundingConfig = None) -> GroundedParams:
     """Ground every keypoint, then resolve every axis in two phases.
 
     Component failures propagate with the failing label prepended so a
@@ -278,7 +277,7 @@ def ground_spec(spec: GroundingSpec, ref: FeatureGrid, target: FeatureGrid,
     cfg = cfg or GroundingConfig()
     if cloud is None:
         cloud = cloud_from_depth(target_depth, intr)
-    grounded = GroundedParams(timestamp=timestamp)
+    grounded = GroundedParams()
     for kp in spec.keypoints:
         try:
             pos, score = ground_keypoint(ref, kp, target, target_depth, intr, cfg)

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import ConfigError
+from .features import read_depth_mask, read_feature_grid
 from .geometry import CameraIntrinsics, Frame, project_point
 from .grounding import AxisSpec, GroundingSpec, KeypointRef, spec_to_json
 from .simulator import ContactSurface, FeatureRenderConfig, Scene, SceneObject
@@ -146,11 +148,9 @@ def scene_from_json(data: dict, base_dir="."):
     ee_start = Frame.from_rpy_deg(ee.get("origin", (0.0, 0.0, 0.25)),
                                   ee.get("rpy_deg", (0.0, 0.0, 0.0)))
     feat = data.get("features", {})
-    features = FeatureRenderConfig(
-        dim=int(feat.get("dim", 24)),
-        length_scale=float(feat.get("length_scale", 0.02)),
-        noise_sigma=float(feat.get("noise_sigma", 0.0)),
-        seed=int(feat.get("seed", 0)))
+    features = FeatureRenderConfig(**{f.name: type(f.default)(feat[f.name])
+                                      for f in fields(FeatureRenderConfig)
+                                      if f.name in feat})
     objects = [object_from_json(o, base_dir) for o in data.get("objects", [])]
     scene = Scene(objects=objects, intrinsics=intr, ee_start=ee_start,
                   features=features)
@@ -158,16 +158,34 @@ def scene_from_json(data: dict, base_dir="."):
 
 
 def load_scene(path):
-    """Load a scene file plus its reference scene, if it names one."""
+    """Load a scene file plus the reference scene and pre-extracted
+    feature files it names, if any.
+
+    Returns (scene, ref_scene, feature_files, paths). ref_scene and
+    feature_files are None when the file does not name them;
+    feature_files is the (reference grid, target grid, target depth)
+    triple, which replaces synthetic rendering. paths lists every file
+    read besides `path` itself.
+    """
     base_dir = os.path.dirname(os.path.abspath(path))
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     scene, ref_name = scene_from_json(data, base_dir)
+    paths = []
     ref_scene = None
     if ref_name:
-        with open(os.path.join(base_dir, ref_name), "r", encoding="utf-8") as fh:
+        ref_path = os.path.join(base_dir, ref_name)
+        with open(ref_path, "r", encoding="utf-8") as fh:
             ref_scene, _ = scene_from_json(json.load(fh), base_dir)
-    return scene, ref_scene
+        paths.append(ref_path)
+    feature_files = None
+    if "feature_files" in data:
+        ff = data["feature_files"]
+        grids = [os.path.join(base_dir, ff[k]) for k in ("ref", "target", "target_depth")]
+        feature_files = (read_feature_grid(grids[0]), read_feature_grid(grids[1]),
+                         read_depth_mask(grids[2]))
+        paths.extend(grids)
+    return scene, ref_scene, feature_files, paths
 
 
 # ----------------------------------------------------------------------

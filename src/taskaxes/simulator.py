@@ -24,7 +24,7 @@ import numpy as np
 
 from .controllers import FORCE_ALIGN, Limits, ObservationBundle
 from .errors import ConfigError, EmptyScene, GraspTooFar, TaskAxesError
-from .features import DepthMask, FeatureGrid
+from .features import DepthMask, FeatureGrid, MatchConfig
 from .geometry import CameraIntrinsics, Frame, rotvec_to_matrix
 from .grounding import (
     GroundedParams,
@@ -113,8 +113,7 @@ def _object_basis(name: str, cfg: FeatureRenderConfig):
     return freqs, phases
 
 
-def render_synthetic_features(scene: Scene, intr: CameraIntrinsics = None,
-                              noise_tag: int = 0):
+def render_synthetic_features(scene: Scene, noise_tag: int = 0):
     """Render the scene into a (FeatureGrid, DepthMask) pair.
 
     Every object point is projected through the pinhole model; the
@@ -123,7 +122,7 @@ def render_synthetic_features(scene: Scene, intr: CameraIntrinsics = None,
     basis W, b, making descriptors invariant to the object's world pose.
     Background pixels get NaN depth and a zero descriptor.
     """
-    intr = intr or scene.intrinsics
+    intr = scene.intrinsics
     cfg = scene.features
     if not scene.objects or all(obj.cloud.shape[0] == 0 for obj in scene.objects):
         raise EmptyScene("scene has no renderable points")
@@ -186,13 +185,29 @@ def render_synthetic_features(scene: Scene, intr: CameraIntrinsics = None,
 
 
 @dataclass
+class RunConfig:
+    dt: float = 0.005
+    grasp_tol: float = 0.005
+    limits: Limits = field(default_factory=Limits)
+    # synthetic descriptors are exact, so the argmax transfer is too;
+    # soft mode stays the default at the matching CLI where noisy
+    # real-world grids are the expected input
+    grounding: GroundingConfig = field(
+        default_factory=lambda: GroundingConfig(match=MatchConfig(mode="hard")))
+
+    def __post_init__(self):
+        if self.dt <= 0:
+            raise ConfigError("dt must be positive")
+
+
+@dataclass
 class SimState:
     ee: Frame
     attached: tuple = None          # (object name, grip Frame: object in ee frame)
     probe_local: np.ndarray = None  # contact probe in ee frame
     contact_force: np.ndarray = None
     t: int = 0
-    dt: float = 0.005
+    dt: float = RunConfig.dt
 
     def __post_init__(self):
         if self.probe_local is None:
@@ -236,7 +251,7 @@ def step_sim(state: SimState, twist: Twist, scene: Scene) -> SimState:
 
 
 def grasp(state: SimState, scene: Scene, object_name: str, keypoint: str,
-          tol: float = 0.005) -> SimState:
+          tol: float = RunConfig.grasp_tol) -> SimState:
     """Rigidly attach an object when the gripper is at its grasp keypoint."""
     obj = scene.find(object_name)
     if not obj.graspable:
@@ -267,7 +282,6 @@ class GroundedAnchors:
     def __init__(self):
         self._keypoints = {}   # qualified -> ("world"|"ee", vec)
         self._axes = {}
-        self._scores = {}
         self._robot_roles = set()
         self._roles = {}       # role -> list of qualified labels
 
@@ -279,7 +293,6 @@ class GroundedAnchors:
         for label, pos in grounded.keypoints.items():
             q = f"{role}.{label}"
             self._keypoints[q] = ("world", np.asarray(pos, dtype=np.float64))
-            self._scores[q] = grounded.scores.get(label, 1.0)
             labels.append(q)
         for label, direction in grounded.axes.items():
             q = f"{role}.{label}"
@@ -300,16 +313,14 @@ class GroundedAnchors:
                 if kind == "world":
                     self._axes[q] = ("ee", inv.apply_dir(value))
 
-    def current(self, ee: Frame, timestamp: int = 0) -> GroundedParams:
-        grounded = GroundedParams(timestamp=timestamp)
+    def current(self, ee: Frame) -> GroundedParams:
+        grounded = GroundedParams()
         for q, (kind, value) in self._keypoints.items():
             grounded.keypoints[q] = ee.apply(value) if kind == "ee" else value
-            grounded.scores[q] = self._scores.get(q, 1.0)
         for q, (kind, value) in self._axes.items():
             grounded.axes[q] = ee.apply_dir(value) if kind == "ee" else value
         for role in self._robot_roles:
             grounded.keypoints[f"{role}.{ROBOT_BUILTIN_KEYPOINT}"] = ee.origin
-            grounded.scores[f"{role}.{ROBOT_BUILTIN_KEYPOINT}"] = 1.0
             for i, axis in enumerate(ROBOT_BUILTIN_AXES):
                 grounded.axes[f"{role}.{axis}"] = ee.rotation[:, i]
         return grounded
@@ -317,26 +328,6 @@ class GroundedAnchors:
 
 # ----------------------------------------------------------------------
 # whole-skill execution
-
-
-def _default_run_grounding() -> GroundingConfig:
-    # synthetic descriptors are exact, so the argmax transfer is too;
-    # soft mode stays the default at the matching CLI where noisy
-    # real-world grids are the expected input
-    from .features import MatchConfig
-    return GroundingConfig(match=MatchConfig(mode="hard"))
-
-
-@dataclass
-class RunConfig:
-    dt: float = 0.005
-    grasp_tol: float = 0.005
-    limits: Limits = field(default_factory=Limits)
-    grounding: GroundingConfig = field(default_factory=_default_run_grounding)
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
 
 
 class SimLog:
@@ -454,10 +445,8 @@ class SkillRunner:
     # -- environment protocol for run_phase
 
     def observe(self) -> ObservationBundle:
-        grounded = self.anchors.current(self.state.ee, timestamp=self.state.t)
-        obs = ObservationBundle(grounded=grounded,
-                                measured_force=-self.state.contact_force,
-                                time=self.state.t, dt=self.state.dt)
+        obs = ObservationBundle(grounded=self.anchors.current(self.state.ee),
+                                measured_force=-self.state.contact_force)
         self._last_obs = obs
         return obs
 
@@ -515,12 +504,3 @@ class SkillRunner:
                    and all(res.outcome == "done" for _, res in phases))
         return RunResult(success=success, phases=phases, error=error,
                          log=self.log, state=self.state)
-
-
-def run_skill(skill: LiftedSkill, scene: Scene, specs: dict,
-              ref_scene: Scene = None, config: RunConfig = None,
-              feature_files=None) -> RunResult:
-    """Ground and execute a skill; convenience wrapper over SkillRunner."""
-    runner = SkillRunner(skill, scene, specs, ref_scene=ref_scene, config=config,
-                         feature_files=feature_files)
-    return runner.run()

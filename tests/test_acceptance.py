@@ -264,8 +264,7 @@ def test_criterion_6_controller_reductions():
             axes={"o.a2": _unit(rng)})
         if rng.random() < 0.1:
             grounded.keypoints["o.g2"] = grounded.keypoints["r.g1"].copy()
-        obs = ObservationBundle(grounded=grounded, measured_force=np.zeros(3),
-                                time=0, dt=0.005)
+        obs = ObservationBundle(grounded=grounded, measured_force=np.zeros(3))
         state = ControllerState(last_axis=tuple(_unit(rng))
                                 if rng.random() < 0.5 else None)
         out_wp, _ = step_controller(wp_cfg, obs, state)
@@ -285,8 +284,7 @@ def test_criterion_6_controller_reductions():
         prev = angle_between(a1, a2)
         for _ in range(400):
             grounded = GroundedParams(axes={"r.a1": a1, "o.a2": a2})
-            obs = ObservationBundle(grounded=grounded, measured_force=np.zeros(3),
-                                    time=0, dt=dt)
+            obs = ObservationBundle(grounded=grounded, measured_force=np.zeros(3))
             out, state = step_controller(cfg, obs, state)
             if out.inactive:
                 break

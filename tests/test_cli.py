@@ -222,6 +222,39 @@ def test_cmd_run_config_presets_gains_and_dt(scrape_dir, tmp_path):
     assert str(config) in "".join(manifest["inputs"])
 
 
+def _run_scrape(scrape_dir, out, *extra):
+    return main(["run", "--skill", str(scrape_dir / "scrape.skill"),
+                 "--scene", str(scrape_dir / "scene.json"), *extra,
+                 "--out", str(out)])
+
+
+def test_cmd_run_empty_config_matches_defaults(scrape_dir, tmp_path):
+    config = tmp_path / "empty.json"
+    config.write_text("{}")
+    assert _run_scrape(scrape_dir, tmp_path / "plain") == 0
+    assert _run_scrape(scrape_dir, tmp_path / "cfg", "--config", str(config)) == 0
+    for name in ("log.jsonl", "result.json", "trajectory.csv"):
+        assert sha(tmp_path / "cfg" / name) == sha(tmp_path / "plain" / name)
+
+
+def test_cmd_run_config_unknown_key_exits_2(scrape_dir, tmp_path, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"grounding": {"min_scroe": 1.5}, "gainz": 3}))
+    out = tmp_path / "typo_run"
+    assert _run_scrape(scrape_dir, out, "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and "grounding.min_scroe" in err
+    assert not (out / "result.json").exists()
+
+
+def test_cmd_run_grounding_failure_exits_2_before_writing(scrape_dir, tmp_path):
+    config = tmp_path / "strict.json"
+    config.write_text(json.dumps({"grounding": {"min_score": 1.5}}))
+    out = tmp_path / "strict_run"
+    assert _run_scrape(scrape_dir, out, "--config", str(config)) == 2
+    assert not (out / "result.json").exists()
+
+
 def test_cmd_run_with_file_loaded_features(scrape_dir, tmp_path, feature_files):
     # same grids the simulator would render, but loaded from disk
     scene_json = read_json(scrape_dir / "scene.json")

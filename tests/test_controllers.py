@@ -27,8 +27,7 @@ def obs_with(keypoints=None, axes=None, force=(0.0, 0.0, 0.0), t=0, dt=0.005):
                                          for k, v in (keypoints or {}).items()},
                               axes={k: np.asarray(v, float)
                                     for k, v in (axes or {}).items()})
-    return ObservationBundle(grounded=grounded, measured_force=np.asarray(force, float),
-                             time=t, dt=dt)
+    return ObservationBundle(grounded=grounded, measured_force=np.asarray(force, float))
 
 
 def unit(rng):

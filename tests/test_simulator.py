@@ -258,8 +258,7 @@ def test_force_align_steady_state_against_static_plane():
         def observe(self):
             grounded = GroundedParams(axes={"w.down": np.array([0.0, 0.0, 1.0])})
             return ObservationBundle(grounded=grounded,
-                                     measured_force=-self.state.contact_force,
-                                     time=self.state.t, dt=self.state.dt)
+                                     measured_force=-self.state.contact_force)
 
         def apply(self, twist):
             self.state = step_sim(self.state, twist, scene)

@@ -386,8 +386,7 @@ class PointEnv:
         grounded = GroundedParams(keypoints={"r.pos": self.pos.copy(),
                                              "o.goal": self.target.copy()},
                                   axes={"o.axis": np.array([0.0, 0.0, 1.0])})
-        return ObservationBundle(grounded=grounded, measured_force=np.zeros(3),
-                                 time=self.t, dt=self.dt)
+        return ObservationBundle(grounded=grounded, measured_force=np.zeros(3))
 
     def apply(self, twist):
         self.pos = self.pos + twist.v * self.dt
