@@ -26,9 +26,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import FileFormatError, TaskAxesError
+from .errors import ConfigError, FileFormatError, TaskAxesError
 from .evaluation import run_validation
-from .features import MatchConfig, match_keypoint, read_depth_mask, read_feature_grid, window_average, cosine_map
+from .features import (
+    MatchConfig,
+    cosine_map,
+    read_depth_mask,
+    read_feature_grid,
+    select_match,
+    window_average,
+)
 from .geometry import CameraIntrinsics
 from .grounding import GroundingConfig, ground_spec, spec_from_json
 from .scenes import TASKS, load_scene, write_task_bundle
@@ -101,14 +108,15 @@ def cmd_match(flags, out_dir):
     results = []
     for kp in keypoints:
         px = (int(kp["pixel"][0]), int(kp["pixel"][1]))
-        m = match_keypoint(ref, px, target, depth, cfg)
+        # the map behind the match is also the one --dump-simmap writes
+        sim = cosine_map(window_average(ref, px[0], px[1], cfg.window_radius),
+                         target, depth)
+        m = select_match(sim, cfg)
         results.append({"object": kp.get("object", ""), "label": kp["label"],
                         "ref_pixel": list(px), "u": m.u, "v": m.v,
                         "pixel": list(m.pixel), "score": m.peak_score,
                         "mode": m.mode})
         if flags.get("dump_simmap"):
-            desc = window_average(ref, px[0], px[1], cfg.window_radius)
-            sim = cosine_map(desc, target, depth)
             name = f"simmap_{kp.get('object', 'obj')}_{kp['label']}.pgm"
             _write_pgm(os.path.join(out_dir, name), sim.score, sim.valid)
     _dump_json(os.path.join(out_dir, "matches.json"), results)
@@ -165,7 +173,12 @@ def _overlay(base, data, path, prefix=""):
     if data:
         raise FileFormatError(f"{path}: unknown key "
                               + ", ".join(repr(prefix + k) for k in sorted(data)))
-    return dataclasses.replace(base, **changes)
+    try:
+        return dataclasses.replace(base, **changes)
+    except ConfigError as err:
+        # the class checks its values together, so name every one set here
+        keys = [prefix + k for k, v in changes.items() if not dataclasses.is_dataclass(v)]
+        raise err.annotate(f"{path}: {', '.join(keys)}") from None
 
 
 def _run_config(flags, inputs):

@@ -21,15 +21,15 @@ per-controller state).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, EmptyWaypointList, UnresolvedBinding
 from .geometry import (
     WORLD_Z,
+    completion_matrix,
     euler_xyz_to_matrix,
-    orthonormal_completion,
     rotation_between_axes,
 )
 from .grounding import GroundedParams
@@ -143,10 +143,19 @@ def _normalize_theta(kind, theta):
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Mutable-per-tick controller memory, threaded through step calls."""
+    """Mutable-per-tick controller memory, threaded through the steps of
+    one controller.
+
+    memo caches the value derived from the controller's bound axis (the
+    AxisAlign target, the PosWaypoint completion matrix); memo_key is
+    that axis's float64 bytes, so a world-fixed axis is derived once per
+    phase and a moving one on every tick, bit-identically either way.
+    """
 
     waypoint_index: int = 0
     last_axis: tuple = None
+    memo_key: bytes = None
+    memo: np.ndarray = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -194,6 +203,16 @@ def _fallback_axis(state):
     return WORLD_Z.copy()
 
 
+def _memoized(state, axis, derive, *args):
+    """(derive(axis, *args), state carrying it), reusing the state's memo
+    when axis has the same bytes as the one it was derived from."""
+    key = np.asarray(axis, dtype=np.float64).tobytes()
+    if key == state.memo_key:
+        return state.memo, state
+    value = derive(axis, *args)
+    return value, ControllerState(state.waypoint_index, state.last_axis, key, value)
+
+
 def _servo_toward(cfg, state, current, target, at_last_waypoint=True):
     """Shared position law for PosAlign and PosWaypoint."""
     error = target - current
@@ -205,7 +224,8 @@ def _servo_toward(cfg, state, current, target, at_last_waypoint=True):
     axis = error / dist
     action = min(cfg.gains.kp * dist, cfg.limits.v_max)
     done = at_last_waypoint and dist <= cfg.done_tol
-    new_state = replace(state, last_axis=tuple(axis))
+    new_state = ControllerState(state.waypoint_index, tuple(axis),
+                                state.memo_key, state.memo)
     return ControllerOutput(axis, action, done, False), dist, new_state
 
 
@@ -225,12 +245,13 @@ def step_pos_waypoint(cfg: ControllerConfig, obs: ObservationBundle,
     a2 = _axis(obs, cfg.bindings[2])
     waypoints = cfg.theta
     k = min(state.waypoint_index, len(waypoints) - 1)
-    frame = orthonormal_completion(a2).rotation
+    frame, state = _memoized(state, a2, completion_matrix)
     target = g2 + frame @ np.asarray(waypoints[k], dtype=np.float64)
     at_last = k == len(waypoints) - 1
     out, dist, new_state = _servo_toward(cfg, state, g1, target, at_last_waypoint=at_last)
     if dist <= cfg.done_tol and not at_last:
-        new_state = replace(new_state, waypoint_index=k + 1)
+        new_state = ControllerState(k + 1, new_state.last_axis,
+                                    new_state.memo_key, new_state.memo)
     return out, new_state
 
 
@@ -238,7 +259,7 @@ def step_axis_align(cfg: ControllerConfig, obs: ObservationBundle,
                     state: ControllerState):
     a1 = _axis(obs, cfg.bindings[0])
     a2 = _axis(obs, cfg.bindings[1])
-    target = axis_align_target(a2, cfg.theta)
+    target, state = _memoized(state, a2, axis_align_target, cfg.theta)
     w = rotation_between_axes(a1, target)
     ang = float(np.linalg.norm(w))
     if ang < _INACTIVE_ANG:
@@ -247,7 +268,8 @@ def step_axis_align(cfg: ControllerConfig, obs: ObservationBundle,
     axis = w / ang
     action = min(cfg.gains.kr * ang, cfg.limits.w_max)
     done = ang <= math.radians(cfg.done_tol)
-    new_state = replace(state, last_axis=tuple(axis))
+    new_state = ControllerState(state.waypoint_index, tuple(axis),
+                                state.memo_key, state.memo)
     return ControllerOutput(axis, action, done, False), new_state
 
 
@@ -260,7 +282,7 @@ def axis_align_target(a2, theta_deg) -> np.ndarray:
     (0, 0, deg) tilts the target by deg away from a2.
     """
     a2 = np.asarray(a2, dtype=np.float64)
-    comp = orthonormal_completion(a2).rotation
+    comp = completion_matrix(a2)
     frame_x = np.column_stack([a2, comp[:, 0], comp[:, 1]])
     euler = euler_xyz_to_matrix(*(math.radians(t) for t in theta_deg))
     return frame_x @ euler[:, 0]
@@ -271,7 +293,7 @@ def step_force_align(cfg: ControllerConfig, obs: ObservationBundle,
     a1 = _axis(obs, cfg.bindings[0])
     f_meas = float(obs.measured_force @ a1)
     raw = cfg.gains.kf * (cfg.theta - f_meas)
-    action = float(np.clip(raw, -cfg.limits.v_max, cfg.limits.v_max))
+    action = min(max(raw, -cfg.limits.v_max), cfg.limits.v_max)
     return ControllerOutput(np.asarray(a1, dtype=np.float64), action,
                             done=False, inactive=False), state
 

@@ -225,7 +225,11 @@ def match_keypoint(ref: FeatureGrid, ref_px, target: FeatureGrid,
     valid target pixels, then applies the configured argmax.
     """
     ref_desc = window_average(ref, ref_px[0], ref_px[1], cfg.window_radius)
-    sim = cosine_map(ref_desc, target, target_mask)
+    return select_match(cosine_map(ref_desc, target, target_mask), cfg)
+
+
+def select_match(sim: SimilarityMap, cfg: MatchConfig) -> PixelMatch:
+    """The configured argmax (hard or soft) of a similarity map."""
     if cfg.mode == "hard":
         return hard_match(sim)
     return soft_match(sim, cfg.temperature)

@@ -152,35 +152,50 @@ class Frame:
                      self.rotation @ other.rotation)
 
 
+def cross3(a, b) -> np.ndarray:
+    """Cross product of two float64 3-vectors.
+
+    The same multiply-subtract per component as np.cross, so the result
+    is bit-identical, without np.cross's per-call broadcasting overhead.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def completion_matrix(z) -> np.ndarray:
+    """Rotation matrix of orthonormal_completion(z), without building
+    and validating a Frame (the columns are orthonormal by construction)."""
+    z = np.asarray(z, dtype=np.float64)
+    seed = WORLD_X if abs(float(z @ WORLD_X)) <= 0.9 else WORLD_Y
+    x = seed - float(seed @ z) * z
+    x = x / np.linalg.norm(x)
+    return np.column_stack([x, cross3(z, x), z])
+
+
 def orthonormal_completion(z) -> Frame:
     """Deterministic right-handed frame whose third column equals z.
 
     Seed vector is world X unless |z . X| > 0.9, in which case world Y;
     the fixed rule makes the output reproducible for regression tests.
     """
-    z = np.asarray(z, dtype=np.float64)
-    seed = WORLD_X if abs(float(z @ WORLD_X)) <= 0.9 else WORLD_Y
-    x = seed - float(seed @ z) * z
-    x = x / np.linalg.norm(x)
-    y = np.cross(z, x)
-    return Frame(np.zeros(3), np.column_stack([x, y, z]))
+    return Frame(np.zeros(3), completion_matrix(z))
 
 
 def rotation_between_axes(a, b) -> np.ndarray:
     """Rotation vector taking unit axis a onto unit axis b (angle in [0, pi]).
 
     The antiparallel case has no unique axis; a deterministic axis
-    orthogonal to a is taken from orthonormal_completion.
+    orthogonal to a is taken from the completion frame of a.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    c = float(np.clip(a @ b, -1.0, 1.0))
-    w = np.cross(a, b)
+    c = min(max(float(a @ b), -1.0), 1.0)
+    w = cross3(a, b)
     s = float(np.linalg.norm(w))
     angle = math.atan2(s, c)
     if angle < 1e-12:
         return np.zeros(3)
     if angle > math.pi - 1e-6:
-        axis = orthonormal_completion(a).rotation[:, 0]
-        return angle * axis
+        return angle * completion_matrix(a)[:, 0]
     return (angle / s) * w

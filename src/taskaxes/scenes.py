@@ -31,7 +31,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FileFormatError
 from .features import read_depth_mask, read_feature_grid
 from .geometry import CameraIntrinsics, Frame, project_point
 from .grounding import AxisSpec, GroundingSpec, KeypointRef, spec_to_json
@@ -148,6 +148,12 @@ def scene_from_json(data: dict, base_dir="."):
     ee_start = Frame.from_rpy_deg(ee.get("origin", (0.0, 0.0, 0.25)),
                                   ee.get("rpy_deg", (0.0, 0.0, 0.0)))
     feat = data.get("features", {})
+    if not isinstance(feat, dict):
+        raise FileFormatError("features must be a JSON object")
+    unknown = sorted(set(feat) - {f.name for f in fields(FeatureRenderConfig)})
+    if unknown:
+        raise FileFormatError("unknown key "
+                              + ", ".join(repr(f"features.{k}") for k in unknown))
     features = FeatureRenderConfig(**{f.name: type(f.default)(feat[f.name])
                                       for f in fields(FeatureRenderConfig)
                                       if f.name in feat})
@@ -155,6 +161,18 @@ def scene_from_json(data: dict, base_dir="."):
     scene = Scene(objects=objects, intrinsics=intr, ee_start=ee_start,
                   features=features)
     return scene, data.get("reference")
+
+
+def _read_scene(path, base_dir):
+    """(JSON data, scene, reference name) of one scene file; a layout
+    error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    try:
+        scene, ref_name = scene_from_json(data, base_dir)
+    except FileFormatError as err:
+        raise err.annotate(path) from None
+    return data, scene, ref_name
 
 
 def load_scene(path):
@@ -168,15 +186,12 @@ def load_scene(path):
     read besides `path` itself.
     """
     base_dir = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    scene, ref_name = scene_from_json(data, base_dir)
+    data, scene, ref_name = _read_scene(path, base_dir)
     paths = []
     ref_scene = None
     if ref_name:
         ref_path = os.path.join(base_dir, ref_name)
-        with open(ref_path, "r", encoding="utf-8") as fh:
-            ref_scene, _ = scene_from_json(json.load(fh), base_dir)
+        _, ref_scene, _ = _read_scene(ref_path, base_dir)
         paths.append(ref_path)
     feature_files = None
     if "feature_files" in data:

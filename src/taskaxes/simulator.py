@@ -277,26 +277,41 @@ def grasp(state: SimState, scene: Scene, object_name: str, keypoint: str,
 
 class GroundedAnchors:
     """Tracks where each grounded value lives: world-fixed, gripper-fixed,
-    or a robot built-in. Attached entries follow the end effector."""
+    or a robot built-in. Attached entries follow the end effector.
+
+    World-fixed values, and the float lists the tick log writes for them,
+    are built once at add_role; current() moves only the gripper-fixed
+    entries and the robot built-ins.
+    """
 
     def __init__(self):
-        self._keypoints = {}   # qualified -> ("world"|"ee", vec)
+        # qualified label -> world value; an attached entry keeps its slot
+        # so that current() lists labels in the same order on every tick
+        self._keypoints = {}
         self._axes = {}
-        self._robot_roles = set()
-        self._roles = {}       # role -> list of qualified labels
+        self._ee_keypoints = {}   # qualified -> value in the gripper frame
+        self._ee_axes = {}
+        self._keypoint_lists = {}  # qualified -> float list, world-fixed entries only
+        self._axis_lists = {}
+        self._robot_labels = []    # (keypoint label, ((axis label, column), ...))
+        self._roles = {}           # role -> list of qualified labels
 
     def add_robot_role(self, role):
-        self._robot_roles.add(role)
+        self._robot_labels.append(
+            (f"{role}.{ROBOT_BUILTIN_KEYPOINT}",
+             tuple((f"{role}.{axis}", i) for i, axis in enumerate(ROBOT_BUILTIN_AXES))))
 
     def add_role(self, role, grounded: GroundedParams):
         labels = []
         for label, pos in grounded.keypoints.items():
             q = f"{role}.{label}"
-            self._keypoints[q] = ("world", np.asarray(pos, dtype=np.float64))
+            self._keypoints[q] = np.asarray(pos, dtype=np.float64)
+            self._keypoint_lists[q] = self._keypoints[q].tolist()
             labels.append(q)
         for label, direction in grounded.axes.items():
             q = f"{role}.{label}"
-            self._axes[q] = ("world", np.asarray(direction, dtype=np.float64))
+            self._axes[q] = np.asarray(direction, dtype=np.float64)
+            self._axis_lists[q] = self._axes[q].tolist()
             labels.append(q)
         self._roles[role] = labels
 
@@ -304,26 +319,36 @@ class GroundedAnchors:
         """Re-express a role's groundings in the gripper frame at grasp time."""
         inv = ee.inverse()
         for q in self._roles.get(role, []):
-            if q in self._keypoints:
-                kind, value = self._keypoints[q]
-                if kind == "world":
-                    self._keypoints[q] = ("ee", inv.apply(value))
-            if q in self._axes:
-                kind, value = self._axes[q]
-                if kind == "world":
-                    self._axes[q] = ("ee", inv.apply_dir(value))
+            if q in self._keypoint_lists:
+                self._ee_keypoints[q] = inv.apply(self._keypoints[q])
+                del self._keypoint_lists[q]
+            if q in self._axis_lists:
+                self._ee_axes[q] = inv.apply_dir(self._axes[q])
+                del self._axis_lists[q]
 
     def current(self, ee: Frame) -> GroundedParams:
-        grounded = GroundedParams()
-        for q, (kind, value) in self._keypoints.items():
-            grounded.keypoints[q] = ee.apply(value) if kind == "ee" else value
-        for q, (kind, value) in self._axes.items():
-            grounded.axes[q] = ee.apply_dir(value) if kind == "ee" else value
-        for role in self._robot_roles:
-            grounded.keypoints[f"{role}.{ROBOT_BUILTIN_KEYPOINT}"] = ee.origin
-            for i, axis in enumerate(ROBOT_BUILTIN_AXES):
-                grounded.axes[f"{role}.{axis}"] = ee.rotation[:, i]
-        return grounded
+        keypoints = dict(self._keypoints)
+        for q, value in self._ee_keypoints.items():
+            keypoints[q] = ee.apply(value)
+        axes = dict(self._axes)
+        for q, value in self._ee_axes.items():
+            axes[q] = ee.apply_dir(value)
+        for keypoint, builtin_axes in self._robot_labels:
+            keypoints[keypoint] = ee.origin
+            for q, i in builtin_axes:
+                axes[q] = ee.rotation[:, i]
+        return GroundedParams(keypoints=keypoints, axes=axes)
+
+    def as_lists(self, grounded: GroundedParams) -> dict:
+        """Float-list view of a current() result for the tick log; the
+        world-fixed lists are shared, not rebuilt."""
+        kp_lists, axis_lists = self._keypoint_lists, self._axis_lists
+        return {
+            "keypoints": {q: kp_lists[q] if q in kp_lists else p.tolist()
+                          for q, p in grounded.keypoints.items()},
+            "axes": {q: axis_lists[q] if q in axis_lists else d.tolist()
+                     for q, d in grounded.axes.items()},
+        }
 
 
 # ----------------------------------------------------------------------
@@ -457,16 +482,10 @@ class SkillRunner:
         grounded = self._last_obs.grounded if self._last_obs else GroundedParams()
         record.update({
             "t": self.state.t,
-            "ee": {"origin": [float(x) for x in self.state.ee.origin],
-                   "rotation": [[float(x) for x in row]
-                                for row in self.state.ee.rotation]},
-            "contact_force": [float(x) for x in self.state.contact_force],
-            "grounded": {
-                "keypoints": {q: [float(x) for x in p]
-                              for q, p in grounded.keypoints.items()},
-                "axes": {q: [float(x) for x in d]
-                         for q, d in grounded.axes.items()},
-            },
+            "ee": {"origin": self.state.ee.origin.tolist(),
+                   "rotation": self.state.ee.rotation.tolist()},
+            "contact_force": self.state.contact_force.tolist(),
+            "grounded": self.anchors.as_lists(grounded),
         })
         self.log.append(record)
 

@@ -245,8 +245,8 @@ def _tick_record(phase, stacks, outputs, commands, twist):
                 "class": cls,
                 "priority": i + 1,
                 "kind": cfg.kind,
-                "axis": [float(x) for x in out.primary_axis],
-                "axis_hat": [float(x) for x in cmd.axis] if cmd.active else None,
+                "axis": out.primary_axis.tolist(),
+                "axis_hat": cmd.axis.tolist() if cmd.active else None,
                 "u": float(out.action),
                 "u_hat": float(cmd.action),
                 "active": bool(cmd.active),
@@ -255,7 +255,7 @@ def _tick_record(phase, stacks, outputs, commands, twist):
     return {
         "phase": phase.name,
         "controllers": controllers,
-        "twist": {"v": [float(x) for x in twist.v], "w": [float(x) for x in twist.w]},
+        "twist": {"v": twist.v.tolist(), "w": twist.w.tolist()},
     }
 
 

@@ -247,6 +247,31 @@ def test_cmd_run_config_unknown_key_exits_2(scrape_dir, tmp_path, capsys):
     assert not (out / "result.json").exists()
 
 
+def test_cmd_run_config_rejected_value_names_file_and_key(scrape_dir, tmp_path, capsys):
+    config = tmp_path / "negative.json"
+    config.write_text(json.dumps({"limits": {"v_max": -1}}))
+    out = tmp_path / "negative_run"
+    assert _run_scrape(scrape_dir, out, "--config", str(config)) == 2
+    err = capsys.readouterr().err
+    assert str(config) in err and "limits.v_max" in err and "positive" in err
+    assert not (out / "result.json").exists()
+
+
+def test_cmd_run_scene_unknown_feature_key_exits_2(scrape_dir, tmp_path, capsys):
+    scene_json = read_json(scrape_dir / "scene.json")
+    scene_json["features"] = {"seeed": 5}
+    scene_json["reference"] = str(scrape_dir / "ref_scene.json")
+    scene_path = tmp_path / "typo_scene.json"
+    scene_path.write_text(json.dumps(scene_json))
+    out = tmp_path / "typo_scene_run"
+    code = main(["run", "--skill", str(scrape_dir / "scrape.skill"),
+                 "--scene", str(scene_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(scene_path) in err and "features.seeed" in err
+    assert not (out / "result.json").exists()
+
+
 def test_cmd_run_grounding_failure_exits_2_before_writing(scrape_dir, tmp_path):
     config = tmp_path / "strict.json"
     config.write_text(json.dumps({"grounding": {"min_score": 1.5}}))
