@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 data/matching error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -38,7 +37,7 @@ from .features import (
 )
 from .geometry import CameraIntrinsics
 from .grounding import GroundingConfig, ground_spec, spec_from_json
-from .scenes import TASKS, load_scene, write_task_bundle
+from .scenes import TASKS, config_from_json, load_scene, write_task_bundle
 from .simulator import RunConfig, SkillRunner
 from .skill import parse_skill
 from .controllers import Gains
@@ -142,45 +141,6 @@ def cmd_ground(flags, out_dir):
     return 0, inputs
 
 
-def _overlay(base, data, path, prefix=""):
-    """Copy of config dataclass `base` with the values of JSON object
-    `data`, each cast to the type of the default it replaces.
-
-    A nested config takes a nested object, except MatchConfig, whose keys
-    sit beside the other grounding keys. Unknown keys are rejected by
-    their dotted name.
-    """
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{path}: {prefix[:-1] or 'config'} must be a JSON object")
-    data = dict(data)
-    changes = {}
-    for f in dataclasses.fields(base):
-        old = getattr(base, f.name)
-        if isinstance(old, MatchConfig):
-            keys = [g.name for g in dataclasses.fields(old) if g.name in data]
-            changes[f.name] = _overlay(old, {k: data.pop(k) for k in keys}, path, prefix)
-        elif f.name not in data:
-            continue
-        elif dataclasses.is_dataclass(old):
-            changes[f.name] = _overlay(old, data.pop(f.name), path, f"{prefix}{f.name}.")
-        else:
-            value = data.pop(f.name)
-            try:
-                changes[f.name] = type(old)(value)
-            except (TypeError, ValueError):
-                raise FileFormatError(f"{path}: {prefix}{f.name}: expected "
-                                      f"{type(old).__name__}, got {value!r}") from None
-    if data:
-        raise FileFormatError(f"{path}: unknown key "
-                              + ", ".join(repr(prefix + k) for k in sorted(data)))
-    try:
-        return dataclasses.replace(base, **changes)
-    except ConfigError as err:
-        # the class checks its values together, so name every one set here
-        keys = [prefix + k for k, v in changes.items() if not dataclasses.is_dataclass(v)]
-        raise err.annotate(f"{path}: {', '.join(keys)}") from None
-
-
 def _run_config(flags, inputs):
     """RunConfig and default controller gains: the class defaults, with
     the --config JSON overlaid when one is given."""
@@ -191,8 +151,11 @@ def _run_config(flags, inputs):
         inputs.append(path)
         if not isinstance(data, dict):
             raise FileFormatError(f"{path}: config must be a JSON object")
-    gains = _overlay(Gains(), data.get("gains", {}), path, "gains.")
-    cfg = _overlay(RunConfig(), {k: v for k, v in data.items() if k != "gains"}, path)
+    try:
+        gains = config_from_json(Gains(), data.get("gains", {}), "gains.")
+        cfg = config_from_json(RunConfig(), {k: v for k, v in data.items() if k != "gains"})
+    except (FileFormatError, ConfigError) as err:
+        raise err.annotate(path) from None
     return cfg, gains
 
 

@@ -71,11 +71,15 @@ class DepthMask:
     """Per-pixel depth in meters; NaN or non-positive entries are invalid."""
 
     depth: np.ndarray
+    valid: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.depth = np.asarray(self.depth, dtype=np.float64)
         if self.depth.ndim != 2:
             raise ConfigError(f"depth map must be 2D, got shape {self.depth.shape}")
+        # computed once: masks are treated as immutable, like grids
+        with np.errstate(invalid="ignore"):
+            self.valid = np.isfinite(self.depth) & (self.depth > 0)
 
     @property
     def height(self) -> int:
@@ -84,11 +88,6 @@ class DepthMask:
     @property
     def width(self) -> int:
         return self.depth.shape[1]
-
-    @property
-    def valid(self) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.isfinite(self.depth) & (self.depth > 0)
 
 
 @dataclass
@@ -149,42 +148,45 @@ def window_average(grid: FeatureGrid, u: int, v: int,
     return window.reshape(-1, grid.dim).mean(axis=0)
 
 
-def _cosine_scores(ref: np.ndarray, data64: np.ndarray, norms: np.ndarray,
-                   candidate: np.ndarray) -> SimilarityMap:
-    ref_norm = float(np.linalg.norm(ref))
-    if ref_norm <= 0:
-        raise ZeroReferenceDescriptor("reference descriptor has zero norm")
-    valid = candidate & (norms > 0)
-    score = np.zeros(norms.shape, dtype=np.float64)
-    score[valid] = (data64[valid] @ ref) / (norms[valid] * ref_norm)
-    return SimilarityMap(score=score, valid=valid)
-
-
 def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:
     """Cosine similarity of a reference descriptor against every valid pixel.
 
     Pixels with invalid depth or zero-norm descriptors are excluded from
-    the candidate set. Scores are computed per pixel independently, so
-    the result does not depend on evaluation order.
+    the candidate set. Only those candidate rows are scored, one float64
+    dot product each, and scattered into the full-size map; scores are
+    computed per pixel independently, so the result does not depend on
+    evaluation order.
     """
     ref = np.asarray(ref_desc, dtype=np.float64).reshape(-1)
     if ref.shape[0] != target.dim:
         raise DimMismatch(f"descriptor dim {ref.shape[0]} != grid dim {target.dim}")
     if (mask.height, mask.width) != (target.height, target.width):
         raise DimMismatch("depth mask dimensions do not match the feature grid")
-    data64, norms = _grid_cache(target)
-    return _cosine_scores(ref, data64, norms, mask.valid)
+    idx, rows, norms = _grid_cache(target, mask)
+    ref_norm = float(np.linalg.norm(ref))
+    if ref_norm <= 0:
+        raise ZeroReferenceDescriptor("reference descriptor has zero norm")
+    score = np.zeros(mask.depth.size, dtype=np.float64)
+    score[idx] = (rows @ ref) / (norms * ref_norm)
+    valid = np.zeros(mask.depth.size, dtype=bool)
+    valid[idx] = True
+    return SimilarityMap(score=score.reshape(mask.depth.shape),
+                         valid=valid.reshape(mask.depth.shape))
 
 
-def _grid_cache(grid: FeatureGrid):
-    """float64 view + per-pixel norms, cached (grids are treated as immutable)."""
+def _grid_cache(grid: FeatureGrid, mask: DepthMask):
+    """Flat indices, float64 rows and norms of the grid's candidate pixels
+    under `mask`, cached for the last mask used (grids and masks are
+    treated as immutable)."""
     cache = getattr(grid, "_cosine_cache", None)
-    if cache is None:
-        data64 = grid.data.astype(np.float64)
-        norms = np.sqrt(np.einsum("hwd,hwd->hw", data64, data64))
-        cache = (data64, norms)
+    if cache is None or cache[0] is not mask:
+        idx = np.flatnonzero(mask.valid)
+        rows = grid.data.reshape(-1, grid.dim)[idx].astype(np.float64)
+        norms = np.sqrt(np.einsum("nd,nd->n", rows, rows))
+        keep = norms > 0
+        cache = (mask, idx[keep], rows[keep], norms[keep])
         grid._cosine_cache = cache
-    return cache
+    return cache[1:]
 
 
 def hard_match(sim: SimilarityMap) -> PixelMatch:

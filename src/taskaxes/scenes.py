@@ -25,17 +25,24 @@ on the rendered surface.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from dataclasses import fields
 
 import numpy as np
 
 from .errors import ConfigError, FileFormatError
-from .features import read_depth_mask, read_feature_grid
+from .features import MatchConfig, read_depth_mask, read_feature_grid
 from .geometry import CameraIntrinsics, Frame, project_point
 from .grounding import AxisSpec, GroundingSpec, KeypointRef, spec_to_json
-from .simulator import ContactSurface, FeatureRenderConfig, Scene, SceneObject
+from .simulator import (
+    EE_START_ORIGIN,
+    EE_START_RPY_DEG,
+    ContactSurface,
+    FeatureRenderConfig,
+    Scene,
+    SceneObject,
+)
 
 DESK_Z = 0.45
 
@@ -141,22 +148,54 @@ def object_from_json(data: dict, base_dir=".") -> SceneObject:
                        contact_probe=data.get("contact_probe"))
 
 
+def config_from_json(base, data, prefix=""):
+    """Copy of config dataclass `base` with the values of JSON object
+    `data`, each cast to the type of the default it replaces.
+
+    A nested config takes a nested object, except MatchConfig, whose keys
+    sit beside the other grounding keys. Unknown keys, values that do not
+    cast and values the class rejects raise an error naming the dotted
+    key; the caller prefixes the file.
+    """
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{prefix[:-1] or 'config'} must be a JSON object")
+    data = dict(data)
+    changes = {}
+    for f in dataclasses.fields(base):
+        old = getattr(base, f.name)
+        if isinstance(old, MatchConfig):
+            keys = [g.name for g in dataclasses.fields(old) if g.name in data]
+            changes[f.name] = config_from_json(old, {k: data.pop(k) for k in keys}, prefix)
+        elif f.name not in data:
+            continue
+        elif dataclasses.is_dataclass(old):
+            changes[f.name] = config_from_json(old, data.pop(f.name), f"{prefix}{f.name}.")
+        else:
+            value = data.pop(f.name)
+            try:
+                changes[f.name] = type(old)(value)
+            except (TypeError, ValueError):
+                raise FileFormatError(f"{prefix}{f.name}: expected "
+                                      f"{type(old).__name__}, got {value!r}") from None
+    if data:
+        raise FileFormatError("unknown key "
+                              + ", ".join(repr(prefix + k) for k in sorted(data)))
+    try:
+        return dataclasses.replace(base, **changes)
+    except ConfigError as err:
+        # the class checks its values together, so name every one set here
+        keys = [prefix + k for k, v in changes.items() if not dataclasses.is_dataclass(v)]
+        raise err.annotate(", ".join(keys)) from None
+
+
 def scene_from_json(data: dict, base_dir="."):
     """Build a Scene; returns (scene, reference_path_or_None)."""
     intr = CameraIntrinsics.from_json(data["intrinsics"])
     ee = data.get("ee_start", {})
-    ee_start = Frame.from_rpy_deg(ee.get("origin", (0.0, 0.0, 0.25)),
-                                  ee.get("rpy_deg", (0.0, 0.0, 0.0)))
-    feat = data.get("features", {})
-    if not isinstance(feat, dict):
-        raise FileFormatError("features must be a JSON object")
-    unknown = sorted(set(feat) - {f.name for f in fields(FeatureRenderConfig)})
-    if unknown:
-        raise FileFormatError("unknown key "
-                              + ", ".join(repr(f"features.{k}") for k in unknown))
-    features = FeatureRenderConfig(**{f.name: type(f.default)(feat[f.name])
-                                      for f in fields(FeatureRenderConfig)
-                                      if f.name in feat})
+    ee_start = Frame.from_rpy_deg(ee.get("origin", EE_START_ORIGIN),
+                                  ee.get("rpy_deg", EE_START_RPY_DEG))
+    features = config_from_json(FeatureRenderConfig(), data.get("features", {}),
+                                "features.")
     objects = [object_from_json(o, base_dir) for o in data.get("objects", [])]
     scene = Scene(objects=objects, intrinsics=intr, ee_start=ee_start,
                   features=features)
@@ -170,7 +209,7 @@ def _read_scene(path, base_dir):
         data = json.load(fh)
     try:
         scene, ref_name = scene_from_json(data, base_dir)
-    except FileFormatError as err:
+    except (FileFormatError, ConfigError) as err:
         raise err.annotate(path) from None
     return data, scene, ref_name
 
@@ -243,7 +282,7 @@ def _desk_json():
 def _base_scene_json(objects, seed):
     return {
         "intrinsics": _intrinsics_json(),
-        "ee_start": {"origin": [0.0, 0.0, 0.25], "rpy_deg": [0.0, 0.0, 0.0]},
+        "ee_start": {"origin": list(EE_START_ORIGIN), "rpy_deg": list(EE_START_RPY_DEG)},
         "features": {"dim": 24, "length_scale": 0.02, "noise_sigma": 0.0,
                      "seed": seed},
         "objects": objects,

@@ -37,6 +37,11 @@ from .skill import ROBOT_ROLE_SOURCE, GraspStep, LiftedSkill, Twist, run_phase
 ROBOT_BUILTIN_AXES = ("x", "y", "z")
 ROBOT_BUILTIN_KEYPOINT = "pos"
 
+# end-effector start pose of a scene that names none: 25 cm in front of
+# the camera, axes along the camera's
+EE_START_ORIGIN = (0.0, 0.0, 0.25)
+EE_START_RPY_DEG = (0.0, 0.0, 0.0)
+
 
 @dataclass
 class ContactSurface:
@@ -94,7 +99,8 @@ class FeatureRenderConfig:
 class Scene:
     objects: list
     intrinsics: CameraIntrinsics
-    ee_start: Frame = field(default_factory=Frame.identity)
+    ee_start: Frame = field(
+        default_factory=lambda: Frame.from_rpy_deg(EE_START_ORIGIN, EE_START_RPY_DEG))
     features: FeatureRenderConfig = field(default_factory=FeatureRenderConfig)
 
     def find(self, name) -> SceneObject:
@@ -121,6 +127,11 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0):
     winning pixel's descriptor is cos(W p_local + b) with a per-object
     basis W, b, making descriptors invariant to the object's world pose.
     Background pixels get NaN depth and a zero descriptor.
+
+    Descriptors and noise are computed only for the winners, in pixel
+    order, as one compact float64 array; the noise is one normal draw of
+    shape (winners, dim). The float32 grid is filled by one scatter of
+    that array, so no whole-image float64 grid is ever built.
     """
     intr = scene.intrinsics
     cfg = scene.features
@@ -143,41 +154,48 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0):
 
     z = world[:, 2]
     front = z > 1e-6
-    u = np.rint(intr.fx * world[:, 0] / np.where(front, z, 1.0) + intr.cx).astype(np.int64)
-    v = np.rint(intr.fy * world[:, 1] / np.where(front, z, 1.0) + intr.cy).astype(np.int64)
+    safe_z = np.where(front, z, 1.0)
+    u = np.rint(intr.fx * world[:, 0] / safe_z + intr.cx).astype(np.int64)
+    v = np.rint(intr.fy * world[:, 1] / safe_z + intr.cy).astype(np.int64)
     visible = front & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
     u, v, z = u[visible], v[visible], z[visible]
     local = local[visible]
     obj_ids = obj_ids[visible]
 
-    depth = np.full((intr.height, intr.width), np.nan)
-    data = np.zeros((intr.height, intr.width, cfg.dim), dtype=np.float64)
-    if u.size:
-        flat = v * intr.width + u
-        order = np.lexsort((np.arange(flat.size), z, flat))
-        flat_sorted = flat[order]
-        first = np.ones(flat_sorted.size, dtype=bool)
-        first[1:] = flat_sorted[1:] != flat_sorted[:-1]
-        winners = order[first]
-        wu, wv = u[winners], v[winners]
-        depth[wv, wu] = z[winners]
-        for i, obj in enumerate(scene.objects):
-            sel = obj_ids[winners] == i
-            if not sel.any():
-                continue
-            freqs, phase = _object_basis(obj.name, cfg)
-            desc = np.cos(local[winners][sel] @ freqs.T + phase)
-            data[wv[sel], wu[sel]] = desc
-        if cfg.noise_sigma > 0:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, 7919, noise_tag]))
-            data[wv, wu] += rng.normal(0.0, cfg.noise_sigma,
-                                       size=(winners.size, cfg.dim))
-    grid = FeatureGrid(data=data.astype(np.float32),
+    # z-buffer: the nearest depth per pixel, then the lowest point index
+    # among the points at that depth; winners come out in pixel order
+    size = intr.height * intr.width
+    flat = v * intr.width + u
+    nearest = np.full(size, np.inf)
+    np.minimum.at(nearest, flat, z)
+    at_nearest = np.flatnonzero(z == nearest[flat])
+    first = np.full(size, flat.size)
+    np.minimum.at(first, flat[at_nearest], at_nearest)
+    pixels = np.flatnonzero(first < flat.size)
+    winners = first[pixels]
+    depth = np.full(size, np.nan)
+    depth[pixels] = z[winners]
+
+    local = local[winners]
+    obj_ids = obj_ids[winners]
+    desc = np.empty((winners.size, cfg.dim))
+    for i, obj in enumerate(scene.objects):
+        sel = obj_ids == i
+        if not sel.any():
+            continue
+        freqs, phase = _object_basis(obj.name, cfg)
+        desc[sel] = np.cos(local[sel] @ freqs.T + phase)
+    if cfg.noise_sigma > 0:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, 7919, noise_tag]))
+        desc += rng.normal(0.0, cfg.noise_sigma, size=(winners.size, cfg.dim))
+    data = np.zeros((size, cfg.dim), dtype=np.float32)
+    data[pixels] = desc
+    grid = FeatureGrid(data=data.reshape(intr.height, intr.width, cfg.dim),
                        meta={"source": "synthetic", "dim": str(cfg.dim),
                              "length_scale": str(cfg.length_scale),
                              "noise_sigma": str(cfg.noise_sigma)})
-    return grid, DepthMask(depth=depth)
+    return grid, DepthMask(depth=depth.reshape(intr.height, intr.width))
 
 
 # ----------------------------------------------------------------------

@@ -272,6 +272,24 @@ def test_cmd_run_scene_unknown_feature_key_exits_2(scrape_dir, tmp_path, capsys)
     assert not (out / "result.json").exists()
 
 
+@pytest.mark.parametrize("value, message", [("abc", "expected int, got 'abc'"),
+                                            (2, "descriptor dimension must be >= 4")])
+def test_cmd_run_scene_bad_feature_value_names_file_and_key(scrape_dir, tmp_path, capsys,
+                                                            value, message):
+    scene_json = read_json(scrape_dir / "scene.json")
+    scene_json["features"] = {"dim": value}
+    scene_json["reference"] = str(scrape_dir / "ref_scene.json")
+    scene_path = tmp_path / "bad_dim_scene.json"
+    scene_path.write_text(json.dumps(scene_json))
+    out = tmp_path / "bad_dim_run"
+    code = main(["run", "--skill", str(scrape_dir / "scrape.skill"),
+                 "--scene", str(scene_path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{scene_path}: features.dim: {message}" in err
+    assert not (out / "result.json").exists()
+
+
 def test_cmd_run_grounding_failure_exits_2_before_writing(scrape_dir, tmp_path):
     config = tmp_path / "strict.json"
     config.write_text(json.dumps({"grounding": {"min_score": 1.5}}))

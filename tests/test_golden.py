@@ -1,14 +1,17 @@
 """Golden bytes: `gen --seed 123` + `run` of every demo task must keep
-writing exactly these files. Any change to the control tick, the
-projection, the simulator or the log format that moves one bit of an
-output shows up here; an intended change re-records the digests and
-says why in CHANGES.md."""
+writing exactly these files, and `run_validation` must keep returning
+exactly these statistics. Any change to the control tick, the
+projection, the simulator, the renderer, the matcher or the log format
+that moves one bit of an output shows up here; an intended change
+re-records the digests and says why in CHANGES.md."""
 
 import hashlib
+import json
 
 import pytest
 
 from taskaxes.cli import main
+from taskaxes.evaluation import run_validation
 
 GOLDEN = {
     "scrape": {
@@ -38,3 +41,21 @@ def test_demo_run_outputs_are_byte_identical(task, tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN[task]}
     assert digests == GOLDEN[task]
+
+
+# SHA-256 of json.dumps(run_validation(5, ...), sort_keys=True)
+VALIDATE_GOLDEN = {
+    (0, 0.0, "hard"): "a90629d274c45a82b32437fd2fb19cfc8211e5947b09b2e9323a12c40f173830",
+    (0, 0.1, "soft"): "48c2683e0f01a95aa97883418e51832f424874ace2a8005342d67d9463eeda7e",
+    (0, 1.0, "soft"): "e4e585ea2c5e77ed7a743106473207a3c703139f9570603c31b024140dd0fda0",
+    (1, 0.0, "hard"): "9d43b1a5586776731deb63d50f36cb7e7c5c1d4ae4640f918d2ee4ac0659b564",
+    (1, 0.1, "soft"): "8c84afe43a9e3bcbf8769f090bcc3a9057cea7e4afe91afe075f9bd53b417a2e",
+    (1, 1.0, "soft"): "20c0a5d7e89d77be9112decedd8f42ed6e60770c924d647fab3220b9be7a8422",
+}
+
+
+@pytest.mark.parametrize("seed, sigma, mode", sorted(VALIDATE_GOLDEN))
+def test_validation_stats_are_byte_identical(seed, sigma, mode):
+    stats = run_validation(5, noise_sigma=sigma, mode=mode, seed=seed)
+    text = json.dumps(stats, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == VALIDATE_GOLDEN[(seed, sigma, mode)]

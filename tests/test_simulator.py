@@ -273,3 +273,12 @@ def test_force_align_steady_state_against_static_plane():
     assert result.outcome == "done" and result.ticks == budget
     settled = np.array(env.forces[int(2.0 / 0.005):])
     assert np.all(np.abs(settled - theta) / theta < 0.05)
+
+
+def test_ee_start_default_is_the_same_in_code_and_json():
+    loaded, _ = scene_from_json({"intrinsics": {"fx": 600.0, "fy": 600.0, "cx": 320.0,
+                                                "cy": 240.0, "width": 640, "height": 480}})
+    built = Scene(objects=[], intrinsics=INTR)
+    assert np.array_equal(loaded.ee_start.origin, built.ee_start.origin)
+    assert np.array_equal(loaded.ee_start.rotation, built.ee_start.rotation)
+    assert np.array_equal(built.ee_start.origin, [0.0, 0.0, 0.25])
