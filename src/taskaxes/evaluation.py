@@ -142,14 +142,16 @@ def _draw_poses(rng) -> dict:
 def _with_noise(grid: FeatureGrid, mask: DepthMask, sigma, rng) -> FeatureGrid:
     """Copy of the grid with Gaussian noise added, in float64, to the
     valid pixels only; the rest keep their float32 bytes, as a
-    float32 -> float64 -> float32 round trip would leave them."""
+    float32 -> float64 -> float32 round trip would leave them. Only the
+    noisy rows are checked for finiteness (`grid` was checked)."""
     if sigma <= 0:
         return grid
     data = grid.data.copy()
     flat = data.reshape(-1, grid.dim)
     idx = np.flatnonzero(mask.valid)
-    flat[idx] = flat[idx] + rng.normal(0.0, sigma, size=(idx.size, grid.dim))
-    return FeatureGrid(data=data, meta=dict(grid.meta))
+    noisy = flat[idx] + rng.normal(0.0, sigma, size=(idx.size, grid.dim))
+    flat[idx] = noisy
+    return FeatureGrid._built(data, dict(grid.meta), noisy)
 
 
 def _axis_error_deg(grounded, truth, metric) -> float:

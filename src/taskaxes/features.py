@@ -41,7 +41,8 @@ FILE_VERSION = 1
 
 @dataclass
 class FeatureGrid:
-    """Per-pixel descriptor array of shape (height, width, dim)."""
+    """Per-pixel descriptor array of shape (height, width, dim). The public
+    constructor checks every value is finite; `_built` checks new ones."""
 
     data: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -52,6 +53,21 @@ class FeatureGrid:
             raise ConfigError(f"feature grid must be 3D, got shape {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ConfigError("feature grid contains non-finite values")
+
+    @classmethod
+    def _built(cls, data, meta, written) -> "FeatureGrid":
+        """Trusted grid: the rows of 3-D `data` are zeros or from a checked
+        grid, but for those just cast from float64 `written`. The cast is
+        monotone and NaN propagates, so they are all finite iff the cast
+        minimum and maximum are."""
+        if written.size:
+            with np.errstate(over="ignore"):
+                ends = np.array([written.min(), written.max()]).astype(data.dtype)
+            if not np.isfinite(ends).all():
+                raise ConfigError("feature grid contains non-finite values")
+        grid = cls.__new__(cls)
+        grid.data, grid.meta = data, meta
+        return grid
 
     @property
     def height(self) -> int:
@@ -92,10 +108,19 @@ class DepthMask:
 
 @dataclass
 class SimilarityMap:
-    """Cosine scores per pixel plus the valid-candidate mask."""
+    """Cosine scores per pixel plus the valid-candidate mask, and the
+    candidates' ascending flat indices and scores, which the matchers read
+    (derived here for a map built from `score` and `valid` alone)."""
 
     score: np.ndarray
     valid: np.ndarray
+    candidates: np.ndarray = field(default=None, repr=False, compare=False)
+    candidate_scores: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.candidates is None:
+            self.candidates = np.flatnonzero(self.valid)
+            self.candidate_scores = np.ravel(self.score)[self.candidates]
 
     @property
     def height(self) -> int:
@@ -155,7 +180,7 @@ def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:
     the candidate set. Only those candidate rows are scored, one float64
     dot product each, and scattered into the full-size map; scores are
     computed per pixel independently, so the result does not depend on
-    evaluation order.
+    evaluation order. The map keeps the candidates for the matchers.
     """
     ref = np.asarray(ref_desc, dtype=np.float64).reshape(-1)
     if ref.shape[0] != target.dim:
@@ -166,12 +191,14 @@ def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm <= 0:
         raise ZeroReferenceDescriptor("reference descriptor has zero norm")
+    scores = (rows @ ref) / (norms * ref_norm)
     score = np.zeros(mask.depth.size, dtype=np.float64)
-    score[idx] = (rows @ ref) / (norms * ref_norm)
+    score[idx] = scores
     valid = np.zeros(mask.depth.size, dtype=bool)
     valid[idx] = True
     return SimilarityMap(score=score.reshape(mask.depth.shape),
-                         valid=valid.reshape(mask.depth.shape))
+                         valid=valid.reshape(mask.depth.shape),
+                         candidates=idx, candidate_scores=scores)
 
 
 def _grid_cache(grid: FeatureGrid, mask: DepthMask):
@@ -190,27 +217,29 @@ def _grid_cache(grid: FeatureGrid, mask: DepthMask):
 
 
 def hard_match(sim: SimilarityMap) -> PixelMatch:
-    """Argmax pixel; ties broken by row-major scan order (smallest v, then u)."""
-    if not sim.valid.any():
+    """Argmax pixel; ties broken by row-major scan order (smallest v, then u),
+    which is the order of the candidates the argmax runs over."""
+    if sim.candidates.size == 0:
         raise NoValidPixels("similarity map has no valid pixels")
-    masked = np.where(sim.valid, sim.score, -np.inf)
-    idx = int(np.argmax(masked))
-    v, u = divmod(idx, sim.width)
-    return PixelMatch(u=float(u), v=float(v), peak_score=float(sim.score[v, u]), mode="hard")
+    best = int(np.argmax(sim.candidate_scores))
+    v, u = divmod(int(sim.candidates[best]), sim.width)
+    return PixelMatch(u=float(u), v=float(v),
+                      peak_score=float(sim.candidate_scores[best]), mode="hard")
 
 
 def soft_match(sim: SimilarityMap, temperature: float) -> PixelMatch:
     """Soft-argmax: softmax-weighted mean of valid pixel coordinates.
 
     Scores are shifted by their maximum before exponentiation for
-    numerical stability; the weighted sums run in row-major order.
+    numerical stability; the weighted sums run over the candidates, in
+    row-major order.
     """
     if temperature <= 0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
-    if not sim.valid.any():
+    if sim.candidates.size == 0:
         raise NoValidPixels("similarity map has no valid pixels")
-    vv, uu = np.nonzero(sim.valid)
-    scores = sim.score[vv, uu]
+    vv, uu = np.divmod(sim.candidates, sim.width)
+    scores = sim.candidate_scores
     peak = float(scores.max())
     weights = np.exp((scores - peak) / temperature)
     total = float(weights.sum())

@@ -87,12 +87,6 @@ class GroundingSpec:
                 if ref is not None and ref not in kp_set:
                     raise ConfigError(f"axis {ax.label!r} references unknown keypoint {ref!r}")
 
-    def keypoint(self, label) -> KeypointRef:
-        for kp in self.keypoints:
-            if kp.label == label:
-                return kp
-        raise KeyError(label)
-
     @property
     def object_names(self):
         return sorted({kp.object for kp in self.keypoints})

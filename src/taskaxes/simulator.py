@@ -131,26 +131,16 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0):
     Descriptors and noise are computed only for the winners, in pixel
     order, as one compact float64 array; the noise is one normal draw of
     shape (winners, dim). The float32 grid is filled by one scatter of
-    that array, so no whole-image float64 grid is ever built.
+    that array, so no whole-image float64 grid is ever built, and only
+    that array is checked for finiteness.
     """
     intr = scene.intrinsics
     cfg = scene.features
     if not scene.objects or all(obj.cloud.shape[0] == 0 for obj in scene.objects):
         raise EmptyScene("scene has no renderable points")
 
-    pts_world = []
-    pts_local = []
-    obj_ids = []
-    for i, obj in enumerate(scene.objects):
-        if obj.cloud.shape[0] == 0:
-            continue
-        world = obj.cloud @ obj.pose.rotation.T + obj.pose.origin
-        pts_world.append(world)
-        pts_local.append(obj.cloud)
-        obj_ids.append(np.full(obj.cloud.shape[0], i, dtype=np.int64))
-    world = np.concatenate(pts_world)
-    local = np.concatenate(pts_local)
-    obj_ids = np.concatenate(obj_ids)
+    world = np.concatenate([obj.cloud @ obj.pose.rotation.T + obj.pose.origin
+                            for obj in scene.objects if obj.cloud.shape[0]])
 
     z = world[:, 2]
     front = z > 1e-6
@@ -158,9 +148,8 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0):
     u = np.rint(intr.fx * world[:, 0] / safe_z + intr.cx).astype(np.int64)
     v = np.rint(intr.fy * world[:, 1] / safe_z + intr.cy).astype(np.int64)
     visible = front & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
-    u, v, z = u[visible], v[visible], z[visible]
-    local = local[visible]
-    obj_ids = obj_ids[visible]
+    point_idx = np.flatnonzero(visible)  # global index of each visible point
+    u, v, z = u[point_idx], v[point_idx], z[point_idx]
 
     # z-buffer: the nearest depth per pixel, then the lowest point index
     # among the points at that depth; winners come out in pixel order
@@ -176,25 +165,27 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0):
     depth = np.full(size, np.nan)
     depth[pixels] = z[winners]
 
-    local = local[winners]
-    obj_ids = obj_ids[winners]
+    # objects own consecutive ranges of the global point index
+    point_idx = point_idx[winners]
     desc = np.empty((winners.size, cfg.dim))
-    for i, obj in enumerate(scene.objects):
-        sel = obj_ids == i
-        if not sel.any():
-            continue
-        freqs, phase = _object_basis(obj.name, cfg)
-        desc[sel] = np.cos(local[sel] @ freqs.T + phase)
+    start = 0
+    for obj in scene.objects:
+        stop = start + obj.cloud.shape[0]
+        sel = (point_idx >= start) & (point_idx < stop)
+        if sel.any():
+            freqs, phase = _object_basis(obj.name, cfg)
+            desc[sel] = np.cos(obj.cloud[point_idx[sel] - start] @ freqs.T + phase)
+        start = stop
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, 7919, noise_tag]))
         desc += rng.normal(0.0, cfg.noise_sigma, size=(winners.size, cfg.dim))
     data = np.zeros((size, cfg.dim), dtype=np.float32)
     data[pixels] = desc
-    grid = FeatureGrid(data=data.reshape(intr.height, intr.width, cfg.dim),
-                       meta={"source": "synthetic", "dim": str(cfg.dim),
-                             "length_scale": str(cfg.length_scale),
-                             "noise_sigma": str(cfg.noise_sigma)})
+    grid = FeatureGrid._built(data.reshape(intr.height, intr.width, cfg.dim),
+                              {"source": "synthetic", "dim": str(cfg.dim),
+                               "length_scale": str(cfg.length_scale),
+                               "noise_sigma": str(cfg.noise_sigma)}, desc)
     return grid, DepthMask(depth=depth.reshape(intr.height, intr.width))
 
 
