@@ -164,7 +164,11 @@ def cmd_run(flags, out_dir):
     inputs = [skill_path, flags["scene"]]
     cfg, gains = _run_config(flags, inputs)
     with open(skill_path, "r", encoding="utf-8") as fh:
-        skill = parse_skill(fh.read(), default_gains=gains, default_limits=cfg.limits)
+        text = fh.read()
+    try:
+        skill = parse_skill(text, default_gains=gains, default_limits=cfg.limits)
+    except TaskAxesError as err:
+        raise err.annotate(skill_path) from None
     scene, ref_scene, feature_files, scene_paths = load_scene(flags["scene"])
     inputs.extend(scene_paths)
     if flags.get("seed") is not None:

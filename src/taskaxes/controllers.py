@@ -115,14 +115,22 @@ class ControllerConfig:
         return KIND_CLASS[self.kind]
 
 
+def _components(value, what):
+    """value as a tuple of 3 floats; ConfigError for any other shape."""
+    try:
+        comps = tuple(float(x) for x in value)
+    except (TypeError, ValueError):
+        comps = ()
+    if len(comps) != 3:
+        raise ConfigError(f"{what} must have 3 components")
+    return comps
+
+
 def _normalize_theta(kind, theta):
     if kind in (POS_ALIGN, AXIS_ALIGN):
         if theta is None:
             return (0.0, 0.0, 0.0)
-        theta = tuple(float(x) for x in theta)
-        if len(theta) != 3:
-            raise ConfigError(f"{kind} theta must have 3 components")
-        return theta
+        return _components(theta, f"{kind} theta")
     if kind == FORCE_ALIGN:
         if theta is None:
             return 0.0
@@ -130,15 +138,11 @@ def _normalize_theta(kind, theta):
             raise ConfigError("ForceAlign theta is a scalar force in newtons")
         return float(theta)
     # PosWaypoint
+    if isinstance(theta, (int, float)):
+        raise ConfigError("PosWaypoint theta is a list of [x, y, z] waypoint offsets")
     if theta is None or len(theta) == 0:
         raise EmptyWaypointList("PosWaypoint needs at least one waypoint offset")
-    waypoints = []
-    for wp in theta:
-        wp = tuple(float(x) for x in wp)
-        if len(wp) != 3:
-            raise ConfigError("each waypoint must have 3 components")
-        waypoints.append(wp)
-    return tuple(waypoints)
+    return tuple(_components(wp, "each waypoint") for wp in theta)
 
 
 @dataclass(frozen=True)

@@ -126,23 +126,20 @@ def project_axes(axes):
     return out
 
 
-@dataclass(frozen=True)
-class ProjectedEntry:
-    axis: np.ndarray
-    action: float
-    active: bool
+def project_actions(outputs):
+    """Surviving command of each output of one class, in priority order.
 
-
-def project_actions(outputs, projected):
-    """Per-controller surviving command: u_hat = u * (axis . axis_hat)."""
-    entries = []
-    for out, ahat in zip(outputs, projected):
-        if ahat is None or out.inactive:
-            entries.append(ProjectedEntry(np.zeros(3), 0.0, False))
-        else:
-            u_hat = out.action * float(out.primary_axis @ ahat)
-            entries.append(ProjectedEntry(ahat, u_hat, True))
-    return entries
+    The axes of the active outputs go through project_axes; each output
+    gets (axis_hat, u_hat) with u_hat = u * (axis . axis_hat), or None
+    when it is inactive or its axis collapses.
+    """
+    projected = iter(project_axes([o.primary_axis for o in outputs if not o.inactive]))
+    commands = []
+    for out in outputs:
+        ahat = None if out.inactive else next(projected)
+        commands.append(None if ahat is None
+                        else (ahat, out.action * float(out.primary_axis @ ahat)))
+    return commands
 
 
 @dataclass(frozen=True)
@@ -150,26 +147,23 @@ class Twist:
     v: np.ndarray
     w: np.ndarray
 
-    @staticmethod
-    def zero():
-        return Twist(np.zeros(3), np.zeros(3))
 
-
-def _clamped_sum(entries, limit):
+def _clamped_sum(commands, limit):
     total = np.zeros(3)
-    for e in entries:
-        if e.active:
-            total = total + e.action * e.axis
+    for cmd in commands:
+        if cmd is not None:
+            axis_hat, u_hat = cmd
+            total = total + u_hat * axis_hat
     n = float(np.linalg.norm(total))
     if n > limit:
         total = total * (limit / n)
     return total
 
 
-def compose_twist(trans_entries, rot_entries, limits: Limits) -> Twist:
+def compose_twist(trans_commands, rot_commands, limits: Limits) -> Twist:
     """Sum projected commands into one twist, norm-clamped per class."""
-    return Twist(v=_clamped_sum(trans_entries, limits.v_max),
-                 w=_clamped_sum(rot_entries, limits.w_max))
+    return Twist(v=_clamped_sum(trans_commands, limits.v_max),
+                 w=_clamped_sum(rot_commands, limits.w_max))
 
 
 # ----------------------------------------------------------------------
@@ -182,12 +176,6 @@ class PhaseResult:
     ticks: int
 
 
-def _aligned_projection(outputs):
-    axes = [o.primary_axis for o in outputs if not o.inactive]
-    projected = iter(project_axes(axes))
-    return [None if o.inactive else next(projected) for o in outputs]
-
-
 def run_phase(phase: SkillPhase, env, limits: Limits, on_tick=None) -> PhaseResult:
     """Run one phase against an environment until done or out of budget.
 
@@ -197,66 +185,46 @@ def run_phase(phase: SkillPhase, env, limits: Limits, on_tick=None) -> PhaseResu
     whole budget and counts as done. Controller errors propagate with
     phase/tick context attached.
     """
-    stacks = ((TRANSLATIONAL, phase.translational), (ROTATIONAL, phase.rotational))
-    states = {(cls, i): ControllerState()
-              for cls, cfgs in stacks for i in range(len(cfgs))}
-    has_done_capable = any(done_capable(c) for _, cfgs in stacks for c in cfgs)
+    controllers = ([(TRANSLATIONAL, i, cfg) for i, cfg in enumerate(phase.translational)]
+                   + [(ROTATIONAL, i, cfg) for i, cfg in enumerate(phase.rotational)])
+    n_trans = len(phase.translational)
+    states = [ControllerState()] * len(controllers)
+    done_idx = [k for k, (_, _, cfg) in enumerate(controllers) if done_capable(cfg)]
     ticks = 0
     while ticks < phase.step_budget:
         obs = env.observe()
-        outputs = {}
-        for cls, cfgs in stacks:
-            outs = []
-            for i, cfg in enumerate(cfgs):
-                try:
-                    out, states[(cls, i)] = step_controller(cfg, obs, states[(cls, i)])
-                except TaskAxesError as err:
-                    raise err.annotate(
-                        f"phase {phase.name!r} tick {ticks} {cls}[{i}] {cfg.kind}")
-                outs.append(out)
-            outputs[cls] = outs
-        proj_t = _aligned_projection(outputs[TRANSLATIONAL])
-        proj_r = _aligned_projection(outputs[ROTATIONAL])
-        cmd_t = project_actions(outputs[TRANSLATIONAL], proj_t)
-        cmd_r = project_actions(outputs[ROTATIONAL], proj_r)
-        twist = compose_twist(cmd_t, cmd_r, limits)
+        outputs = []
+        for k, (cls, i, cfg) in enumerate(controllers):
+            try:
+                out, states[k] = step_controller(cfg, obs, states[k])
+            except TaskAxesError as err:
+                raise err.annotate(f"phase {phase.name!r} tick {ticks} {cls}[{i}] {cfg.kind}")
+            outputs.append(out)
+        commands = project_actions(outputs[:n_trans]) + project_actions(outputs[n_trans:])
+        twist = compose_twist(commands[:n_trans], commands[n_trans:], limits)
         env.apply(twist)
         ticks += 1
         if on_tick is not None:
-            on_tick(_tick_record(phase, stacks, outputs, {TRANSLATIONAL: cmd_t,
-                                                          ROTATIONAL: cmd_r}, twist))
-        all_done = True
-        for cls, cfgs in stacks:
-            for cfg, out in zip(cfgs, outputs[cls]):
-                if done_capable(cfg) and not out.done:
-                    all_done = False
-        if has_done_capable and all_done:
+            on_tick({
+                "phase": phase.name,
+                "controllers": [{
+                    "class": cls,
+                    "priority": i + 1,
+                    "kind": cfg.kind,
+                    "axis": out.primary_axis.tolist(),
+                    "axis_hat": None if cmd is None else cmd[0].tolist(),
+                    "u": float(out.action),
+                    "u_hat": 0.0 if cmd is None else float(cmd[1]),
+                    "active": cmd is not None,
+                    "done": bool(out.done),
+                } for (cls, i, cfg), out, cmd in zip(controllers, outputs, commands)],
+                "twist": {"v": twist.v.tolist(), "w": twist.w.tolist()},
+            })
+        if done_idx and all(outputs[k].done for k in done_idx):
             return PhaseResult("done", ticks)
-    if phase.step_budget > 0 and not has_done_capable:
+    if phase.step_budget > 0 and not done_idx:
         return PhaseResult("done", ticks)
     return PhaseResult("budget_exhausted", ticks)
-
-
-def _tick_record(phase, stacks, outputs, commands, twist):
-    controllers = []
-    for cls, cfgs in stacks:
-        for i, (cfg, out, cmd) in enumerate(zip(cfgs, outputs[cls], commands[cls])):
-            controllers.append({
-                "class": cls,
-                "priority": i + 1,
-                "kind": cfg.kind,
-                "axis": out.primary_axis.tolist(),
-                "axis_hat": cmd.axis.tolist() if cmd.active else None,
-                "u": float(out.action),
-                "u_hat": float(cmd.action),
-                "active": bool(cmd.active),
-                "done": bool(out.done),
-            })
-    return {
-        "phase": phase.name,
-        "controllers": controllers,
-        "twist": {"v": twist.v.tolist(), "w": twist.w.tolist()},
-    }
 
 
 # ----------------------------------------------------------------------
@@ -510,12 +478,12 @@ class _Parser:
             break
         if len(bindings) != BINDING_ARITY[kind]:
             self._fail(f"{BINDING_ARITY[kind]} bindings for {kind}", kind_tok)
-        gains = Gains(kp=params.get("kp", self.default_gains.kp),
-                      kr=params.get("kr", self.default_gains.kr),
-                      kf=params.get("kf", self.default_gains.kf))
-        limits = Limits(v_max=params.get("v_max", self.default_limits.v_max),
-                        w_max=params.get("w_max", self.default_limits.w_max))
         try:
+            gains = Gains(kp=params.get("kp", self.default_gains.kp),
+                          kr=params.get("kr", self.default_gains.kr),
+                          kf=params.get("kf", self.default_gains.kf))
+            limits = Limits(v_max=params.get("v_max", self.default_limits.v_max),
+                            w_max=params.get("w_max", self.default_limits.w_max))
             cfg = ControllerConfig(kind=kind, bindings=tuple(bindings), theta=theta,
                                    gains=gains, limits=limits,
                                    done_tol=params.get("done_tol"))

@@ -128,6 +128,22 @@ def test_cmd_run_scrape_bundle(scrape_dir, tmp_path):
     assert len(traj) == len(log_lines) + 1
 
 
+def test_cmd_run_misshaped_theta_exits_2_naming_file_and_line(scrape_dir, tmp_path,
+                                                              capsys):
+    # spec paths resolve relative to the skill file, so keep it in the bundle
+    bad = scrape_dir / "bad_theta.skill"
+    text = (scrape_dir / "scrape.skill").read_text()
+    bad.write_text(text.replace("PosAlign(gripper.pos, spatula.grasp_pos)",
+                                "PosAlign(gripper.pos, spatula.grasp_pos, 0.5)"))
+    out = tmp_path / "bad_theta_run"
+    code = main(["run", "--skill", str(bad),
+                 "--scene", str(scrape_dir / "scene.json"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 12, col 5: PosAlign theta must have 3 components" in err
+    assert not (out / "result.json").exists()
+
+
 def test_cmd_run_zero_budget_exits_3(scrape_dir, tmp_path):
     # spec paths resolve relative to the skill file, so keep it in the bundle
     crippled = scrape_dir / "zero.skill"

@@ -90,7 +90,7 @@ def test_render_noise_changes_with_tag_but_is_seeded():
 def test_zero_twist_is_fixed_point():
     scene = slab_scene()
     state = SimState(ee=Frame.from_rpy_deg((0.1, 0.0, 0.3), (0, 10, 20)))
-    nxt = step_sim(state, Twist.zero(), scene)
+    nxt = step_sim(state, Twist(np.zeros(3), np.zeros(3)), scene)
     assert np.array_equal(nxt.ee.origin, state.ee.origin)
     assert np.array_equal(nxt.ee.rotation, state.ee.rotation)
     assert np.array_equal(nxt.contact_force, state.contact_force)
@@ -108,7 +108,7 @@ def test_penalty_force_hand_check():
     scene = slab_scene()
     # probe 1 mm past the table plane at z=0.6 (its normal points -z)
     state = SimState(ee=Frame.from_rpy_deg((0.0, 0.0, 0.601), (0, 0, 0)))
-    nxt = step_sim(state, Twist.zero(), scene)
+    nxt = step_sim(state, Twist(np.zeros(3), np.zeros(3)), scene)
     np.testing.assert_allclose(nxt.contact_force, [0.0, 0.0, -5.0], atol=1e-9)
 
 

@@ -11,6 +11,7 @@ from taskaxes.controllers import (
     ObservationBundle,
 )
 from taskaxes.errors import (
+    ConfigError,
     DuplicateLabel,
     EmptyWaypointList,
     PriorityOverflow,
@@ -94,27 +95,26 @@ def test_projection_ignores_action_magnitudes():
 
 def test_project_actions_single_controller():
     o = out([1.0, 0.0, 0.0], action=0.07)
-    entries = project_actions([o], project_axes([o.primary_axis]))
-    assert entries[0].active and abs(entries[0].action - 0.07) < 1e-15
+    (axis_hat, u_hat), = project_actions([o])
+    assert np.array_equal(axis_hat, o.primary_axis) and abs(u_hat - 0.07) < 1e-15
 
 
 def test_project_actions_dot_scaling():
     o1 = out([1.0, 0.0, 0.0], action=0.2)
     o2 = out(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0), action=0.1)
-    proj = project_axes([o1.primary_axis, o2.primary_axis])
-    entries = project_actions([o1, o2], proj)
-    assert abs(entries[1].action - 0.1 / math.sqrt(2.0)) < 1e-12
+    commands = project_actions([o1, o2])
+    assert abs(commands[1][1] - 0.1 / math.sqrt(2.0)) < 1e-12
 
 
 def test_project_actions_inactive_zero():
     o1 = out([0.0, 0.0, 1.0], action=0.2)
     o2 = out([0.0, 0.0, 1.0], action=0.5)
-    entries = project_actions([o1, o2], project_axes([o1.primary_axis,
-                                                      o2.primary_axis]))
-    assert not entries[1].active and entries[1].action == 0.0
+    assert project_actions([o1, o2])[1] is None
     o3 = out([1.0, 0.0, 0.0], action=0.5, inactive=True)
-    entries = project_actions([o3], [np.array([1.0, 0.0, 0.0])])
-    assert not entries[0].active and entries[0].action == 0.0
+    assert project_actions([o3]) == [None]
+    # an inactive output consumes no projected axis
+    o4 = out([1.0, 0.0, 0.0], action=0.3)
+    assert project_actions([o3, o4])[1][1] == 0.3
 
 
 def test_compose_twist_zero_and_pythagoras():
@@ -124,16 +124,13 @@ def test_compose_twist_zero_and_pythagoras():
     np.testing.assert_allclose(twist.w, np.zeros(3))
     o1 = out([1.0, 0.0, 0.0], action=0.3)
     o2 = out([0.0, 1.0, 0.0], action=0.4)
-    entries = project_actions([o1, o2], project_axes([o1.primary_axis,
-                                                      o2.primary_axis]))
-    twist = compose_twist(entries, [], limits)
+    twist = compose_twist(project_actions([o1, o2]), [], limits)
     assert abs(np.linalg.norm(twist.v) - 0.5) < 1e-12  # 3-4-5
 
 
 def test_compose_twist_clamps_norm():
     o = out([1.0, 0.0, 0.0], action=3.0)
-    entries = project_actions([o], project_axes([o.primary_axis]))
-    twist = compose_twist(entries, [], Limits(v_max=0.25, w_max=1.0))
+    twist = compose_twist(project_actions([o]), [], Limits(v_max=0.25, w_max=1.0))
     assert abs(np.linalg.norm(twist.v) - 0.25) < 1e-12
 
 
@@ -143,11 +140,10 @@ def test_priority_non_interference():
     for _ in range(300):
         n = int(rng.integers(1, 4))
         outs = [out(unit(rng), action=float(rng.uniform(0, 1))) for _ in range(n + 1)]
-        proj_k = project_axes([o.primary_axis for o in outs[:n]])
-        proj_k1 = project_axes([o.primary_axis for o in outs])
-        v_k = compose_twist(project_actions(outs[:n], proj_k), [], limits).v
-        v_k1 = compose_twist(project_actions(outs, proj_k1), [], limits).v
-        basis = [p for p in proj_k if p is not None]
+        cmd_k = project_actions(outs[:n])
+        v_k = compose_twist(cmd_k, [], limits).v
+        v_k1 = compose_twist(project_actions(outs), [], limits).v
+        basis = [cmd[0] for cmd in cmd_k if cmd is not None]
         for b in basis:
             assert abs((v_k1 - v_k) @ b) < 1e-9
 
@@ -281,6 +277,27 @@ def test_syntax_errors_carry_line_and_col():
         if isinstance(err.value, SkillSyntaxError):
             assert isinstance(err.value.line, int) and err.value.line >= 1
             assert isinstance(err.value.col, int) and err.value.col >= 1
+
+
+@pytest.mark.parametrize("controller, message", [
+    ("PosAlign(r.pos, o.goal, 0.5)", "PosAlign theta must have 3 components"),
+    ("PosAlign(r.pos, o.goal, [[0, 0, 1]])", "PosAlign theta must have 3 components"),
+    ("PosWaypoint(r.pos, o.goal, o.axis, 0.5)",
+     "PosWaypoint theta is a list of [x, y, z] waypoint offsets"),
+    ("PosWaypoint(r.pos, o.goal, o.axis, [0.1, 0.2, 0.3])",
+     "each waypoint must have 3 components"),
+    ("AxisAlign(r.x, o.y, theta=[[0, 0, 1], [1, 0, 0]])",
+     "AxisAlign theta must have 3 components"),
+    ("PosAlign(r.pos, o.goal, kp=0)", "gains must be positive"),
+    ("AxisAlign(r.x, o.y, w_max=-1)", "limits must be positive"),
+    ("PosAlign(r.pos, o.goal, v_max=-1)", "limits must be positive"),
+])
+def test_misshaped_theta_and_nonpositive_parameters_name_the_line(controller, message):
+    text = ("skill s {\n  uses r: robot\n  uses o: robot\n  phase p budget=5 {\n"
+            f"    ForceAlign(o.axis);\n    {controller}\n  }}\n}}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_skill(text)
+    assert str(err.value) == f"line 6, col 5: {message}"
 
 
 # ------------------------------------------------------------- round-trip
