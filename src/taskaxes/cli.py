@@ -37,9 +37,9 @@ from .features import (
 )
 from .geometry import CameraIntrinsics
 from .grounding import GroundingConfig, ground_spec, spec_from_json
-from .scenes import TASKS, config_from_json, load_scene, write_task_bundle
+from .scenes import TASKS, config_from_json, load_scene, write_json, write_task_bundle
 from .simulator import RunConfig, SkillRunner
-from .skill import parse_skill
+from .skill import ROBOT_ROLE_SOURCE, parse_skill
 from .controllers import Gains
 
 
@@ -49,12 +49,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _dump_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_json(path):
@@ -77,7 +71,7 @@ def _write_manifest(out_dir, command, flags, inputs):
         "inputs": {os.path.abspath(p): _sha256(p) for p in sorted(set(inputs))},
         "outputs": outputs,
     }
-    _dump_json(os.path.join(out_dir, "manifest.json"), manifest)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _write_pgm(path, score, valid):
@@ -118,7 +112,7 @@ def cmd_match(flags, out_dir):
         if flags.get("dump_simmap"):
             name = f"simmap_{kp.get('object', 'obj')}_{kp['label']}.pgm"
             _write_pgm(os.path.join(out_dir, name), sim.score, sim.valid)
-    _dump_json(os.path.join(out_dir, "matches.json"), results)
+    write_json(os.path.join(out_dir, "matches.json"), results)
     return 0, [flags["ref"], flags["target"], flags["depth"], flags["keypoints"]]
 
 
@@ -137,7 +131,7 @@ def cmd_ground(flags, out_dir):
     cfg = GroundingConfig(match=_match_config(flags),
                           min_score=flags["min_score"])
     grounded = ground_spec(spec, ref, target, depth, cloud, intr, cfg)
-    _dump_json(os.path.join(out_dir, "grounded.json"), grounded.to_json())
+    write_json(os.path.join(out_dir, "grounded.json"), grounded.to_json())
     return 0, inputs
 
 
@@ -178,10 +172,13 @@ def cmd_run(flags, out_dir):
     specs = {}
     skill_dir = os.path.dirname(os.path.abspath(skill_path))
     for role, source in skill.uses:
-        if source == "robot":
+        if source == ROBOT_ROLE_SOURCE:
             continue
         spec_path = os.path.join(skill_dir, source)
-        specs[role] = spec_from_json(_load_json(spec_path))
+        try:
+            specs[role] = spec_from_json(_load_json(spec_path))
+        except ConfigError as err:
+            raise err.annotate(spec_path) from None
         inputs.append(spec_path)
 
     runner = SkillRunner(skill, scene, specs, ref_scene=ref_scene, config=cfg,
@@ -192,7 +189,7 @@ def cmd_run(flags, out_dir):
     result = runner.run()
     log_name = flags.get("log") or "log.jsonl"
     result.log.write(os.path.join(out_dir, log_name))
-    _dump_json(os.path.join(out_dir, "result.json"), result.summary())
+    write_json(os.path.join(out_dir, "result.json"), result.summary())
     _write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result.log)
     if not result.success:
         print(f"run failed: {json.dumps(result.summary(), sort_keys=True)}",
@@ -225,7 +222,7 @@ def cmd_validate(flags, out_dir):
         stats = run_validation(flags["trials"], noise_sigma=flags["noise"],
                                mode=flags["mode"], temperature=flags["temp"],
                                seed=flags["seed"])
-    _dump_json(os.path.join(out_dir, "stats.json"), stats)
+    write_json(os.path.join(out_dir, "stats.json"), stats)
     return 0, []
 
 

@@ -21,11 +21,11 @@ per-controller state).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWaypointList, UnresolvedBinding
+from .errors import ConfigError, EmptyWaypointList, UnresolvedBinding, finite, positive
 from .geometry import (
     WORLD_Z,
     completion_matrix,
@@ -54,6 +54,8 @@ BINDING_ARITY = {POS_ALIGN: 2, POS_WAYPOINT: 3, AXIS_ALIGN: 2, FORCE_ALIGN: 1}
 # kind-specific convergence tolerances: meters for position controllers,
 # degrees for AxisAlign (converted to radians at evaluation time)
 DEFAULT_DONE_TOL = {POS_ALIGN: 0.002, POS_WAYPOINT: 0.002, AXIS_ALIGN: 1.0}
+# theta of a controller that names none; PosWaypoint needs its waypoints
+DEFAULT_THETA = {POS_ALIGN: (0.0, 0.0, 0.0), AXIS_ALIGN: (0.0, 0.0, 0.0), FORCE_ALIGN: 0.0}
 
 _INACTIVE_POS = 1e-6   # meters
 _INACTIVE_ANG = 1e-6   # radians
@@ -66,8 +68,8 @@ class Gains:
     kf: float = 0.02    # m/(s*N)
 
     def __post_init__(self):
-        if self.kp <= 0 or self.kr <= 0 or self.kf <= 0:
-            raise ConfigError("gains must be positive")
+        for f in fields(self):
+            positive(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class Limits:
     w_max: float = 1.5    # rad/s
 
     def __post_init__(self):
-        if self.v_max <= 0 or self.w_max <= 0:
-            raise ConfigError("limits must be positive")
+        for f in fields(self):
+            positive(f.name, getattr(self, f.name))
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,8 @@ class ControllerConfig:
         object.__setattr__(self, "theta", _normalize_theta(self.kind, self.theta))
         if self.done_tol is None:
             object.__setattr__(self, "done_tol", DEFAULT_DONE_TOL.get(self.kind))
-        elif self.done_tol <= 0:
-            raise ConfigError("done_tol must be positive")
+        else:
+            positive("done_tol", self.done_tol)
 
     @property
     def control_class(self) -> str:
@@ -116,27 +118,26 @@ class ControllerConfig:
 
 
 def _components(value, what):
-    """value as a tuple of 3 floats; ConfigError for any other shape."""
+    """value as a tuple of 3 finite floats; ConfigError for anything else."""
     try:
         comps = tuple(float(x) for x in value)
     except (TypeError, ValueError):
         comps = ()
     if len(comps) != 3:
         raise ConfigError(f"{what} must have 3 components")
+    finite(what, comps)
     return comps
 
 
 def _normalize_theta(kind, theta):
+    if theta is None and kind in DEFAULT_THETA:
+        return DEFAULT_THETA[kind]
     if kind in (POS_ALIGN, AXIS_ALIGN):
-        if theta is None:
-            return (0.0, 0.0, 0.0)
         return _components(theta, f"{kind} theta")
     if kind == FORCE_ALIGN:
-        if theta is None:
-            return 0.0
         if isinstance(theta, (tuple, list)):
             raise ConfigError("ForceAlign theta is a scalar force in newtons")
-        return float(theta)
+        return float(finite("ForceAlign theta", theta))
     # PosWaypoint
     if isinstance(theta, (int, float)):
         raise ConfigError("PosWaypoint theta is a list of [x, y, z] waypoint offsets")
@@ -176,15 +177,12 @@ class ControllerOutput:
 class ObservationBundle:
     """Per-tick sensor view handed to every controller.
 
-    measured_force is the force the tool applies on the environment at
-    the tool tip (the negated contact reaction), in newtons.
+    measured_force is the float64 force the tool applies on the
+    environment at the tool tip (the negated contact reaction), in newtons.
     """
 
     grounded: GroundedParams
     measured_force: np.ndarray
-
-    def __post_init__(self):
-        self.measured_force = np.asarray(self.measured_force, dtype=np.float64)
 
 
 def _keypoint(obs, label):

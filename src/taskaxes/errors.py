@@ -4,6 +4,10 @@ Every error raised by the library derives from TaskAxesError so callers
 (and the CLI) can catch the whole family at once.
 """
 
+import math
+
+import numpy as np
+
 
 class TaskAxesError(Exception):
     def annotate(self, context):
@@ -21,6 +25,22 @@ class ConfigError(TaskAxesError):
 
 class FileFormatError(TaskAxesError):
     """Binary or JSON input file does not match the documented layout."""
+
+
+def positive(name, value):
+    """ConfigError naming `name` unless scalar `value` is positive and finite;
+    with `finite`, the check of numbers where they enter the program."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def finite(name, value) -> np.ndarray:
+    """`value` as a float64 array; ConfigError naming `name` and the first
+    offending entry unless every entry is finite."""
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
+    return arr
 
 
 # geometry -------------------------------------------------------------

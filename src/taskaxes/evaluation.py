@@ -49,13 +49,6 @@ _TRUE_LOCAL = {
     "up_ref": (None, np.array([0.0, 0.0, -1.0]), "signed"),
 }
 
-_AXIS_KIND = {
-    "main_dir": AXIS_FROM_KEYPOINTS,
-    "edge_dir": AXIS_EDGE_DIRECTION,
-    "surface_dir": AXIS_SURFACE_NORMAL,
-    "up_ref": AXIS_GLOBAL,
-}
-
 
 @dataclass
 class _Geometry:
@@ -241,14 +234,15 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
                 "mean": float(arr.mean()), "p90": float(np.percentile(arr, 90)),
                 "max": float(arr.max())}
 
+    axis_kind = {ax.label: ax.kind for ax in spec.axes}
     per_kind = {}
     for kind in (AXIS_FROM_KEYPOINTS, AXIS_SURFACE_NORMAL, AXIS_EDGE_DIRECTION,
                  AXIS_GLOBAL):
         values = [e for label, errs in axis_errors.items()
-                  for e in errs if _AXIS_KIND[label] == kind]
+                  for e in errs if axis_kind[label] == kind]
         per_kind[kind] = summarize(values)
     nonglobal = [e for label, errs in axis_errors.items()
-                 for e in errs if _AXIS_KIND[label] != AXIS_GLOBAL]
+                 for e in errs if axis_kind[label] != AXIS_GLOBAL]
 
     kp_stats = summarize(kp_errors)
     axis_stats = summarize(nonglobal)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveDepth, OutOfBounds
+from .errors import ConfigError, NonPositiveDepth, OutOfBounds, finite, positive
 
 WORLD_X = np.array([1.0, 0.0, 0.0])
 WORLD_Y = np.array([0.0, 1.0, 0.0])
@@ -20,11 +20,11 @@ WORLD_Z = np.array([0.0, 0.0, 1.0])
 
 
 def unit(v) -> np.ndarray:
-    """Normalize a vector, rejecting near-zero input."""
+    """Normalize a vector, rejecting near-zero and non-finite input."""
     v = np.asarray(v, dtype=np.float64)
     n = np.linalg.norm(v)
-    if n < 1e-12:
-        raise ConfigError("cannot normalize a near-zero vector")
+    if not 1e-12 <= n < math.inf:
+        raise ConfigError(f"cannot normalize the vector {v.tolist()} (norm {n})")
     return v / n
 
 
@@ -73,8 +73,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ConfigError("focal lengths must be positive")
+        positive("fx", self.fx)
+        positive("fy", self.fy)
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ConfigError("principal point must lie inside the image")
 
@@ -112,25 +112,32 @@ def project_point(point, intr: CameraIntrinsics):
 
 @dataclass
 class Frame:
-    """Rigid pose: rotation column vectors are the frame axes in world terms."""
+    """Rigid pose: rotation column vectors are the frame axes in world terms.
+    The constructor checks it; `_trusted` skips that for frames computed from
+    checked ones, such as every frame of the control tick."""
 
     origin: np.ndarray
     rotation: np.ndarray
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        if not np.all(np.isfinite(self.origin)) or not np.all(np.isfinite(self.rotation)):
-            raise ConfigError("frame contains non-finite values")
+        self.origin = finite("origin", self.origin).reshape(3)
+        self.rotation = finite("rotation", self.rotation).reshape(3, 3)
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
         if err > 1e-9:
             raise ConfigError(f"rotation not orthonormal (max deviation {err:.3e})")
         if abs(np.linalg.det(self.rotation) - 1.0) > 1e-9:
             raise ConfigError("rotation must be right-handed (det = +1)")
 
+    @classmethod
+    def _trusted(cls, origin, rotation) -> "Frame":
+        """Frame of a float64 (3,) origin and (3, 3) rotation, unchecked."""
+        frame = cls.__new__(cls)
+        frame.origin, frame.rotation = origin, rotation
+        return frame
+
     @staticmethod
     def identity() -> "Frame":
-        return Frame(np.zeros(3), np.eye(3))
+        return Frame._trusted(np.zeros(3), np.eye(3))
 
     @classmethod
     def from_rpy_deg(cls, origin, rpy_deg) -> "Frame":
@@ -145,11 +152,11 @@ class Frame:
 
     def inverse(self) -> "Frame":
         rt = self.rotation.T
-        return Frame(-(rt @ self.origin), rt)
+        return Frame._trusted(-(rt @ self.origin), rt)
 
     def compose(self, other: "Frame") -> "Frame":
-        return Frame(self.rotation @ other.origin + self.origin,
-                     self.rotation @ other.rotation)
+        return Frame._trusted(self.rotation @ other.origin + self.origin,
+                              self.rotation @ other.rotation)
 
 
 def cross3(a, b) -> np.ndarray:
@@ -174,12 +181,12 @@ def completion_matrix(z) -> np.ndarray:
 
 
 def orthonormal_completion(z) -> Frame:
-    """Deterministic right-handed frame whose third column equals z.
+    """Deterministic right-handed frame whose third column equals unit z.
 
     Seed vector is world X unless |z . X| > 0.9, in which case world Y;
     the fixed rule makes the output reproducible for regression tests.
     """
-    return Frame(np.zeros(3), completion_matrix(z))
+    return Frame._trusted(np.zeros(3), completion_matrix(z))
 
 
 def rotation_between_axes(a, b) -> np.ndarray:

@@ -19,6 +19,7 @@ from .errors import (
     InsufficientNeighbors,
     MatchBelowThreshold,
     TaskAxesError,
+    finite,
 )
 from .features import DepthMask, FeatureGrid, MatchConfig, match_keypoint
 from .geometry import CameraIntrinsics, deproject_pixel, unit
@@ -60,6 +61,8 @@ class AxisSpec:
             raise ConfigError(f"unknown axis kind {self.kind!r}")
         if self.kind == AXIS_GLOBAL and self.dir is None:
             raise ConfigError(f"axis {self.label!r}: global axis needs a direction")
+        if self.dir is not None:
+            finite(f"axis {self.label!r} dir", self.dir)
         if self.kind == AXIS_FROM_KEYPOINTS and (self.a is None or self.b is None):
             raise ConfigError(f"axis {self.label!r}: needs two keypoint labels")
         if self.kind in (AXIS_SURFACE_NORMAL, AXIS_EDGE_DIRECTION) and self.at is None:

@@ -31,7 +31,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, FileFormatError
+from .errors import ConfigError, FileFormatError, finite, positive
 from .features import MatchConfig, read_depth_mask, read_feature_grid
 from .geometry import CameraIntrinsics, Frame, project_point
 from .grounding import AxisSpec, GroundingSpec, KeypointRef, spec_to_json
@@ -101,16 +101,16 @@ def sample_cylinder(radius, height, spacing):
 def sample_primitive(spec: dict) -> np.ndarray:
     kind = spec.get("type")
     spacing = float(spec.get("spacing", 0.0015))
-    if spacing <= 0:
-        raise ConfigError("primitive spacing must be positive")
+    positive("spacing", spacing)
     if kind == "plane":
-        sx, sy = spec["size"]
+        sx, sy = finite("size", spec["size"])
         return sample_plane(float(sx), float(sy), spacing)
     if kind == "box":
-        sx, sy, sz = spec["size"]
+        sx, sy, sz = finite("size", spec["size"])
         return sample_box(float(sx), float(sy), float(sz), spacing)
     if kind == "cylinder":
-        return sample_cylinder(float(spec["radius"]), float(spec["height"]), spacing)
+        return sample_cylinder(float(finite("radius", spec["radius"])),
+                               float(finite("height", spec["height"])), spacing)
     raise ConfigError(f"unknown primitive type {kind!r}")
 
 
@@ -123,23 +123,29 @@ def snap_to_cloud(point, cloud) -> np.ndarray:
 # scene JSON
 
 
+def write_json(path, payload):
+    """JSON file layout of every output: indent 2, sorted keys, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def object_from_json(data: dict, base_dir=".") -> SceneObject:
     if "primitive" in data:
         cloud = sample_primitive(data["primitive"])
     elif "cloud" in data:
-        cloud = np.asarray(data["cloud"], dtype=np.float64).reshape(-1, 3)
+        cloud = finite("cloud", data["cloud"]).reshape(-1, 3)
     elif "cloud_file" in data:
         with open(os.path.join(base_dir, data["cloud_file"]), "r") as fh:
-            cloud = np.asarray(json.load(fh), dtype=np.float64).reshape(-1, 3)
+            cloud = finite(f"cloud_file {data['cloud_file']}", json.load(fh)).reshape(-1, 3)
     else:
-        raise ConfigError(f"object {data.get('name')!r} has no cloud source")
+        raise ConfigError("no cloud source")
     pose = data.get("pose", {})
     frame = Frame.from_rpy_deg(pose.get("origin", (0, 0, 0)),
                                pose.get("rpy_deg", (0, 0, 0)))
-    keypoints = {label: snap_to_cloud(p, cloud)
+    keypoints = {label: snap_to_cloud(finite(f"keypoints.{label}", p), cloud)
                  for label, p in data.get("keypoints", {}).items()}
-    surfaces = [ContactSurface(point=np.asarray(s["point"], dtype=np.float64),
-                               normal=np.asarray(s["normal"], dtype=np.float64),
+    surfaces = [ContactSurface(point=s["point"], normal=s["normal"],
                                stiffness=float(s["stiffness"]))
                 for s in data.get("surfaces", [])]
     return SceneObject(name=data["name"], pose=frame, cloud=cloud,
@@ -196,7 +202,12 @@ def scene_from_json(data: dict, base_dir="."):
                                   ee.get("rpy_deg", EE_START_RPY_DEG))
     features = config_from_json(FeatureRenderConfig(), data.get("features", {}),
                                 "features.")
-    objects = [object_from_json(o, base_dir) for o in data.get("objects", [])]
+    objects = []
+    for o in data.get("objects", []):
+        try:
+            objects.append(object_from_json(o, base_dir))
+        except ConfigError as err:
+            raise err.annotate(f"object {o.get('name')!r}") from None
     scene = Scene(objects=objects, intrinsics=intr, ee_start=ee_start,
                   features=features)
     return scene, data.get("reference")
@@ -431,19 +442,12 @@ def write_task_bundle(task: str, out_dir: str, seed: int = 7):
     """Write scene.json, ref_scene.json, role specs, and the skill file."""
     bundle = build_task(task, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    def dump(name, payload):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths[name] = path
-
-    dump("scene.json", bundle["scene"])
-    dump("ref_scene.json", bundle["ref_scene"])
-    for role, spec in bundle["specs"].items():
-        dump(f"{role}.json", spec_to_json(spec))
+    payloads = {"scene.json": bundle["scene"], "ref_scene.json": bundle["ref_scene"]}
+    payloads.update((f"{role}.json", spec_to_json(spec))
+                    for role, spec in bundle["specs"].items())
+    paths = {name: os.path.join(out_dir, name) for name in payloads}
+    for name, payload in payloads.items():
+        write_json(paths[name], payload)
     skill_path = os.path.join(out_dir, f"{task}.skill")
     with open(skill_path, "w", encoding="utf-8") as fh:
         fh.write(bundle["skill_text"])

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .controllers import FORCE_ALIGN, Limits, ObservationBundle
-from .errors import ConfigError, EmptyScene, GraspTooFar, TaskAxesError
+from .errors import ConfigError, EmptyScene, GraspTooFar, TaskAxesError, finite, positive
 from .features import DepthMask, FeatureGrid, MatchConfig
-from .geometry import CameraIntrinsics, Frame, rotvec_to_matrix
+from .geometry import CameraIntrinsics, Frame, rotvec_to_matrix, unit
 from .grounding import (
     GroundedParams,
     GroundingConfig,
@@ -52,14 +52,9 @@ class ContactSurface:
     stiffness: float
 
     def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=np.float64)
-        self.normal = np.asarray(self.normal, dtype=np.float64)
-        n = np.linalg.norm(self.normal)
-        if n == 0:
-            raise ConfigError("contact surface normal must be nonzero")
-        self.normal = self.normal / n
-        if self.stiffness <= 0:
-            raise ConfigError("contact stiffness must be positive")
+        self.point = finite("point", self.point)
+        self.normal = unit(finite("normal", self.normal))
+        positive("stiffness", self.stiffness)
 
 
 @dataclass
@@ -91,8 +86,7 @@ class FeatureRenderConfig:
     def __post_init__(self):
         if self.dim < 4:
             raise ConfigError("descriptor dimension must be >= 4")
-        if self.length_scale <= 0:
-            raise ConfigError("length scale must be positive")
+        positive("length_scale", self.length_scale)
 
 
 @dataclass
@@ -205,26 +199,20 @@ class RunConfig:
         default_factory=lambda: GroundingConfig(match=MatchConfig(mode="hard")))
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        positive("dt", self.dt)
+        positive("grasp_tol", self.grasp_tol)
 
 
 @dataclass
 class SimState:
+    """Trusted state of one run: dt comes from a checked RunConfig."""
+
     ee: Frame
     attached: tuple = None          # (object name, grip Frame: object in ee frame)
-    probe_local: np.ndarray = None  # contact probe in ee frame
-    contact_force: np.ndarray = None
+    probe_local: np.ndarray = field(default_factory=lambda: np.zeros(3))  # in ee frame
+    contact_force: np.ndarray = field(default_factory=lambda: np.zeros(3))
     t: int = 0
     dt: float = RunConfig.dt
-
-    def __post_init__(self):
-        if self.probe_local is None:
-            self.probe_local = np.zeros(3)
-        if self.contact_force is None:
-            self.contact_force = np.zeros(3)
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
 
 
 def object_pose(scene: Scene, state: SimState, name: str) -> Frame:
@@ -252,8 +240,8 @@ def _contact_force(scene: Scene, state: SimState, probe_world) -> np.ndarray:
 def step_sim(state: SimState, twist: Twist, scene: Scene) -> SimState:
     """One forward-Euler tick: integrate the twist, re-evaluate contact."""
     rot = rotvec_to_matrix(np.asarray(twist.w, dtype=np.float64) * state.dt)
-    ee = Frame(state.ee.origin + np.asarray(twist.v, dtype=np.float64) * state.dt,
-               rot @ state.ee.rotation)
+    ee = Frame._trusted(state.ee.origin + np.asarray(twist.v, dtype=np.float64) * state.dt,
+                        rot @ state.ee.rotation)
     probe_world = ee.apply(state.probe_local)
     return replace(state, ee=ee, contact_force=_contact_force(scene, state, probe_world),
                    t=state.t + 1)

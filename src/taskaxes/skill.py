@@ -27,19 +27,17 @@ given positionally right after the bindings. Lengths are meters; angles
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .controllers import (
-    AXIS_ALIGN,
     BINDING_ARITY,
     DEFAULT_DONE_TOL,
-    FORCE_ALIGN,
+    DEFAULT_THETA,
     KIND_CLASS,
-    POS_ALIGN,
-    POS_WAYPOINT,
     ROTATIONAL,
     TRANSLATIONAL,
     ControllerConfig,
@@ -283,6 +281,8 @@ class _Lexer:
         if m and (ch.isdigit() or
                   (ch in "+-." and self.pos + 1 < len(self.text)
                    and (self.text[self.pos + 1].isdigit() or self.text[self.pos + 1] == "."))):
+            if not math.isfinite(float(m.group())):
+                raise SkillSyntaxError(line, col, f"a finite number (found {m.group()!r})")
             self._step(m.end() - self.pos)
             return _Token("NUMBER", float(m.group()), line, col)
         m = _NAME_RE.match(self.text, self.pos)
@@ -493,37 +493,27 @@ class _Parser:
 
     def _value(self):
         if self.tok.kind == "NUMBER":
-            value = float(self.tok.value)
+            return self._number()
+        if self.tok.kind != "LBRACKET":
+            self._fail("a number or '['")
+        self._advance()
+        if self.tok.kind == "RBRACKET":
             self._advance()
-            return value
-        if self.tok.kind == "LBRACKET":
+            return ()
+        return self._items(self._vector if self.tok.kind == "LBRACKET" else self._number)
+
+    def _items(self, item):
+        """The rest of a non-empty '[' list: item (',' item)* ']', as a tuple."""
+        values = [item()]
+        while self.tok.kind == "COMMA":
             self._advance()
-            if self.tok.kind == "RBRACKET":
-                self._advance()
-                return ()
-            if self.tok.kind == "LBRACKET":
-                vectors = [self._vector()]
-                while self.tok.kind == "COMMA":
-                    self._advance()
-                    vectors.append(self._vector())
-                self._expect("RBRACKET", "']'")
-                return tuple(vectors)
-            numbers = [self._number()]
-            while self.tok.kind == "COMMA":
-                self._advance()
-                numbers.append(self._number())
-            self._expect("RBRACKET", "']'")
-            return tuple(numbers)
-        self._fail("a number or '['")
+            values.append(item())
+        self._expect("RBRACKET", "']'")
+        return tuple(values)
 
     def _vector(self):
         self._expect("LBRACKET", "'['")
-        numbers = [self._number()]
-        while self.tok.kind == "COMMA":
-            self._advance()
-            numbers.append(self._number())
-        self._expect("RBRACKET", "']'")
-        return tuple(numbers)
+        return self._items(self._number)
 
     def _number(self):
         return float(self._expect("NUMBER", "a number").value)
@@ -558,9 +548,7 @@ def _fmt_value(value) -> str:
 
 def _controller_source(cfg: ControllerConfig) -> str:
     parts = list(cfg.bindings)
-    default_theta = {POS_ALIGN: (0.0, 0.0, 0.0), AXIS_ALIGN: (0.0, 0.0, 0.0),
-                     FORCE_ALIGN: 0.0}.get(cfg.kind)
-    if cfg.kind == POS_WAYPOINT or cfg.theta != default_theta:
+    if cfg.theta != DEFAULT_THETA.get(cfg.kind):
         parts.append(f"theta={_fmt_value(cfg.theta)}")
     for name, value, default in (("kp", cfg.gains.kp, Gains.kp),
                                  ("kr", cfg.gains.kr, Gains.kr),

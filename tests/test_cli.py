@@ -59,6 +59,58 @@ def test_gen_writes_bundle(scrape_dir):
     assert scene["reference"] == "ref_scene.json"
 
 
+# SHA-256 of every file `gen --seed 123` writes, recorded before the
+# bundle writer and the CLI shared one JSON writer
+GEN_SEED_123_SHA256 = {
+    "pour/bowl.json":
+        "73b8ff216a653a28b180743bc4267e0e3bb3e4e7225f5880a85b80dee46a570f",
+    "pour/manifest.json":
+        "19cf3a4f7a3cb1efbcd5c9fc5148ac276ed310aa35d76859a9bc3ccd0927d5e3",
+    "pour/mug.json":
+        "72bb328fd89ea6b643378d17ddfaf6b6879f0681fc814ed2214a262dc5121220",
+    "pour/pour.skill":
+        "73be056c22be2a6d5e19cb1951f5fd21d58305207c01188648b35efe6aa2cb43",
+    "pour/ref_scene.json":
+        "9c0540189012221060388764c85f2f40a4f6635b8a53ffeab416dfe20d00cb92",
+    "pour/scene.json":
+        "2d4945ff3a50df0304e333c0179a2f12052ee221c4d1946c16f56d3bf696cbb1",
+    "scrape/manifest.json":
+        "2e81607bb8fa24d00598cd7b09aae64f48d18984587c2a11f4ad7e4733fff1c8",
+    "scrape/pan.json":
+        "2076ad07766677cfd652ab1526d04524ce9efe1875f1ec527bd712001f111add",
+    "scrape/ref_scene.json":
+        "55560732e563b2ff19429a494129835ff91a57254608f120abd07f060ef2d16f",
+    "scrape/scene.json":
+        "dda02760a193cde996b5f1d7828bd3c062ed38a6ef00971f8d0b60ac352c0a68",
+    "scrape/scrape.skill":
+        "8c99cdaa05790fb6a7932b5b01501f8026d9f3ed6901b3fae8208af3e8f788c2",
+    "scrape/spatula.json":
+        "ef798589563380e03dae4ba873c8560192196d6a108bfbfaa8d024a94ae6bf67",
+    "screw/block.json":
+        "e755f363c9a3fb5b0087629a5cc9335ddaf7290143d02034bb2ded0b6d2ad0bc",
+    "screw/manifest.json":
+        "6e7597fe7501a0a9b48200953b6a4f4c13387d29e080d0abf567207aa151b79a",
+    "screw/ref_scene.json":
+        "75ea9624f21c02f0dc365067084403265075a377373149e7b8de88c5b2c14f40",
+    "screw/scene.json":
+        "6b91d35bb5268b12d9b5b92dd436eae566f4bbcf848527c826c0cffe067dec6c",
+    "screw/screw.json":
+        "a5be9ed3b7daa393ef4f2923b7b0af068951ef9aa45e4d58abe273f5f4b73d50",
+    "screw/screw.skill":
+        "71cc786bfe4be3cd547892d7d06437ba6fab8680b4a62bc2d77e4861b8f94e47",
+}
+
+
+def test_gen_bundles_are_byte_identical(tmp_path):
+    for task in ("scrape", "pour", "screw"):
+        assert main(["gen", "--task", task, "--seed", "123",
+                     "--out", str(tmp_path / task)]) == 0
+    written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.glob("*/*"))
+    assert written == sorted(GEN_SEED_123_SHA256)
+    for name, digest in GEN_SEED_123_SHA256.items():
+        assert sha(tmp_path / name) == digest, name
+
+
 def test_cmd_match_identity_and_simmap(feature_files, tmp_path):
     out = tmp_path / "match"
     code = main(["match", "--ref", str(feature_files / "ref.fgrd"),

@@ -288,9 +288,9 @@ def test_syntax_errors_carry_line_and_col():
      "each waypoint must have 3 components"),
     ("AxisAlign(r.x, o.y, theta=[[0, 0, 1], [1, 0, 0]])",
      "AxisAlign theta must have 3 components"),
-    ("PosAlign(r.pos, o.goal, kp=0)", "gains must be positive"),
-    ("AxisAlign(r.x, o.y, w_max=-1)", "limits must be positive"),
-    ("PosAlign(r.pos, o.goal, v_max=-1)", "limits must be positive"),
+    ("PosAlign(r.pos, o.goal, kp=0)", "kp must be positive and finite, got 0.0"),
+    ("AxisAlign(r.x, o.y, w_max=-1)", "w_max must be positive and finite, got -1.0"),
+    ("PosAlign(r.pos, o.goal, v_max=-1)", "v_max must be positive and finite, got -1.0"),
 ])
 def test_misshaped_theta_and_nonpositive_parameters_name_the_line(controller, message):
     text = ("skill s {\n  uses r: robot\n  uses o: robot\n  phase p budget=5 {\n"
