@@ -37,7 +37,15 @@ from .features import (
 )
 from .geometry import CameraIntrinsics
 from .grounding import GroundingConfig, ground_spec, spec_from_json
-from .scenes import TASKS, config_from_json, load_scene, write_json, write_task_bundle
+from .scenes import (
+    TASK_SEED,
+    TASKS,
+    config_from_json,
+    load_scene,
+    read_json,
+    write_json,
+    write_task_bundle,
+)
 from .simulator import RunConfig, SkillRunner
 from .skill import ROBOT_ROLE_SOURCE, parse_skill
 from .controllers import Gains
@@ -49,11 +57,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _write_manifest(out_dir, command, flags, inputs):
@@ -96,7 +99,7 @@ def cmd_match(flags, out_dir):
     ref = read_feature_grid(flags["ref"])
     target = read_feature_grid(flags["target"])
     depth = read_depth_mask(flags["depth"])
-    keypoints = _load_json(flags["keypoints"])
+    keypoints = read_json(flags["keypoints"])
     cfg = _match_config(flags)
     results = []
     for kp in keypoints:
@@ -117,16 +120,16 @@ def cmd_match(flags, out_dir):
 
 
 def cmd_ground(flags, out_dir):
-    spec = spec_from_json(_load_json(flags["spec"]))
+    spec = spec_from_json(read_json(flags["spec"]))
     ref = read_feature_grid(flags["ref"])
     target = read_feature_grid(flags["target"])
     depth = read_depth_mask(flags["depth"])
-    intr = CameraIntrinsics.from_json(_load_json(flags["intr"]))
+    intr = CameraIntrinsics.from_json(read_json(flags["intr"]))
     inputs = [flags["spec"], flags["ref"], flags["target"], flags["depth"],
               flags["intr"]]
     cloud = None
     if flags.get("cloud"):
-        cloud = np.asarray(_load_json(flags["cloud"]), dtype=np.float64)
+        cloud = np.asarray(read_json(flags["cloud"]), dtype=np.float64)
         inputs.append(flags["cloud"])
     cfg = GroundingConfig(match=_match_config(flags),
                           min_score=flags["min_score"])
@@ -141,7 +144,7 @@ def _run_config(flags, inputs):
     path = flags.get("config")
     data = {}
     if path:
-        data = _load_json(path)
+        data = read_json(path)
         inputs.append(path)
         if not isinstance(data, dict):
             raise FileFormatError(f"{path}: config must be a JSON object")
@@ -176,7 +179,7 @@ def cmd_run(flags, out_dir):
             continue
         spec_path = os.path.join(skill_dir, source)
         try:
-            specs[role] = spec_from_json(_load_json(spec_path))
+            specs[role] = spec_from_json(read_json(spec_path))
         except ConfigError as err:
             raise err.annotate(spec_path) from None
         inputs.append(spec_path)
@@ -236,7 +239,7 @@ _COMMANDS = {"match": cmd_match, "ground": cmd_ground, "run": cmd_run,
 
 
 def cmd_replay(flags, out_dir):
-    manifest = _load_json(flags["manifest"])
+    manifest = read_json(flags["manifest"])
     command = manifest.get("command")
     if command not in _COMMANDS:
         raise FileFormatError(f"manifest names unknown command {command!r}")
@@ -320,7 +323,7 @@ def _build_parser():
 
     p = sub.add_parser("gen", help="write a demo task bundle")
     p.add_argument("--task", choices=TASKS, required=True)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, default=TASK_SEED)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("replay", help="re-execute a recorded manifest")
@@ -351,7 +354,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, KeyError, ValueError) as err:
+    except (KeyError, ValueError) as err:
         print(f"error: malformed input ({err})", file=sys.stderr)
         return 2
     if args.command != "replay":

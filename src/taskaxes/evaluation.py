@@ -13,6 +13,7 @@ orientation convention is a determinism device, not a semantic claim.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -56,6 +57,7 @@ class _Geometry:
     keypoints: dict
 
 
+@functools.cache
 def _build_geometry():
     paddle_cloud = sample_box(0.20, 0.03, 0.012, 0.0005)
     paddle_kp = {
@@ -72,18 +74,8 @@ def _build_geometry():
             "dish": _Geometry(dish_cloud, dish_kp)}
 
 
-_GEOMETRY = None
-
-
-def _geometry():
-    global _GEOMETRY
-    if _GEOMETRY is None:
-        _GEOMETRY = _build_geometry()
-    return _GEOMETRY
-
-
 def _make_scene(poses, noise_sigma=0.0) -> Scene:
-    geo = _geometry()
+    geo = _build_geometry()
     features = replace(_FEATURES, noise_sigma=noise_sigma)
     objects = [SceneObject(name=name, pose=pose, cloud=geo[name].cloud,
                            truth_keypoints=geo[name].keypoints)
@@ -187,8 +179,9 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
                           min_score=min_score)
     ref = reference_scene()
     ref_grid_clean, ref_depth = render_synthetic_features(ref)
-    geo = _geometry()
+    geo = _build_geometry()
 
+    owner = {kp.label: kp.object for kp in spec.keypoints}
     kp_errors = []
     axis_errors = {label: [] for label in _TRUE_LOCAL}
     failures = 0
@@ -209,12 +202,10 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
             failures += 1
             continue
 
-        owner = {kp.label: kp.object for kp in spec.keypoints}
-        for label, pos in grounded.keypoints.items():
-            truth = poses[owner[label]].apply(geo[owner[label]].keypoints[label])
-            kp_errors.append(float(np.linalg.norm(pos - truth)))
         truth_kp = {label: poses[owner[label]].apply(geo[owner[label]].keypoints[label])
                     for label in grounded.keypoints}
+        for label, pos in grounded.keypoints.items():
+            kp_errors.append(float(np.linalg.norm(pos - truth_kp[label])))
         for label, direction in grounded.axes.items():
             obj, local, metric = _TRUE_LOCAL[label]
             if metric == "signed_from_keypoints":

@@ -32,6 +32,7 @@ from .errors import (
     NoValidPixels,
     OutOfBounds,
     ZeroReferenceDescriptor,
+    positive,
 )
 
 FGRD_MAGIC = b"FGRD"
@@ -156,6 +157,7 @@ class MatchConfig:
             raise ConfigError(f"unknown match mode {self.mode!r}")
         if self.window_radius < 0:
             raise ConfigError("window radius must be >= 0")
+        positive("temperature", self.temperature)
 
 
 def window_average(grid: FeatureGrid, u: int, v: int,

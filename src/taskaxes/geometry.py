@@ -22,7 +22,8 @@ WORLD_Z = np.array([0.0, 0.0, 1.0])
 def unit(v) -> np.ndarray:
     """Normalize a vector, rejecting near-zero and non-finite input."""
     v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
+    with np.errstate(over="ignore"):    # an infinite norm is rejected below
+        n = np.linalg.norm(v)
     if not 1e-12 <= n < math.inf:
         raise ConfigError(f"cannot normalize the vector {v.tolist()} (norm {n})")
     return v / n

@@ -20,6 +20,7 @@ from .errors import (
     MatchBelowThreshold,
     TaskAxesError,
     finite,
+    positive,
 )
 from .features import DepthMask, FeatureGrid, MatchConfig, match_keypoint
 from .geometry import CameraIntrinsics, deproject_pixel, unit
@@ -121,6 +122,11 @@ class GroundingConfig:
     min_score: float = 0.4
     normal_radius: float = 0.02
     min_neighbors: int = 8
+
+    def __post_init__(self):
+        finite("min_score", self.min_score)
+        positive("normal_radius", self.normal_radius)
+        positive("min_neighbors", self.min_neighbors)
 
 
 def spec_to_json(spec: GroundingSpec) -> dict:

@@ -45,6 +45,7 @@ from .simulator import (
 )
 
 DESK_Z = 0.45
+TASK_SEED = 7    # feature seed of the demo task scenes unless one is given
 
 
 # ----------------------------------------------------------------------
@@ -123,6 +124,16 @@ def snap_to_cloud(point, cloud) -> np.ndarray:
 # scene JSON
 
 
+def read_json(path):
+    """JSON value of the file at `path`; a decode error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise FileFormatError(f"{path}: malformed JSON at line {err.lineno}, "
+                                  f"column {err.colno}: {err.msg}") from None
+
+
 def write_json(path, payload):
     """JSON file layout of every output: indent 2, sorted keys, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -136,8 +147,8 @@ def object_from_json(data: dict, base_dir=".") -> SceneObject:
     elif "cloud" in data:
         cloud = finite("cloud", data["cloud"]).reshape(-1, 3)
     elif "cloud_file" in data:
-        with open(os.path.join(base_dir, data["cloud_file"]), "r") as fh:
-            cloud = finite(f"cloud_file {data['cloud_file']}", json.load(fh)).reshape(-1, 3)
+        cloud = finite(f"cloud_file {data['cloud_file']}",
+                       read_json(os.path.join(base_dir, data["cloud_file"]))).reshape(-1, 3)
     else:
         raise ConfigError("no cloud source")
     pose = data.get("pose", {})
@@ -216,8 +227,7 @@ def scene_from_json(data: dict, base_dir="."):
 def _read_scene(path, base_dir):
     """(JSON data, scene, reference name) of one scene file; a layout
     error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     try:
         scene, ref_name = scene_from_json(data, base_dir)
     except (FileFormatError, ConfigError) as err:
@@ -391,7 +401,7 @@ _SPEC_AXES = {
 TASKS = ("scrape", "pour", "screw")
 
 
-def build_task(task: str, seed: int = 7):
+def build_task(task: str, seed: int = TASK_SEED):
     """Scene pair, grounding specs, and skill source for one demo task.
 
     Returns a dict with the run scene / reference scene JSON (the run
@@ -438,7 +448,7 @@ def load_skill_text(task: str) -> str:
         return fh.read()
 
 
-def write_task_bundle(task: str, out_dir: str, seed: int = 7):
+def write_task_bundle(task: str, out_dir: str, seed: int = TASK_SEED):
     """Write scene.json, ref_scene.json, role specs, and the skill file."""
     bundle = build_task(task, seed=seed)
     os.makedirs(out_dir, exist_ok=True)

@@ -87,6 +87,9 @@ class FeatureRenderConfig:
         if self.dim < 4:
             raise ConfigError("descriptor dimension must be >= 4")
         positive("length_scale", self.length_scale)
+        # +inf passes here and is caught by the render's check of its rows
+        if not self.noise_sigma >= 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -276,22 +279,17 @@ class GroundedAnchors:
     """Tracks where each grounded value lives: world-fixed, gripper-fixed,
     or a robot built-in. Attached entries follow the end effector.
 
+    Each table maps a kind ("keypoints" or "axes") to qualified labels.
     World-fixed values, and the float lists the tick log writes for them,
-    are built once at add_role; current() moves only the gripper-fixed
-    entries and the robot built-ins.
+    are built once at add_role; a grasp moves a role's entries to the
+    held table, re-expressed in the gripper frame.
     """
 
     def __init__(self):
-        # qualified label -> world value; an attached entry keeps its slot
-        # so that current() lists labels in the same order on every tick
-        self._keypoints = {}
-        self._axes = {}
-        self._ee_keypoints = {}   # qualified -> value in the gripper frame
-        self._ee_axes = {}
-        self._keypoint_lists = {}  # qualified -> float list, world-fixed entries only
-        self._axis_lists = {}
+        self._world = {"keypoints": {}, "axes": {}}        # value in the world frame
+        self._world_lists = {"keypoints": {}, "axes": {}}  # its float list
+        self._held = {"keypoints": {}, "axes": {}}         # value in the gripper frame
         self._robot_labels = []    # (keypoint label, ((axis label, column), ...))
-        self._roles = {}           # role -> list of qualified labels
 
     def add_robot_role(self, role):
         self._robot_labels.append(
@@ -299,53 +297,40 @@ class GroundedAnchors:
              tuple((f"{role}.{axis}", i) for i, axis in enumerate(ROBOT_BUILTIN_AXES))))
 
     def add_role(self, role, grounded: GroundedParams):
-        labels = []
-        for label, pos in grounded.keypoints.items():
-            q = f"{role}.{label}"
-            self._keypoints[q] = np.asarray(pos, dtype=np.float64)
-            self._keypoint_lists[q] = self._keypoints[q].tolist()
-            labels.append(q)
-        for label, direction in grounded.axes.items():
-            q = f"{role}.{label}"
-            self._axes[q] = np.asarray(direction, dtype=np.float64)
-            self._axis_lists[q] = self._axes[q].tolist()
-            labels.append(q)
-        self._roles[role] = labels
+        for kind, values in (("keypoints", grounded.keypoints), ("axes", grounded.axes)):
+            for label, value in values.items():
+                q = f"{role}.{label}"
+                self._world[kind][q] = np.asarray(value, dtype=np.float64)
+                self._world_lists[kind][q] = self._world[kind][q].tolist()
 
     def attach_role(self, role, ee: Frame):
-        """Re-express a role's groundings in the gripper frame at grasp time."""
+        """Re-express a role's world-fixed groundings in the gripper frame."""
         inv = ee.inverse()
-        for q in self._roles.get(role, []):
-            if q in self._keypoint_lists:
-                self._ee_keypoints[q] = inv.apply(self._keypoints[q])
-                del self._keypoint_lists[q]
-            if q in self._axis_lists:
-                self._ee_axes[q] = inv.apply_dir(self._axes[q])
-                del self._axis_lists[q]
+        # roles are skill names, which hold no '.'
+        prefix = f"{role}."
+        for kind, move in (("keypoints", inv.apply), ("axes", inv.apply_dir)):
+            world = self._world[kind]
+            for q in [q for q in world if q.startswith(prefix)]:
+                self._held[kind][q] = move(world.pop(q))
+                del self._world_lists[kind][q]
 
-    def current(self, ee: Frame) -> GroundedParams:
-        keypoints = dict(self._keypoints)
-        for q, value in self._ee_keypoints.items():
-            keypoints[q] = ee.apply(value)
-        axes = dict(self._axes)
-        for q, value in self._ee_axes.items():
-            axes[q] = ee.apply_dir(value)
+    def current(self, ee: Frame):
+        """(GroundedParams, float lists for the tick log) at gripper pose
+        `ee`; the world-fixed lists are shared, not rebuilt."""
+        values, lists = {}, {}
+        for kind, move in (("keypoints", ee.apply), ("axes", ee.apply_dir)):
+            values[kind] = dict(self._world[kind])
+            lists[kind] = dict(self._world_lists[kind])
+            for q, local in self._held[kind].items():
+                values[kind][q] = value = move(local)
+                lists[kind][q] = value.tolist()
         for keypoint, builtin_axes in self._robot_labels:
-            keypoints[keypoint] = ee.origin
+            values["keypoints"][keypoint] = ee.origin
+            lists["keypoints"][keypoint] = ee.origin.tolist()
             for q, i in builtin_axes:
-                axes[q] = ee.rotation[:, i]
-        return GroundedParams(keypoints=keypoints, axes=axes)
-
-    def as_lists(self, grounded: GroundedParams) -> dict:
-        """Float-list view of a current() result for the tick log; the
-        world-fixed lists are shared, not rebuilt."""
-        kp_lists, axis_lists = self._keypoint_lists, self._axis_lists
-        return {
-            "keypoints": {q: kp_lists[q] if q in kp_lists else p.tolist()
-                          for q, p in grounded.keypoints.items()},
-            "axes": {q: axis_lists[q] if q in axis_lists else d.tolist()
-                     for q, d in grounded.axes.items()},
-        }
+                values["axes"][q] = axis = ee.rotation[:, i]
+                lists["axes"][q] = axis.tolist()
+        return GroundedParams(**values), lists
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +419,7 @@ class SkillRunner:
         self.log = SimLog()
         self.state = SimState(ee=scene.ee_start, dt=self.config.dt)
         self._grounded = False
-        self._last_obs = None
+        self._grounded_lists = None   # of the last observe(), for its tick record
 
     # -- grounding
 
@@ -467,22 +452,19 @@ class SkillRunner:
     # -- environment protocol for run_phase
 
     def observe(self) -> ObservationBundle:
-        obs = ObservationBundle(grounded=self.anchors.current(self.state.ee),
-                                measured_force=-self.state.contact_force)
-        self._last_obs = obs
-        return obs
+        grounded, self._grounded_lists = self.anchors.current(self.state.ee)
+        return ObservationBundle(grounded=grounded, measured_force=-self.state.contact_force)
 
     def apply(self, twist: Twist):
         self.state = step_sim(self.state, twist, self.scene)
 
     def _on_tick(self, record):
-        grounded = self._last_obs.grounded if self._last_obs else GroundedParams()
         record.update({
             "t": self.state.t,
             "ee": {"origin": self.state.ee.origin.tolist(),
                    "rotation": self.state.ee.rotation.tolist()},
             "contact_force": self.state.contact_force.tolist(),
-            "grounded": self.anchors.as_lists(grounded),
+            "grounded": self._grounded_lists,
         })
         self.log.append(record)
 

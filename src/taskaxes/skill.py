@@ -27,6 +27,7 @@ given positionally right after the bindings. Lengths are meters; angles
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -229,8 +230,12 @@ def run_phase(phase: SkillPhase, env, limits: Limits, on_tick=None) -> PhaseResu
 # DSL lexer
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUM_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# whitespace and '#' line comments; one token; a `uses` path up to '#' or
+# the end of its line
+_SKIP_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_TOKEN_RE = re.compile(r"(?P<NUMBER>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<PUNCT>[{}()\[\],;:=.])")
+_PATH_RE = re.compile(r"[ \t]*([^\n#]*)")
 _PUNCT = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
           "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA", ";": "SEMI",
           ":": "COLON", "=": "EQUALS", ".": "DOT"}
@@ -248,61 +253,36 @@ class _Lexer:
     def __init__(self, text):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        self._line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
-    def _step(self, n=1):
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _skip_ws(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._step()
-            elif ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._step()
-            else:
-                return
+    def _where(self, pos):
+        """1-based (line, column) of offset `pos`."""
+        line = bisect.bisect_right(self._line_starts, pos)
+        return line, pos - self._line_starts[line - 1] + 1
 
     def next(self) -> _Token:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return _Token("EOF", None, self.line, self.col)
-        line, col = self.line, self.col
-        ch = self.text[self.pos]
-        m = _NUM_RE.match(self.text, self.pos)
-        if m and (ch.isdigit() or
-                  (ch in "+-." and self.pos + 1 < len(self.text)
-                   and (self.text[self.pos + 1].isdigit() or self.text[self.pos + 1] == "."))):
-            if not math.isfinite(float(m.group())):
+        self.pos = _SKIP_RE.match(self.text, self.pos).end()
+        line, col = self._where(self.pos)
+        m = _TOKEN_RE.match(self.text, self.pos)
+        if m is None:
+            if self.pos == len(self.text):
+                return _Token("EOF", None, line, col)
+            raise SkillSyntaxError(line, col, f"a token (found {self.text[self.pos]!r})")
+        self.pos = m.end()
+        kind, value = m.lastgroup, m.group()
+        if kind == "NUMBER":
+            value = float(value)
+            if not math.isfinite(value):
                 raise SkillSyntaxError(line, col, f"a finite number (found {m.group()!r})")
-            self._step(m.end() - self.pos)
-            return _Token("NUMBER", float(m.group()), line, col)
-        m = _NAME_RE.match(self.text, self.pos)
-        if m:
-            self._step(m.end() - self.pos)
-            return _Token("NAME", m.group(), line, col)
-        if ch in _PUNCT:
-            self._step()
-            return _Token(_PUNCT[ch], ch, line, col)
-        raise SkillSyntaxError(line, col, f"a token (found {ch!r})")
+        elif kind == "PUNCT":
+            kind = _PUNCT[value]
+        return _Token(kind, value, line, col)
 
     def rest_of_line(self) -> _Token:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self._step()
-        line, col = self.line, self.col
-        chars = []
-        while self.pos < len(self.text) and self.text[self.pos] not in "\n#":
-            chars.append(self.text[self.pos])
-            self._step()
-        value = "".join(chars).rstrip()
+        m = _PATH_RE.match(self.text, self.pos)
+        self.pos = m.end()
+        line, col = self._where(m.start(1))
+        value = m.group(1).rstrip()
         if not value:
             raise SkillSyntaxError(line, col, "a spec file path or 'robot'")
         return _Token("PATH", value, line, col)
@@ -428,16 +408,13 @@ class _Parser:
         kind = kind_tok.value
         self._expect("LPAREN", "'('")
         bindings = []
-        theta = None
-        theta_seen = False
-        params = {}
-        expect_binding = True
+        params = {}     # theta and the named parameters, all after the bindings
         while True:
             if self.tok.kind == "NAME":
                 name_tok = self.tok
                 self._advance()
                 if self.tok.kind == "DOT":
-                    if not expect_binding:
+                    if params:
                         self._fail("a parameter, not a binding", name_tok)
                     if name_tok.value not in declared:
                         raise UnboundSymbol(
@@ -449,26 +426,19 @@ class _Parser:
                 elif self.tok.kind == "EQUALS":
                     if name_tok.value not in _PARAM_NAMES:
                         self._fail(f"one of {', '.join(_PARAM_NAMES)}", name_tok)
-                    if name_tok.value in params or (name_tok.value == "theta" and theta_seen):
+                    if name_tok.value in params:
                         self._fail(f"a single {name_tok.value} parameter", name_tok)
                     self._advance()
                     value = self._value()
-                    if name_tok.value == "theta":
-                        theta = value
-                        theta_seen = True
-                    else:
-                        if not isinstance(value, float):
-                            self._fail("a scalar value", name_tok)
-                        params[name_tok.value] = value
-                    expect_binding = False
+                    if name_tok.value != "theta" and not isinstance(value, float):
+                        self._fail("a scalar value", name_tok)
+                    params[name_tok.value] = value
                 else:
                     self._fail("'.' or '='")
             elif self.tok.kind in ("NUMBER", "LBRACKET"):
-                if theta_seen:
+                if "theta" in params:
                     self._fail("a named parameter (theta already given)")
-                theta = self._value()
-                theta_seen = True
-                expect_binding = False
+                params["theta"] = self._value()
             else:
                 self._fail("a binding, value, or parameter")
             if self.tok.kind == "COMMA":
@@ -484,8 +454,8 @@ class _Parser:
                           kf=params.get("kf", self.default_gains.kf))
             limits = Limits(v_max=params.get("v_max", self.default_limits.v_max),
                             w_max=params.get("w_max", self.default_limits.w_max))
-            cfg = ControllerConfig(kind=kind, bindings=tuple(bindings), theta=theta,
-                                   gains=gains, limits=limits,
+            cfg = ControllerConfig(kind=kind, bindings=tuple(bindings),
+                                   theta=params.get("theta"), gains=gains, limits=limits,
                                    done_tol=params.get("done_tol"))
         except TaskAxesError as err:
             raise err.annotate(f"line {kind_tok.line}, col {kind_tok.col}")

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from taskaxes.cli import main
 from taskaxes.features import write_depth_mask, write_feature_grid
-from taskaxes.scenes import build_task, scene_from_json
+from taskaxes.scenes import TASK_SEED, build_task, scene_from_json
 from taskaxes.simulator import render_synthetic_features
 
 
@@ -364,6 +365,26 @@ def test_cmd_run_grounding_failure_exits_2_before_writing(scrape_dir, tmp_path):
     out = tmp_path / "strict_run"
     assert _run_scrape(scrape_dir, out, "--config", str(config)) == 2
     assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("name", ["scene.json", "spatula.json", "config.json"])
+def test_cmd_run_truncated_json_exits_2_naming_the_file(scrape_dir, tmp_path, capsys, name):
+    work = tmp_path / "bundle"
+    shutil.copytree(scrape_dir, work)
+    path = work / name
+    extra = ["--config", str(path)] if name == "config.json" else []
+    text = path.read_text() if path.exists() else '{"dt": 0.005}'
+    path.write_text(text[:len(text) // 2])
+    out = tmp_path / "out"
+    assert main(["run", "--skill", str(work / "scrape.skill"),
+                 "--scene", str(work / "scene.json"), "--out", str(out), *extra]) == 2
+    assert f"error: {path}: malformed JSON at line " in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+def test_gen_default_seed_is_the_task_seed(scrape_dir):
+    assert read_json(scrape_dir / "scene.json")["features"]["seed"] == TASK_SEED
+    assert build_task("scrape")["ref_scene"]["features"]["seed"] == TASK_SEED
 
 
 def test_cmd_run_with_file_loaded_features(scrape_dir, tmp_path, feature_files):

@@ -1,8 +1,8 @@
 """Numbers are checked once, where they enter; the control tick trusts them.
 
-A non-finite number in a --config, scene, spec or skill file stops
-`taskaxes run` at load (exit 2, file and key or line named, nothing
-written). Inside the tick, frames are built unchecked, so drift of the
+A non-finite or out-of-range number in a --config, scene, spec or skill
+file stops `taskaxes run` at load (exit 2, file and key or line named,
+nothing written). Inside the tick, frames are built unchecked, so drift of the
 integrated rotation is pinned by a property test instead.
 """
 
@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from taskaxes.cli import main
 from taskaxes.controllers import Limits
 from taskaxes.errors import ConfigError, SkillSyntaxError, finite, positive
+from taskaxes.features import MatchConfig
 from taskaxes.geometry import CameraIntrinsics, Frame, unit
+from taskaxes.grounding import GroundingConfig
 from taskaxes.scenes import sample_box
 from taskaxes.simulator import (
     ContactSurface,
@@ -80,6 +82,19 @@ JSON_CASES = [
     ("scene.json", "object 'pan': normal", _normal),
     ("scene.json", "object 'desk': cloud", _cloud),
     ("spatula.json", "axis 'up' dir", _global_dir),
+    ("config", "grounding.min_score", lambda c: c.update(grounding={"min_score": BAD})),
+    ("config", "grounding.normal_radius", lambda c: c.update(grounding={"normal_radius": BAD})),
+    ("config", "grounding.temperature", lambda c: c.update(grounding={"temperature": BAD})),
+]
+
+# (input, key its error names, edit) for values that are finite but out of
+# range, or NaN where only the range is checked
+RANGE_CASES = [
+    ("config", "grounding.min_neighbors", lambda c: c.update(grounding={"min_neighbors": 0})),
+    ("config", "grounding.normal_radius", lambda c: c.update(grounding={"normal_radius": -0.02})),
+    ("config", "grounding.temperature", lambda c: c.update(grounding={"temperature": 0})),
+    ("scene.json", "features.noise_sigma", lambda s: s["features"].update(noise_sigma=-1.0)),
+    ("scene.json", "features.noise_sigma", lambda s: s["features"].update(noise_sigma=BAD)),
 ]
 
 SKILL_CASES = [
@@ -95,11 +110,9 @@ def _run(work, out, *extra):
                  "--scene", str(work / "scene.json"), "--out", str(out), *extra])
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
-@pytest.mark.parametrize("target, key, edit", JSON_CASES,
-                         ids=[key for _, key, _ in JSON_CASES])
-def test_non_finite_json_number_exits_2_naming_file_and_key(bundle, tmp_path, capsys,
-                                                            target, key, edit, literal):
+def _run_edited(bundle, tmp_path, target, edit, literal):
+    """(exit code, edited file, out dir) of `run` on a copy of the bundle
+    whose `target` file, or a --config file, went through `edit`."""
     work = tmp_path / "bundle"
     shutil.copytree(bundle, work)
     extra = []
@@ -111,11 +124,42 @@ def test_non_finite_json_number_exits_2_naming_file_and_key(bundle, tmp_path, ca
         path = work / target
     _edit_json(path, edit, literal)
     out = tmp_path / "out"
-    assert _run(work, out, *extra) == 2
+    return _run(work, out, *extra), path, out
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize("target, key, edit", JSON_CASES,
+                         ids=[key for _, key, _ in JSON_CASES])
+def test_non_finite_json_number_exits_2_naming_file_and_key(bundle, tmp_path, capsys,
+                                                            target, key, edit, literal):
+    code, path, out = _run_edited(bundle, tmp_path, target, edit, literal)
+    assert code == 2
     err = capsys.readouterr().err
     assert f"{path}: " in err and key in err and "must be" in err and "finite" in err
     assert not (out / "result.json").exists()
     assert not (out / "log.jsonl").exists()
+
+
+@pytest.mark.parametrize("target, key, edit", RANGE_CASES,
+                         ids=["min_neighbors=0", "normal_radius<0", "temperature=0",
+                              "noise_sigma<0", "noise_sigma=nan"])
+def test_out_of_range_setting_exits_2_naming_file_and_key(bundle, tmp_path, capsys,
+                                                          target, key, edit):
+    code, path, out = _run_edited(bundle, tmp_path, target, edit, "NaN")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and key in err and "must be" in err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("flags, field", [(["--mode", "soft", "--temp", "0"], "temperature"),
+                                          (["--noise", "-1"], "noise_sigma"),
+                                          (["--noise", "nan"], "noise_sigma")])
+def test_validate_rejects_an_out_of_range_setting_naming_it(tmp_path, capsys, flags, field):
+    out = tmp_path / "out"
+    assert main(["validate", "--trials", "1", *flags, "--out", str(out)]) == 2
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not (out / "stats.json").exists()
 
 
 @pytest.mark.parametrize("literal", ["nan", "1e999", "-1e999"])
@@ -153,7 +197,10 @@ def test_each_config_check_names_its_field(value):
                        (lambda v: Limits(w_max=v), "w_max"),
                        (lambda v: CameraIntrinsics(600.0, v, 320.0, 240.0, 640, 480), "fy"),
                        (lambda v: ContactSurface(np.zeros(3), np.array([0, 0, 1.0]), v),
-                        "stiffness")]:
+                        "stiffness"),
+                       (lambda v: GroundingConfig(normal_radius=v), "normal_radius"),
+                       (lambda v: GroundingConfig(min_neighbors=v), "min_neighbors"),
+                       (lambda v: MatchConfig(temperature=v), "temperature")]:
         with pytest.raises(ConfigError) as err:
             make(value)
         assert str(err.value) == f"{name} must be positive and finite, got {value}"
@@ -168,8 +215,10 @@ def test_helpers_name_the_first_offending_entry():
         finite("theta", float("nan"))
 
 
-@pytest.mark.parametrize("v", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+@pytest.mark.parametrize("v", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0],
+                               [1e308, 1e308, 0.0]])
 def test_unit_rejects_non_finite_and_near_zero_input(v):
+    # the overflowing norm raises no RuntimeWarning, which the suite makes an error
     with pytest.raises(ConfigError, match="cannot normalize"):
         unit(v)
 
