@@ -31,6 +31,7 @@ from .features import (
     read_feature_grid,
     soft_match,
     window_average,
+    window_pixels,
     write_depth_mask,
     write_feature_grid,
 )

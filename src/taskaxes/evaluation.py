@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TaskAxesError
-from .features import DepthMask, FeatureGrid, MatchConfig
+from .errors import ConfigError, TaskAxesError
+from .features import DepthMask, FeatureGrid, MatchConfig, window_pixels
 from .geometry import CameraIntrinsics, Frame, angle_between
 from .grounding import (
     AXIS_EDGE_DIRECTION,
@@ -74,9 +74,8 @@ def _build_geometry():
             "dish": _Geometry(dish_cloud, dish_kp)}
 
 
-def _make_scene(poses, noise_sigma=0.0) -> Scene:
+def _make_scene(poses, features: FeatureRenderConfig) -> Scene:
     geo = _build_geometry()
-    features = replace(_FEATURES, noise_sigma=noise_sigma)
     objects = [SceneObject(name=name, pose=pose, cloud=geo[name].cloud,
                            truth_keypoints=geo[name].keypoints)
                for name, pose in poses.items()]
@@ -86,7 +85,7 @@ def _make_scene(poses, noise_sigma=0.0) -> Scene:
 def reference_scene() -> Scene:
     poses = {name: Frame.from_rpy_deg(origin, (0.0, 0.0, yaw))
              for name, (origin, yaw) in _REF_POSES.items()}
-    return _make_scene(poses)
+    return _make_scene(poses, replace(_FEATURES))
 
 
 def validation_spec() -> GroundingSpec:
@@ -159,7 +158,13 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
     Returns summary statistics of keypoint position error (meters) and
     axis angle error (degrees), overall and per axis kind, plus a view
     keyed by the controller kind that would consume each error type.
+    Every setting is checked, also when there are no trials.
     """
+    if trials < 0:
+        raise ConfigError(f"trials must be >= 0, got {trials}")
+    cfg = GroundingConfig(match=MatchConfig(mode=mode, temperature=temperature),
+                          min_score=min_score)
+    features = replace(_FEATURES, noise_sigma=noise_sigma)
     stats = {
         "trials": int(trials),
         "noise_sigma": float(noise_sigma),
@@ -168,17 +173,18 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
         "seed": int(seed),
         "quantization_bound_m": quantization_bound_m(),
     }
-    if trials <= 0:
+    if trials == 0:
         stats.update({"keypoints": {"count": 0}, "axes": {"count": 0},
                       "per_axis_kind": {}, "per_controller_kind": {},
                       "failures": 0})
         return stats
 
     spec = validation_spec()
-    cfg = GroundingConfig(match=MatchConfig(mode=mode, temperature=temperature),
-                          min_score=min_score)
-    ref = reference_scene()
-    ref_grid_clean, ref_depth = render_synthetic_features(ref)
+    # grounding reads the reference only through its keypoint windows
+    read = window_pixels([kp.pixel for kp in spec.keypoints], _INTR.width,
+                         _INTR.height, cfg.match.window_radius)
+    ref_grid_clean, ref_depth = render_synthetic_features(reference_scene(),
+                                                          pixels=read)
     geo = _build_geometry()
 
     owner = {kp.label: kp.object for kp in spec.keypoints}
@@ -188,7 +194,7 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         poses = _draw_poses(rng)
-        scene = _make_scene(poses, noise_sigma=noise_sigma)
+        scene = _make_scene(poses, features)
         tgt_grid, tgt_depth = render_synthetic_features(scene,
                                                         noise_tag=2 * trial + 1)
         ref_grid = _with_noise(ref_grid_clean, ref_depth, noise_sigma,

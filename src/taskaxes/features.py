@@ -160,6 +160,13 @@ class MatchConfig:
         positive("temperature", self.temperature)
 
 
+def _window(u, v, radius, width, height):
+    """(u0, u1, v0, v1): inclusive bounds of the (2r+1)^2 window around
+    pixel (u, v), clipped to a width x height image."""
+    return (max(u - radius, 0), min(u + radius, width - 1),
+            max(v - radius, 0), min(v + radius, height - 1))
+
+
 def window_average(grid: FeatureGrid, u: int, v: int,
                    radius: int = MatchConfig.window_radius) -> np.ndarray:
     """Mean descriptor over a (2r+1)^2 window clipped to the image bounds."""
@@ -169,10 +176,25 @@ def window_average(grid: FeatureGrid, u: int, v: int,
     v = int(v)
     if not (0 <= u < grid.width and 0 <= v < grid.height):
         raise OutOfBounds(f"pixel ({u}, {v}) outside {grid.width}x{grid.height} grid")
-    u0, u1 = max(u - radius, 0), min(u + radius, grid.width - 1)
-    v0, v1 = max(v - radius, 0), min(v + radius, grid.height - 1)
+    u0, u1, v0, v1 = _window(u, v, radius, grid.width, grid.height)
     window = grid.data[v0:v1 + 1, u0:u1 + 1].astype(np.float64)
     return window.reshape(-1, grid.dim).mean(axis=0)
+
+
+def window_pixels(keypoints, width: int, height: int,
+                  radius: int = MatchConfig.window_radius) -> np.ndarray:
+    """Ascending flat indices (v * width + u) of every pixel that
+    window_average reads around the (u, v) `keypoints` of a width x
+    height grid. A keypoint outside the image adds none; window_average
+    raises OutOfBounds for it."""
+    flat = [np.empty(0, dtype=np.int64)]
+    for u, v in keypoints:
+        u, v = int(u), int(v)
+        if 0 <= u < width and 0 <= v < height:
+            u0, u1, v0, v1 = _window(u, v, radius, width, height)
+            rows = np.arange(v0, v1 + 1, dtype=np.int64)[:, None] * width
+            flat.append((rows + np.arange(u0, u1 + 1, dtype=np.int64)).ravel())
+    return np.unique(np.concatenate(flat))
 
 
 def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:
@@ -283,27 +305,44 @@ def write_feature_grid(path, grid: FeatureGrid) -> None:
         fh.write(meta_bytes)
 
 
+def _read_header(path, raw, magic, fields, what):
+    """The u32 header fields after `magic`; FileFormatError naming the file
+    unless `raw` starts with the magic, holds the whole header and has
+    the supported version."""
+    if raw[:4] != magic:
+        raise FileFormatError(f"{path}: not a {what} file")
+    if len(raw) < 4 + 4 * fields:
+        raise FileFormatError(f"{path}: truncated header")
+    version, *header = struct.unpack_from(f"<{fields}I", raw, 4)
+    if version != FILE_VERSION:
+        raise FileFormatError(f"{path}: unsupported version {version}")
+    return header
+
+
 def read_feature_grid(path) -> FeatureGrid:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != FGRD_MAGIC:
-        raise FileFormatError(f"{path}: not a feature grid file")
-    version, height, width, dim = struct.unpack_from("<IIII", raw, 4)
-    if version != FILE_VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
+    height, width, dim = _read_header(path, raw, FGRD_MAGIC, 4, "feature grid")
     offset = 20
     count = height * width * dim
     end = offset + 4 * count
     if len(raw) < end + 4:
         raise FileFormatError(f"{path}: truncated feature grid")
-    data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-    data = data.reshape(height, width, dim).copy()
     (meta_len,) = struct.unpack_from("<I", raw, end)
-    meta_raw = raw[end + 4:end + 4 + meta_len]
+    meta_raw = raw[end + 4:]
     if len(meta_raw) != meta_len:
-        raise FileFormatError(f"{path}: truncated metadata")
-    meta = json.loads(meta_raw.decode("utf-8")) if meta_len else {}
-    return FeatureGrid(data=data, meta=meta)
+        raise FileFormatError(f"{path}: {len(meta_raw)} metadata bytes, expected {meta_len}")
+    try:
+        meta = json.loads(meta_raw.decode("utf-8")) if meta_len else {}
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise FileFormatError(f"{path}: metadata is not UTF-8 JSON ({err})") from None
+    if not isinstance(meta, dict):
+        raise FileFormatError(f"{path}: metadata is not a JSON object")
+    data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+    try:
+        return FeatureGrid(data=data.reshape(height, width, dim).copy(), meta=meta)
+    except ConfigError as err:
+        raise err.annotate(path) from None
 
 
 def write_depth_mask(path, mask: DepthMask) -> None:
@@ -317,11 +356,7 @@ def write_depth_mask(path, mask: DepthMask) -> None:
 def read_depth_mask(path) -> DepthMask:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != DPTH_MAGIC:
-        raise FileFormatError(f"{path}: not a depth file")
-    version, height, width = struct.unpack_from("<III", raw, 4)
-    if version != FILE_VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
+    height, width = _read_header(path, raw, DPTH_MAGIC, 3, "depth")
     count = height * width
     if len(raw) != 16 + 4 * count:
         raise FileFormatError(f"{path}: wrong payload size")

@@ -116,7 +116,14 @@ def sample_primitive(spec: dict) -> np.ndarray:
 
 
 def snap_to_cloud(point, cloud) -> np.ndarray:
-    d2 = np.sum((cloud - np.asarray(point, dtype=np.float64)) ** 2, axis=1)
+    """Copy of the cloud point nearest `point`, the first one on a tie.
+    The squared distance sums x, y, z left to right, the order of the
+    `np.sum(d ** 2, axis=1)` it replaces, without its slow short-axis
+    reduction."""
+    d = cloud - np.asarray(point, dtype=np.float64)
+    d *= d
+    d2 = d[:, 0] + d[:, 1]
+    d2 += d[:, 2]
     return cloud[int(np.argmin(d2))].copy()
 
 
@@ -141,9 +148,26 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def object_from_json(data: dict, base_dir=".") -> SceneObject:
+def _shared(memo, key, make):
+    """make() once per key of dict `memo`, read-only, since every later
+    call returns that array; make() on every call when key is None."""
+    if key is None:
+        return make()
+    if key not in memo:
+        memo[key] = make()
+        memo[key].flags.writeable = False
+    return memo[key]
+
+
+def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
+    """Build one object. With a `memo` dict, a primitive cloud and its
+    snapped keypoints are made once per primitive JSON and keypoint
+    coordinates, and shared read-only by every object the memo serves."""
+    source = None   # the primitive JSON, when the memo may share its cloud
     if "primitive" in data:
-        cloud = sample_primitive(data["primitive"])
+        if memo is not None:
+            source = json.dumps(data["primitive"], sort_keys=True)
+        cloud = _shared(memo, source, lambda: sample_primitive(data["primitive"]))
     elif "cloud" in data:
         cloud = finite("cloud", data["cloud"]).reshape(-1, 3)
     elif "cloud_file" in data:
@@ -154,8 +178,11 @@ def object_from_json(data: dict, base_dir=".") -> SceneObject:
     pose = data.get("pose", {})
     frame = Frame.from_rpy_deg(pose.get("origin", (0, 0, 0)),
                                pose.get("rpy_deg", (0, 0, 0)))
-    keypoints = {label: snap_to_cloud(finite(f"keypoints.{label}", p), cloud)
-                 for label, p in data.get("keypoints", {}).items()}
+    keypoints = {}
+    for label, p in data.get("keypoints", {}).items():
+        point = finite(f"keypoints.{label}", p)
+        key = None if source is None else (source, point.shape, point.tobytes())
+        keypoints[label] = _shared(memo, key, lambda: snap_to_cloud(point, cloud))
     surfaces = [ContactSurface(point=s["point"], normal=s["normal"],
                                stiffness=float(s["stiffness"]))
                 for s in data.get("surfaces", [])]
@@ -205,8 +232,9 @@ def config_from_json(base, data, prefix=""):
         raise err.annotate(", ".join(keys)) from None
 
 
-def scene_from_json(data: dict, base_dir="."):
-    """Build a Scene; returns (scene, reference_path_or_None)."""
+def scene_from_json(data: dict, base_dir=".", memo=None):
+    """Build a Scene; returns (scene, reference_path_or_None). `memo` is
+    passed to object_from_json."""
     intr = CameraIntrinsics.from_json(data["intrinsics"])
     ee = data.get("ee_start", {})
     ee_start = Frame.from_rpy_deg(ee.get("origin", EE_START_ORIGIN),
@@ -216,7 +244,7 @@ def scene_from_json(data: dict, base_dir="."):
     objects = []
     for o in data.get("objects", []):
         try:
-            objects.append(object_from_json(o, base_dir))
+            objects.append(object_from_json(o, base_dir, memo))
         except ConfigError as err:
             raise err.annotate(f"object {o.get('name')!r}") from None
     scene = Scene(objects=objects, intrinsics=intr, ee_start=ee_start,
@@ -224,12 +252,12 @@ def scene_from_json(data: dict, base_dir="."):
     return scene, data.get("reference")
 
 
-def _read_scene(path, base_dir):
+def _read_scene(path, base_dir, memo):
     """(JSON data, scene, reference name) of one scene file; a layout
     error names the file."""
     data = read_json(path)
     try:
-        scene, ref_name = scene_from_json(data, base_dir)
+        scene, ref_name = scene_from_json(data, base_dir, memo)
     except (FileFormatError, ConfigError) as err:
         raise err.annotate(path) from None
     return data, scene, ref_name
@@ -244,14 +272,19 @@ def load_scene(path):
     feature_files is the (reference grid, target grid, target depth)
     triple, which replaces synthetic rendering. paths lists every file
     read besides `path` itself.
+
+    The two scenes usually repeat their objects at other poses, so each
+    primitive is sampled, and each keypoint snapped, once per call; the
+    scenes share those arrays read-only.
     """
     base_dir = os.path.dirname(os.path.abspath(path))
-    data, scene, ref_name = _read_scene(path, base_dir)
+    memo = {}
+    data, scene, ref_name = _read_scene(path, base_dir, memo)
     paths = []
     ref_scene = None
     if ref_name:
         ref_path = os.path.join(base_dir, ref_name)
-        _, ref_scene, _ = _read_scene(ref_path, base_dir)
+        _, ref_scene, _ = _read_scene(ref_path, base_dir, memo)
         paths.append(ref_path)
     feature_files = None
     if "feature_files" in data:

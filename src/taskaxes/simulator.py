@@ -24,7 +24,7 @@ import numpy as np
 
 from .controllers import FORCE_ALIGN, Limits, ObservationBundle
 from .errors import ConfigError, EmptyScene, GraspTooFar, TaskAxesError, finite, positive
-from .features import DepthMask, FeatureGrid, MatchConfig
+from .features import DepthMask, FeatureGrid, MatchConfig, window_pixels
 from .geometry import CameraIntrinsics, Frame, rotvec_to_matrix, unit
 from .grounding import (
     GroundedParams,
@@ -116,7 +116,7 @@ def _object_basis(name: str, cfg: FeatureRenderConfig):
     return freqs, phases
 
 
-def render_synthetic_features(scene: Scene, noise_tag: int = 0):
+def render_synthetic_features(scene: Scene, noise_tag: int = 0, pixels=None):
     """Render the scene into a (FeatureGrid, DepthMask) pair.
 
     Every object point is projected through the pinhole model; the
@@ -125,11 +125,16 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0):
     basis W, b, making descriptors invariant to the object's world pose.
     Background pixels get NaN depth and a zero descriptor.
 
-    Descriptors and noise are computed only for the winners, in pixel
-    order, as one compact float64 array; the noise is one normal draw of
-    shape (winners, dim). The float32 grid is filled by one scatter of
-    that array, so no whole-image float64 grid is ever built, and only
-    that array is checked for finiteness.
+    `pixels`, when given, holds the flat indices (v * width + u) whose
+    descriptors will be read: only those get one, every other pixel of
+    the grid stays zero. The depth always covers the whole image.
+
+    Descriptors and noise are computed only for the kept winners, in
+    pixel order, as one compact float64 array; the noise is one normal
+    draw of shape (winners, dim) of which the kept rows are added, so a
+    pixel's bytes do not depend on `pixels`. The float32 grid is filled
+    by one scatter of that array, so no whole-image float64 grid is ever
+    built, and only that array is checked for finiteness.
     """
     intr = scene.intrinsics
     cfg = scene.features
@@ -157,14 +162,21 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0):
     at_nearest = np.flatnonzero(z == nearest[flat])
     first = np.full(size, flat.size)
     np.minimum.at(first, flat[at_nearest], at_nearest)
-    pixels = np.flatnonzero(first < flat.size)
-    winners = first[pixels]
+    won = np.flatnonzero(first < flat.size)
+    winners = first[won]
     depth = np.full(size, np.nan)
-    depth[pixels] = z[winners]
+    depth[won] = z[winners]
+
+    keep = slice(None)
+    if pixels is not None:
+        wanted = np.zeros(size, dtype=bool)
+        wanted[pixels] = True
+        keep = np.flatnonzero(wanted[won])
+    won = won[keep]
 
     # objects own consecutive ranges of the global point index
-    point_idx = point_idx[winners]
-    desc = np.empty((winners.size, cfg.dim))
+    point_idx = point_idx[winners[keep]]
+    desc = np.empty((won.size, cfg.dim))
     start = 0
     for obj in scene.objects:
         stop = start + obj.cloud.shape[0]
@@ -176,9 +188,9 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0):
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, 7919, noise_tag]))
-        desc += rng.normal(0.0, cfg.noise_sigma, size=(winners.size, cfg.dim))
+        desc += rng.normal(0.0, cfg.noise_sigma, size=(winners.size, cfg.dim))[keep]
     data = np.zeros((size, cfg.dim), dtype=np.float32)
-    data[pixels] = desc
+    data[won] = desc
     grid = FeatureGrid._built(data.reshape(intr.height, intr.width, cfg.dim),
                               {"source": "synthetic", "dim": str(cfg.dim),
                                "length_scale": str(cfg.length_scale),
@@ -426,8 +438,15 @@ class SkillRunner:
     def _render_inputs(self):
         if self.feature_files is not None:
             return self.feature_files
+        # grounding reads the reference only through its keypoint windows
         ref_scene = self.ref_scene or self.scene
-        ref_grid, _ = render_synthetic_features(ref_scene, noise_tag=0)
+        intr = ref_scene.intrinsics
+        read = window_pixels([kp.pixel for role, _ in self.skill.uses
+                              if role not in self.robot_roles
+                              for kp in self.specs[role].keypoints],
+                             intr.width, intr.height,
+                             self.config.grounding.match.window_radius)
+        ref_grid, _ = render_synthetic_features(ref_scene, noise_tag=0, pixels=read)
         tgt_grid, tgt_depth = render_synthetic_features(self.scene, noise_tag=1)
         return ref_grid, tgt_grid, tgt_depth
 

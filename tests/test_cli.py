@@ -223,6 +223,18 @@ def test_cmd_validate_small_and_empty(tmp_path):
     assert stats0["keypoints"]["count"] == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--trials", "0", "--temp", "0"], "temperature must be positive"),
+    (["--trials", "0", "--noise", "-1"], "noise_sigma must be >= 0"),
+    (["--trials", "-3"], "trials must be >= 0, got -3"),
+])
+def test_cmd_validate_checks_settings_without_trials(tmp_path, capsys, argv, message):
+    out = tmp_path / "val"
+    assert main(["validate"] + argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "stats.json").exists()
+
+
 def test_usage_error_returns_1():
     assert main(["run", "--scene", "missing-skill.json"]) == 1
     assert main(["nope"]) == 1

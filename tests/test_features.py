@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskaxes.errors import (
     DimMismatch,
@@ -265,3 +267,94 @@ def test_bad_magic_and_truncation(tmp_path):
     (tmp_path / "trunc.fgrd").write_bytes(good.read_bytes()[:-6])
     with pytest.raises(FileFormatError):
         read_feature_grid(tmp_path / "trunc.fgrd")
+
+
+def test_truncated_header_and_bad_metadata_name_the_file(tmp_path):
+    good = tmp_path / "good.fgrd"
+    write_feature_grid(good, FeatureGrid(data=np.zeros((2, 2, 2), dtype=np.float32),
+                                         meta={"source": "unit-test"}))
+    raw = good.read_bytes()
+    short = tmp_path / "short.fgrd"
+    short.write_bytes(raw[:6])
+    with pytest.raises(FileFormatError, match="short.fgrd: truncated header"):
+        read_feature_grid(short)
+    undecodable = tmp_path / "meta.fgrd"
+    undecodable.write_bytes(raw[:-2] + b"\xff\xfe")
+    with pytest.raises(FileFormatError, match="meta.fgrd: metadata is not UTF-8 JSON"):
+        read_feature_grid(undecodable)
+    depth = tmp_path / "short.dpth"
+    depth.write_bytes(b"DPTH\x01\x00")
+    with pytest.raises(FileFormatError, match="short.dpth: truncated header"):
+        read_depth_mask(depth)
+
+
+# ------------------------------------------------- file io, property tests
+
+_io_grids = st.builds(
+    lambda shape, seed: np.random.default_rng(seed).normal(size=shape).astype(np.float32),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.integers(0, 2**16))
+_io_meta = st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2)
+
+
+def _written(tmp_dir, name, grid=None, meta=None, depth=None):
+    path = tmp_dir / name
+    if depth is None:
+        write_feature_grid(path, FeatureGrid(data=grid, meta=meta))
+    else:
+        write_depth_mask(path, DepthMask(depth=depth))
+    return path
+
+
+def _read_only_file_format_errors(reader, path, raw):
+    path.write_bytes(raw)
+    try:
+        reader(path)
+    except FileFormatError as err:
+        assert str(path) in str(err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_io_grids, _io_meta)
+def test_feature_grid_file_property(tmp_path_factory, data, meta):
+    tmp_dir = tmp_path_factory.mktemp("fgrd")
+    path = _written(tmp_dir, "grid.fgrd", data, meta)
+    raw = path.read_bytes()
+    back = read_feature_grid(path)
+    assert back.data.tobytes() == data.tobytes() and back.meta == meta
+    assert _written(tmp_dir, "again.fgrd", back.data, back.meta).read_bytes() == raw
+    cut = tmp_dir / "cut.fgrd"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(FileFormatError, match="cut.fgrd"):
+            read_feature_grid(cut)
+    # every byte of the header and of the metadata length, set to extremes
+    bad = tmp_dir / "bad.fgrd"
+    meta_at = 20 + data.nbytes
+    for i in list(range(20)) + list(range(meta_at, meta_at + 4)):
+        for value in (0x00, 0x01, 0x7F, 0xFF):
+            _read_only_file_format_errors(read_feature_grid, bad,
+                                          raw[:i] + bytes([value]) + raw[i + 1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2**16))
+def test_depth_file_property(tmp_path_factory, height, width, seed):
+    tmp_dir = tmp_path_factory.mktemp("dpth")
+    depth = np.random.default_rng(seed).uniform(0.1, 2.0, size=(height, width))
+    depth = depth.astype(np.float32).astype(np.float64)
+    path = _written(tmp_dir, "d.dpth", depth=depth)
+    raw = path.read_bytes()
+    back = read_depth_mask(path)
+    assert back.depth.tobytes() == depth.tobytes()
+    assert _written(tmp_dir, "again.dpth", depth=back.depth).read_bytes() == raw
+    cut = tmp_dir / "cut.dpth"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(FileFormatError, match="cut.dpth"):
+            read_depth_mask(cut)
+    bad = tmp_dir / "bad.dpth"
+    for i in range(16):
+        for value in (0x00, 0x01, 0x7F, 0xFF):
+            _read_only_file_format_errors(read_depth_mask, bad,
+                                          raw[:i] + bytes([value]) + raw[i + 1:])
