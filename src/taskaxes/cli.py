@@ -95,6 +95,16 @@ def _match_config(flags) -> MatchConfig:
 # commands: each returns (exit_code, input_paths)
 
 
+def _from_file(path, build):
+    """build(JSON value of the file at `path`); an error in the value's
+    layout or settings names the file."""
+    data = read_json(path)
+    try:
+        return build(data)
+    except (FileFormatError, ConfigError) as err:
+        raise err.annotate(path) from None
+
+
 def cmd_match(flags, out_dir):
     ref = read_feature_grid(flags["ref"])
     target = read_feature_grid(flags["target"])
@@ -120,11 +130,11 @@ def cmd_match(flags, out_dir):
 
 
 def cmd_ground(flags, out_dir):
-    spec = spec_from_json(read_json(flags["spec"]))
+    spec = _from_file(flags["spec"], spec_from_json)
     ref = read_feature_grid(flags["ref"])
     target = read_feature_grid(flags["target"])
     depth = read_depth_mask(flags["depth"])
-    intr = CameraIntrinsics.from_json(read_json(flags["intr"]))
+    intr = _from_file(flags["intr"], CameraIntrinsics.from_json)
     inputs = [flags["spec"], flags["ref"], flags["target"], flags["depth"],
               flags["intr"]]
     cloud = None
@@ -141,19 +151,17 @@ def cmd_ground(flags, out_dir):
 def _run_config(flags, inputs):
     """RunConfig and default controller gains: the class defaults, with
     the --config JSON overlaid when one is given."""
-    path = flags.get("config")
-    data = {}
-    if path:
-        data = read_json(path)
-        inputs.append(path)
+    def build(data):
         if not isinstance(data, dict):
-            raise FileFormatError(f"{path}: config must be a JSON object")
-    try:
+            raise FileFormatError("config must be a JSON object")
         gains = config_from_json(Gains(), data.get("gains", {}), "gains.")
-        cfg = config_from_json(RunConfig(), {k: v for k, v in data.items() if k != "gains"})
-    except (FileFormatError, ConfigError) as err:
-        raise err.annotate(path) from None
-    return cfg, gains
+        return config_from_json(RunConfig(), {k: v for k, v in data.items() if k != "gains"}), gains
+
+    path = flags.get("config")
+    if not path:
+        return build({})
+    inputs.append(path)
+    return _from_file(path, build)
 
 
 def cmd_run(flags, out_dir):
@@ -178,10 +186,7 @@ def cmd_run(flags, out_dir):
         if source == ROBOT_ROLE_SOURCE:
             continue
         spec_path = os.path.join(skill_dir, source)
-        try:
-            specs[role] = spec_from_json(read_json(spec_path))
-        except ConfigError as err:
-            raise err.annotate(spec_path) from None
+        specs[role] = _from_file(spec_path, spec_from_json)
         inputs.append(spec_path)
 
     runner = SkillRunner(skill, scene, specs, ref_scene=ref_scene, config=cfg,

@@ -43,6 +43,20 @@ def finite(name, value) -> np.ndarray:
     return arr
 
 
+def entry(data, key, path, cast=lambda value: value):
+    """cast(data[key]) of a JSON object; FileFormatError naming the key
+    path `path` (the caller names the file) when the key is missing or
+    its value does not cast."""
+    try:
+        value = data[key]
+    except (KeyError, TypeError):
+        raise FileFormatError(f"{path} is missing") from None
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise FileFormatError(f"{path}: expected {cast.__name__}, got {value!r}") from None
+
+
 # geometry -------------------------------------------------------------
 
 class NonPositiveDepth(TaskAxesError):

@@ -124,18 +124,19 @@ def _draw_poses(rng) -> dict:
 
 
 def _with_noise(grid: FeatureGrid, mask: DepthMask, sigma, rng) -> FeatureGrid:
-    """Copy of the grid with Gaussian noise added, in float64, to the
-    valid pixels only; the rest keep their float32 bytes, as a
-    float32 -> float64 -> float32 round trip would leave them. Only the
-    noisy rows are checked for finiteness (`grid` was checked)."""
+    """The grid with Gaussian noise added, in float64, to its stored rows
+    at valid pixels. The draw covers every valid pixel, in pixel order,
+    so a row gets the same noise whichever pixels the grid stores; rows
+    at invalid pixels keep their values. `grid` is not changed."""
     if sigma <= 0:
         return grid
-    data = grid.data.copy()
-    flat = data.reshape(-1, grid.dim)
-    idx = np.flatnonzero(mask.valid)
-    noisy = flat[idx] + rng.normal(0.0, sigma, size=(idx.size, grid.dim))
-    flat[idx] = noisy
-    return FeatureGrid._built(data, dict(grid.meta), noisy)
+    valid = np.flatnonzero(mask.valid)
+    noise = rng.normal(0.0, sigma, size=(valid.size, grid.dim))
+    hit = mask.valid.reshape(-1)[grid.pixels]
+    rows = grid.rows.copy()
+    rows[hit] += noise[np.searchsorted(valid, grid.pixels[hit])]
+    return FeatureGrid.from_rows(grid.height, grid.width, grid.pixels, rows,
+                                 grid.dtype, dict(grid.meta))
 
 
 def _axis_error_deg(grounded, truth, metric) -> float:

@@ -1,15 +1,18 @@
-"""Dense feature grids and keypoint matching.
+"""Feature grids and keypoint matching.
 
-A FeatureGrid holds one descriptor per pixel. A reference descriptor is
-formed by averaging a small window around the annotated pixel, a cosine
-similarity map is computed against every valid pixel of the target grid,
-and the match is read off either as the argmax pixel or as the
-soft-argmax (softmax-weighted expectation of pixel coordinates).
+A FeatureGrid stores descriptors only for the pixels that have one, as
+float64 rows in pixel order; every other pixel reads as zero. A
+reference descriptor is formed by averaging a small window around the
+annotated pixel, a cosine similarity map is computed against every
+valid pixel of the target grid, and the match is read off either as the
+argmax pixel or as the soft-argmax (softmax-weighted expectation of
+pixel coordinates).
 
 Binary file layouts (all little-endian):
 
   .fgrd   magic "FGRD", u32 version=1, u32 height, u32 width, u32 dim,
-          height*width*dim float32 row-major (pixel-major, descriptor-minor),
+          height*width*dim float32 row-major (pixel-major, descriptor-minor;
+          a pixel without a stored row is written as zeros),
           u32 metadata byte length, that many UTF-8 bytes of JSON metadata.
 
   .dpth   magic "DPTH", u32 version=1, u32 height, u32 width,
@@ -40,47 +43,48 @@ DPTH_MAGIC = b"DPTH"
 FILE_VERSION = 1
 
 
-@dataclass
 class FeatureGrid:
-    """Per-pixel descriptor array of shape (height, width, dim). The public
-    constructor checks every value is finite; `_built` checks new ones."""
+    """Descriptors of a height x width image, stored only for the pixels
+    that have one: the ascending flat indices `pixels` (v * width + u),
+    their float64 `rows`, whose values are those of `dtype`, and the row
+    `norms`. Every other pixel reads as zero. Both constructors check
+    that every stored value is finite; grids are treated as immutable."""
 
-    data: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.ndim != 3:
-            raise ConfigError(f"feature grid must be 3D, got shape {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ConfigError("feature grid contains non-finite values")
+    def __init__(self, data, meta=None):
+        """Grid storing every pixel of a (height, width, dim) array."""
+        data = np.asarray(data)
+        if data.ndim != 3:
+            raise ConfigError(f"feature grid must be 3D, got shape {data.shape}")
+        height, width, dim = data.shape
+        # a grid without descriptor components stores no pixels
+        pixels = np.arange(height * width if dim else 0, dtype=np.int64)
+        self._store(height, width, pixels, data.reshape(height * width, dim)[:pixels.size],
+                    data.dtype, meta)
 
     @classmethod
-    def _built(cls, data, meta, written) -> "FeatureGrid":
-        """Trusted grid: the rows of 3-D `data` are zeros or from a checked
-        grid, but for those just cast from float64 `written`. The cast is
-        monotone and NaN propagates, so they are all finite iff the cast
-        minimum and maximum are."""
-        if written.size:
-            with np.errstate(over="ignore"):
-                ends = np.array([written.min(), written.max()]).astype(data.dtype)
-            if not np.isfinite(ends).all():
-                raise ConfigError("feature grid contains non-finite values")
+    def from_rows(cls, height, width, pixels, rows, dtype, meta=None) -> "FeatureGrid":
+        """Grid of the (n, dim) `rows` at the n ascending flat indices
+        `pixels`, each value rounded to `dtype`."""
         grid = cls.__new__(cls)
-        grid.data, grid.meta = data, meta
+        grid._store(height, width, pixels, rows, np.dtype(dtype), meta)
         return grid
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
+    def _store(self, height, width, pixels, rows, dtype, meta):
+        with np.errstate(over="ignore"):
+            rows = np.asarray(rows).astype(dtype, copy=False).astype(np.float64)
+        if not np.isfinite(rows).all():
+            raise ConfigError("feature grid contains non-finite values")
+        self.height, self.width, self.dim = int(height), int(width), rows.shape[1]
+        self.pixels, self.rows, self.dtype = np.asarray(pixels, dtype=np.int64), rows, dtype
+        self.meta = {} if meta is None else meta
+        self.norms = np.sqrt(np.einsum("nd,nd->n", rows, rows))
 
     @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[2]
+    def data(self) -> np.ndarray:
+        """The dense (height, width, dim) array in `dtype`, built on each read."""
+        dense = np.zeros((self.height * self.width, self.dim), dtype=self.dtype)
+        dense[self.pixels] = self.rows
+        return dense.reshape(self.height, self.width, self.dim)
 
 
 @dataclass
@@ -160,11 +164,13 @@ class MatchConfig:
         positive("temperature", self.temperature)
 
 
-def _window(u, v, radius, width, height):
-    """(u0, u1, v0, v1): inclusive bounds of the (2r+1)^2 window around
-    pixel (u, v), clipped to a width x height image."""
-    return (max(u - radius, 0), min(u + radius, width - 1),
-            max(v - radius, 0), min(v + radius, height - 1))
+def _window(u, v, radius, width, height) -> np.ndarray:
+    """Row-major flat indices (v * width + u) of the (2r+1)^2 window
+    around pixel (u, v), clipped to a width x height image."""
+    u0, u1 = max(u - radius, 0), min(u + radius, width - 1)
+    v0, v1 = max(v - radius, 0), min(v + radius, height - 1)
+    rows = np.arange(v0, v1 + 1, dtype=np.int64)[:, None] * width
+    return (rows + np.arange(u0, u1 + 1, dtype=np.int64)).ravel()
 
 
 def window_average(grid: FeatureGrid, u: int, v: int,
@@ -176,9 +182,13 @@ def window_average(grid: FeatureGrid, u: int, v: int,
     v = int(v)
     if not (0 <= u < grid.width and 0 <= v < grid.height):
         raise OutOfBounds(f"pixel ({u}, {v}) outside {grid.width}x{grid.height} grid")
-    u0, u1, v0, v1 = _window(u, v, radius, grid.width, grid.height)
-    window = grid.data[v0:v1 + 1, u0:u1 + 1].astype(np.float64)
-    return window.reshape(-1, grid.dim).mean(axis=0)
+    # the row-major window, zero where the grid stores no row
+    flat = _window(u, v, radius, grid.width, grid.height)
+    at = np.searchsorted(grid.pixels, flat)
+    found = np.searchsorted(grid.pixels, flat, side="right") > at
+    window = np.zeros((flat.size, grid.dim))
+    window[found] = grid.rows[at[found]]
+    return window.mean(axis=0)
 
 
 def window_pixels(keypoints, width: int, height: int,
@@ -191,27 +201,30 @@ def window_pixels(keypoints, width: int, height: int,
     for u, v in keypoints:
         u, v = int(u), int(v)
         if 0 <= u < width and 0 <= v < height:
-            u0, u1, v0, v1 = _window(u, v, radius, width, height)
-            rows = np.arange(v0, v1 + 1, dtype=np.int64)[:, None] * width
-            flat.append((rows + np.arange(u0, u1 + 1, dtype=np.int64)).ravel())
+            flat.append(_window(u, v, radius, width, height))
     return np.unique(np.concatenate(flat))
 
 
 def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:
     """Cosine similarity of a reference descriptor against every valid pixel.
 
-    Pixels with invalid depth or zero-norm descriptors are excluded from
-    the candidate set. Only those candidate rows are scored, one float64
-    dot product each, and scattered into the full-size map; scores are
-    computed per pixel independently, so the result does not depend on
-    evaluation order. The map keeps the candidates for the matchers.
+    Pixels with invalid depth, no stored row or a zero-norm descriptor
+    are excluded from the candidate set. Only the candidates' stored rows
+    are scored, one float64 dot product each, and scattered into the
+    full-size map; scores are computed per pixel independently, so the
+    result does not depend on evaluation order. When every stored pixel
+    is a candidate, as on a rendered target, the grid's rows and norms
+    are scored as they are. The map keeps the candidates for the matchers.
     """
     ref = np.asarray(ref_desc, dtype=np.float64).reshape(-1)
     if ref.shape[0] != target.dim:
         raise DimMismatch(f"descriptor dim {ref.shape[0]} != grid dim {target.dim}")
     if (mask.height, mask.width) != (target.height, target.width):
         raise DimMismatch("depth mask dimensions do not match the feature grid")
-    idx, rows, norms = _grid_cache(target, mask)
+    idx, rows, norms = target.pixels, target.rows, target.norms
+    keep = mask.valid.reshape(-1)[idx] & (norms > 0)
+    if not keep.all():
+        idx, rows, norms = idx[keep], rows[keep], norms[keep]
     ref_norm = float(np.linalg.norm(ref))
     if ref_norm <= 0:
         raise ZeroReferenceDescriptor("reference descriptor has zero norm")
@@ -223,21 +236,6 @@ def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:
     return SimilarityMap(score=score.reshape(mask.depth.shape),
                          valid=valid.reshape(mask.depth.shape),
                          candidates=idx, candidate_scores=scores)
-
-
-def _grid_cache(grid: FeatureGrid, mask: DepthMask):
-    """Flat indices, float64 rows and norms of the grid's candidate pixels
-    under `mask`, cached for the last mask used (grids and masks are
-    treated as immutable)."""
-    cache = getattr(grid, "_cosine_cache", None)
-    if cache is None or cache[0] is not mask:
-        idx = np.flatnonzero(mask.valid)
-        rows = grid.data.reshape(-1, grid.dim)[idx].astype(np.float64)
-        norms = np.sqrt(np.einsum("nd,nd->n", rows, rows))
-        keep = norms > 0
-        cache = (mask, idx[keep], rows[keep], norms[keep])
-        grid._cosine_cache = cache
-    return cache[1:]
 
 
 def hard_match(sim: SimilarityMap) -> PixelMatch:
@@ -340,7 +338,7 @@ def read_feature_grid(path) -> FeatureGrid:
         raise FileFormatError(f"{path}: metadata is not a JSON object")
     data = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
     try:
-        return FeatureGrid(data=data.reshape(height, width, dim).copy(), meta=meta)
+        return FeatureGrid(data=data.reshape(height, width, dim), meta=meta)
     except ConfigError as err:
         raise err.annotate(path) from None
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveDepth, OutOfBounds, finite, positive
+from .errors import ConfigError, NonPositiveDepth, OutOfBounds, entry, finite, positive
 
 WORLD_X = np.array([1.0, 0.0, 0.0])
 WORLD_Y = np.array([0.0, 1.0, 0.0])
@@ -84,9 +84,11 @@ class CameraIntrinsics:
                 "width": self.width, "height": self.height}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(float(data["fx"]), float(data["fy"]), float(data["cx"]),
-                   float(data["cy"]), int(data["width"]), int(data["height"]))
+    def from_json(cls, data, prefix=""):
+        """Intrinsics of a JSON object; an error names the key after `prefix`."""
+        keys = (("fx", float), ("fy", float), ("cx", float), ("cy", float),
+                ("width", int), ("height", int))
+        return cls(*(entry(data, key, prefix + key, cast) for key, cast in keys))
 
 
 def deproject_pixel(u, v, depth, intr: CameraIntrinsics) -> np.ndarray:

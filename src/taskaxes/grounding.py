@@ -19,6 +19,7 @@ from .errors import (
     InsufficientNeighbors,
     MatchBelowThreshold,
     TaskAxesError,
+    entry,
     finite,
     positive,
 )
@@ -149,14 +150,16 @@ def spec_to_json(spec: GroundingSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> GroundingSpec:
-    keypoints = [KeypointRef(object=k["object"], label=k["label"],
-                             pixel=(k["pixel"][0], k["pixel"][1]))
-                 for k in data.get("keypoints", [])]
+    """Spec of a JSON object; a missing key is named by its path, such as
+    keypoints[0].label."""
+    keypoints = [KeypointRef(*(entry(k, key, f"keypoints[{i}].{key}")
+                               for key in ("object", "label", "pixel")))
+                 for i, k in enumerate(data.get("keypoints", []))]
     axes = []
-    for ax in data.get("axes", []):
+    for i, ax in enumerate(data.get("axes", [])):
         args = ax.get("args", {})
         axes.append(AxisSpec(
-            label=ax["label"], kind=ax["kind"],
+            *(entry(ax, key, f"axes[{i}].{key}") for key in ("label", "kind")),
             dir=tuple(args["dir"]) if "dir" in args else None,
             a=args.get("a"), b=args.get("b"), at=args.get("at")))
     return GroundingSpec(reference_image_id=data.get("reference_image", ""),

@@ -31,7 +31,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, FileFormatError, finite, positive
+from .errors import ConfigError, FileFormatError, entry, finite, positive
 from .features import MatchConfig, read_depth_mask, read_feature_grid
 from .geometry import CameraIntrinsics, Frame, project_point
 from .grounding import AxisSpec, GroundingSpec, KeypointRef, spec_to_json
@@ -183,10 +183,11 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
         point = finite(f"keypoints.{label}", p)
         key = None if source is None else (source, point.shape, point.tobytes())
         keypoints[label] = _shared(memo, key, lambda: snap_to_cloud(point, cloud))
-    surfaces = [ContactSurface(point=s["point"], normal=s["normal"],
-                               stiffness=float(s["stiffness"]))
-                for s in data.get("surfaces", [])]
-    return SceneObject(name=data["name"], pose=frame, cloud=cloud,
+    surfaces = [ContactSurface(entry(s, "point", f"surfaces[{i}].point"),
+                               entry(s, "normal", f"surfaces[{i}].normal"),
+                               entry(s, "stiffness", f"surfaces[{i}].stiffness", float))
+                for i, s in enumerate(data.get("surfaces", []))]
+    return SceneObject(name=entry(data, "name", "name"), pose=frame, cloud=cloud,
                        truth_keypoints=keypoints, surfaces=surfaces,
                        graspable=bool(data.get("graspable", False)),
                        contact_probe=data.get("contact_probe"))
@@ -235,7 +236,8 @@ def config_from_json(base, data, prefix=""):
 def scene_from_json(data: dict, base_dir=".", memo=None):
     """Build a Scene; returns (scene, reference_path_or_None). `memo` is
     passed to object_from_json."""
-    intr = CameraIntrinsics.from_json(data["intrinsics"])
+    intr = CameraIntrinsics.from_json(entry(data, "intrinsics", "intrinsics"),
+                                      "intrinsics.")
     ee = data.get("ee_start", {})
     ee_start = Frame.from_rpy_deg(ee.get("origin", EE_START_ORIGIN),
                                   ee.get("rpy_deg", EE_START_RPY_DEG))
@@ -245,7 +247,7 @@ def scene_from_json(data: dict, base_dir=".", memo=None):
     for o in data.get("objects", []):
         try:
             objects.append(object_from_json(o, base_dir, memo))
-        except ConfigError as err:
+        except (ConfigError, FileFormatError) as err:
             raise err.annotate(f"object {o.get('name')!r}") from None
     scene = Scene(objects=objects, intrinsics=intr, ee_start=ee_start,
                   features=features)

@@ -71,6 +71,9 @@ class SceneObject:
         self.cloud = np.asarray(self.cloud, dtype=np.float64).reshape(-1, 3)
         self.truth_keypoints = {k: np.asarray(v, dtype=np.float64)
                                 for k, v in self.truth_keypoints.items()}
+        if self.contact_probe is not None and self.contact_probe not in self.truth_keypoints:
+            raise ConfigError(f"contact_probe {self.contact_probe!r} is none of the "
+                              f"object's keypoints {sorted(self.truth_keypoints)}")
 
     def world_keypoint(self, label) -> np.ndarray:
         return self.pose.apply(self.truth_keypoints[label])
@@ -127,14 +130,13 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0, pixels=None):
 
     `pixels`, when given, holds the flat indices (v * width + u) whose
     descriptors will be read: only those get one, every other pixel of
-    the grid stays zero. The depth always covers the whole image.
+    the grid reads as zero. The depth always covers the whole image.
 
     Descriptors and noise are computed only for the kept winners, in
     pixel order, as one compact float64 array; the noise is one normal
     draw of shape (winners, dim) of which the kept rows are added, so a
-    pixel's bytes do not depend on `pixels`. The float32 grid is filled
-    by one scatter of that array, so no whole-image float64 grid is ever
-    built, and only that array is checked for finiteness.
+    pixel's bytes do not depend on `pixels`. The grid stores that array,
+    rounded to float32, as its rows: no whole-image array is built.
     """
     intr = scene.intrinsics
     cfg = scene.features
@@ -189,12 +191,10 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0, pixels=None):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, 7919, noise_tag]))
         desc += rng.normal(0.0, cfg.noise_sigma, size=(winners.size, cfg.dim))[keep]
-    data = np.zeros((size, cfg.dim), dtype=np.float32)
-    data[won] = desc
-    grid = FeatureGrid._built(data.reshape(intr.height, intr.width, cfg.dim),
-                              {"source": "synthetic", "dim": str(cfg.dim),
-                               "length_scale": str(cfg.length_scale),
-                               "noise_sigma": str(cfg.noise_sigma)}, desc)
+    grid = FeatureGrid.from_rows(intr.height, intr.width, won, desc, np.float32,
+                                 {"source": "synthetic", "dim": str(cfg.dim),
+                                  "length_scale": str(cfg.length_scale),
+                                  "noise_sigma": str(cfg.noise_sigma)})
     return grid, DepthMask(depth=depth.reshape(intr.height, intr.width))
 
 

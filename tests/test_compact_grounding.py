@@ -4,8 +4,8 @@ hard_match and soft_match read the compact candidate indices and scores
 a SimilarityMap carries instead of scanning the full map; they must give
 the same u, v and peak score, bit for bit, as the full-map code they
 replace, kept here as the reference. Grids the renderer and _with_noise
-build are checked for finiteness on the rows they wrote only; they must
-reject exactly what the whole-grid check rejected.
+build are checked for finiteness on the rows they store only, rounded
+to float32; they must reject exactly what the whole-grid check rejected.
 """
 
 import math
@@ -191,10 +191,12 @@ def test_public_constructor_and_reader_reject_nan(tmp_path):
     data[1, 2, 3] = np.nan
     with pytest.raises(ConfigError, match="non-finite"):
         FeatureGrid(data=data)
-    grid = FeatureGrid(data=np.zeros((2, 3, 4), dtype=np.float32))
-    grid.data[1, 2, 3] = np.nan
     path = tmp_path / "nan.fgrd"
-    write_feature_grid(path, grid)
+    write_feature_grid(path, FeatureGrid(data=np.zeros((2, 3, 4), dtype=np.float32)))
+    raw = bytearray(path.read_bytes())
+    at = 20 + 4 * ((1 * 3 + 2) * 4 + 3)  # the payload float of data[1, 2, 3]
+    raw[at:at + 4] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
     with pytest.raises(ConfigError, match="non-finite"):
         read_feature_grid(path)
 
@@ -210,14 +212,17 @@ _values = st.one_of(_near_limits, st.floats(allow_nan=True, allow_infinity=True)
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_values, min_size=0, max_size=6))
-def test_built_rejects_exactly_what_the_whole_grid_check_rejects(values):
+def test_from_rows_rejects_exactly_what_the_whole_grid_check_rejects(values):
     written = np.array(values, dtype=np.float64).reshape(-1, 1)
     data = np.zeros((len(values) + 1, 1, 1), dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):
         data[:len(values), 0] = written
     rejected_before = not np.all(np.isfinite(data))
+    pixels = np.arange(len(values), dtype=np.int64)
     if rejected_before:
         with pytest.raises(ConfigError, match="non-finite"):
-            FeatureGrid._built(data, {}, written)
+            FeatureGrid.from_rows(len(values) + 1, 1, pixels, written, np.float32)
     else:
-        assert FeatureGrid._built(data, {}, written).data is data
+        grid = FeatureGrid.from_rows(len(values) + 1, 1, pixels, written, np.float32)
+        assert grid.data.dtype == np.float32
+        assert grid.data.tobytes() == data.tobytes()

@@ -2,13 +2,14 @@
 
 render_synthetic_features picks each pixel's point with a z-buffer and
 computes descriptors and noise only for the pixels some object wins,
-_with_noise touches only valid reference
-pixels, and cosine_map caches and scores only valid rows. Each must
-give the same bytes as the dense float64 code it replaces, kept here as
-the reference: on random poses (occlusion, objects leaving the image or
-passing behind the camera), on depth ties between and within objects,
-on empty views, every noise level and noise tag, and on grids whose
-valid pixels include zero descriptors.
+_with_noise touches only the stored rows at valid reference pixels, also
+on a reference rendered at its keypoint windows only, and cosine_map
+scores only stored rows at valid pixels. Each must give the same bytes
+as the dense float64 code it replaces, kept here as the reference: on
+random poses (occlusion, objects leaving the image or passing behind
+the camera), on depth ties between and within objects, on empty views,
+every noise level and noise tag, and on grids whose valid pixels include
+zero descriptors.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskaxes.evaluation import _with_noise
-from taskaxes.features import DepthMask, FeatureGrid, cosine_map
+from taskaxes.features import DepthMask, FeatureGrid, cosine_map, window_pixels
 from taskaxes.geometry import CameraIntrinsics, Frame
 from taskaxes.scenes import sample_box, sample_cylinder
 from taskaxes.simulator import (
@@ -163,6 +164,23 @@ def test_with_noise_equals_dense_noise(scene, sigma, seed):
     assert grid.data.tobytes() == before  # the clean grid is not touched
 
 
+@settings(max_examples=40, deadline=None)
+@given(scenes(), st.sampled_from([0.1, 1.0]), st.integers(0, 2**16),
+       st.lists(st.tuples(st.integers(-2, 81), st.integers(-2, 61)), max_size=4),
+       st.integers(0, 2))
+def test_with_noise_on_a_windows_only_reference_equals_dense_noise(
+        scene, sigma, seed, keypoints, radius):
+    full, depth = render_synthetic_features(scene)
+    read = window_pixels(keypoints, INTR.width, INTR.height, radius)
+    grid, _ = render_synthetic_features(scene, pixels=read)
+    noisy = _with_noise(grid, depth, sigma, np.random.default_rng(seed))
+    expected = _dense_with_noise(full, depth, sigma, np.random.default_rng(seed))
+    assert np.array_equal(noisy.pixels, grid.pixels)
+    assert np.isin(noisy.pixels, read).all()
+    rows = noisy.data.reshape(-1, grid.dim)[noisy.pixels]
+    assert rows.tobytes() == expected.reshape(-1, grid.dim)[noisy.pixels].tobytes()
+
+
 @st.composite
 def grids_and_masks(draw):
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
@@ -184,8 +202,7 @@ def test_cosine_map_equals_dense_cosine(case):
     score, valid = _dense_cosine(ref, grid, mask)
     assert np.array_equal(sim.valid, valid)
     assert np.array_equal(sim.score, score)
-    # the cached rows belong to this mask: another mask on the same grid
-    # is scored against its own valid pixels
+    # another mask on the same grid is scored against its own valid pixels
     other = DepthMask(depth=np.where(mask.valid, np.nan, 0.5))
     sim = cosine_map(ref, grid, other)
     score, valid = _dense_cosine(ref, grid, other)

@@ -2,7 +2,8 @@
 
 A non-finite or out-of-range number in a --config, scene, spec or skill
 file stops `taskaxes run` at load (exit 2, file and key or line named,
-nothing written). Inside the tick, frames are built unchecked, so drift of the
+nothing written), as do a missing key, a value that does not cast and a
+contact probe that names no keypoint of its object. Inside the tick, frames are built unchecked, so drift of the
 integrated rotation is pinned by a property test instead.
 """
 
@@ -149,6 +150,44 @@ def test_out_of_range_setting_exits_2_naming_file_and_key(bundle, tmp_path, caps
     assert code == 2
     err = capsys.readouterr().err
     assert f"{path}: " in err and key in err and "must be" in err
+    assert not (out / "result.json").exists()
+
+
+def _pan_surface(scene):
+    return scene["objects"][2]["surfaces"][0]
+
+
+# (input, what its error names, edit) for keys that are missing or do not cast
+KEY_CASES = [
+    ("scene.json", "intrinsics.fx is missing", lambda s: s["intrinsics"].pop("fx")),
+    ("scene.json", "object 'pan': surfaces[0].normal is missing",
+     lambda s: _pan_surface(s).pop("normal")),
+    ("scene.json", "object 'pan': surfaces[0].stiffness: expected float, got 'abc'",
+     lambda s: _pan_surface(s).update(stiffness="abc")),
+    ("spatula.json", "keypoints[0].label is missing", lambda s: s["keypoints"][0].pop("label")),
+]
+
+
+@pytest.mark.parametrize("target, message, edit", KEY_CASES,
+                         ids=["intrinsics.fx", "surfaces[0].normal", "surfaces[0].stiffness",
+                              "keypoints[0].label"])
+def test_missing_or_bad_key_exits_2_naming_file_and_key_path(bundle, tmp_path, capsys,
+                                                             target, message, edit):
+    code, path, out = _run_edited(bundle, tmp_path, target, edit, "0")
+    assert code == 2
+    assert f"error: {path}: {message}\n" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+def test_contact_probe_naming_no_keypoint_exits_2_at_load(bundle, tmp_path, capsys):
+    def edit(scene):
+        scene["objects"][1]["contact_probe"] = "nope"
+
+    code, path, out = _run_edited(bundle, tmp_path, "scene.json", edit, "0")
+    assert code == 2
+    assert (f"error: {path}: object 'spatula': contact_probe 'nope' is none of the "
+            f"object's keypoints ['grasp_pos', 'handle_pos', 'tip_pos']\n"
+            in capsys.readouterr().err)
     assert not (out / "result.json").exists()
 
 
