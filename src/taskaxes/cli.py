@@ -353,10 +353,7 @@ def main(argv=None) -> int:
     handler = cmd_replay if args.command == "replay" else _COMMANDS[args.command]
     try:
         code, inputs = handler(flags, out_dir)
-    except TaskAxesError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (TaskAxesError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (KeyError, ValueError) as err:

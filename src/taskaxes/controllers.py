@@ -30,6 +30,7 @@ from .geometry import (
     WORLD_Z,
     completion_matrix,
     euler_xyz_to_matrix,
+    norm3,
     rotation_between_axes,
 )
 from .grounding import GroundedParams
@@ -218,7 +219,7 @@ def _memoized(state, axis, derive, *args):
 def _servo_toward(cfg, state, current, target, at_last_waypoint=True):
     """Shared position law for PosAlign and PosWaypoint."""
     error = target - current
-    dist = float(np.linalg.norm(error))
+    dist = norm3(error)
     if dist < _INACTIVE_POS:
         out = ControllerOutput(_fallback_axis(state), 0.0, done=at_last_waypoint,
                                inactive=True)
@@ -263,7 +264,7 @@ def step_axis_align(cfg: ControllerConfig, obs: ObservationBundle,
     a2 = _axis(obs, cfg.bindings[1])
     target, state = _memoized(state, a2, axis_align_target, cfg.theta)
     w = rotation_between_axes(a1, target)
-    ang = float(np.linalg.norm(w))
+    ang = norm3(w)
     if ang < _INACTIVE_ANG:
         return ControllerOutput(_fallback_axis(state), 0.0, done=True,
                                 inactive=True), state

@@ -36,8 +36,11 @@ def positive(name, value):
 
 def finite(name, value) -> np.ndarray:
     """`value` as a float64 array; ConfigError naming `name` and the first
-    offending entry unless every entry is finite."""
-    arr = np.asarray(value, dtype=np.float64)
+    offending entry unless every entry is a finite number."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{name} must be numbers ({err})") from None
     if not np.isfinite(arr).all():
         raise ConfigError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
     return arr
@@ -113,7 +116,7 @@ class UnresolvedBinding(TaskAxesError):
     """Controller binding label missing from the grounded parameters."""
 
 
-class EmptyWaypointList(TaskAxesError):
+class EmptyWaypointList(ConfigError):
     """Waypoint controller requires at least one offset."""
 
 

@@ -17,6 +17,13 @@ from .errors import ConfigError, NonPositiveDepth, OutOfBounds, entry, finite, p
 WORLD_X = np.array([1.0, 0.0, 0.0])
 WORLD_Y = np.array([0.0, 1.0, 0.0])
 WORLD_Z = np.array([0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
+def norm3(v) -> float:
+    """np.linalg.norm of a float64 1-D array, by the same dot and sqrt."""
+    return math.sqrt(v.dot(v))
 
 
 def unit(v) -> np.ndarray:
@@ -43,12 +50,12 @@ def skew(v) -> np.ndarray:
 def rotvec_to_matrix(w) -> np.ndarray:
     """Rodrigues map from a rotation vector to a rotation matrix."""
     w = np.asarray(w, dtype=np.float64)
-    theta = np.linalg.norm(w)
+    theta = norm3(w)
     if theta < 1e-12:
-        return np.eye(3) + skew(w)
+        return _EYE3 + skew(w)
     k = w / theta
     kx = skew(k)
-    return np.eye(3) + math.sin(theta) * kx + (1.0 - math.cos(theta)) * (kx @ kx)
+    return _EYE3 + math.sin(theta) * kx + (1.0 - math.cos(theta)) * (kx @ kx)
 
 
 def euler_xyz_to_matrix(rx, ry, rz) -> np.ndarray:
@@ -144,8 +151,8 @@ class Frame:
 
     @classmethod
     def from_rpy_deg(cls, origin, rpy_deg) -> "Frame":
-        r, p, y = (math.radians(a) for a in rpy_deg)
-        return cls(np.asarray(origin, dtype=np.float64), euler_xyz_to_matrix(r, p, y))
+        r, p, y = (math.radians(a) for a in finite("rpy_deg", rpy_deg).reshape(3))
+        return cls(origin, euler_xyz_to_matrix(r, p, y))
 
     def apply(self, point) -> np.ndarray:
         return self.rotation @ np.asarray(point, dtype=np.float64) + self.origin
@@ -179,7 +186,7 @@ def completion_matrix(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     seed = WORLD_X if abs(float(z @ WORLD_X)) <= 0.9 else WORLD_Y
     x = seed - float(seed @ z) * z
-    x = x / np.linalg.norm(x)
+    x = x / norm3(x)
     return np.column_stack([x, cross3(z, x), z])
 
 
@@ -202,7 +209,7 @@ def rotation_between_axes(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     c = min(max(float(a @ b), -1.0), 1.0)
     w = cross3(a, b)
-    s = float(np.linalg.norm(w))
+    s = norm3(w)
     angle = math.atan2(s, c)
     if angle < 1e-12:
         return np.zeros(3)

@@ -102,12 +102,23 @@ class Scene:
     ee_start: Frame = field(
         default_factory=lambda: Frame.from_rpy_deg(EE_START_ORIGIN, EE_START_RPY_DEG))
     features: FeatureRenderConfig = field(default_factory=FeatureRenderConfig)
+    _planes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def find(self, name) -> SceneObject:
         for obj in self.objects:
             if obj.name == name:
                 return obj
         raise ConfigError(f"no object named {name!r} in scene")
+
+    def contact_planes(self, exclude) -> tuple:
+        """World-frame (point, normal, stiffness) of every surface of the objects
+        not named `exclude` (the attached one), in scene order. Object poses are
+        fixed once a scene is simulated, so each `exclude` is computed once."""
+        if exclude not in self._planes:
+            self._planes[exclude] = tuple(
+                (obj.pose.apply(surf.point), obj.pose.apply_dir(surf.normal), surf.stiffness)
+                for obj in self.objects if obj.name != exclude for surf in obj.surfaces)
+        return self._planes[exclude]
 
 
 def _object_basis(name: str, cfg: FeatureRenderConfig):
@@ -239,16 +250,11 @@ def object_pose(scene: Scene, state: SimState, name: str) -> Frame:
 
 def _contact_force(scene: Scene, state: SimState, probe_world) -> np.ndarray:
     force = np.zeros(3)
-    attached_name = state.attached[0] if state.attached else None
-    for obj in scene.objects:
-        if obj.name == attached_name:
-            continue
-        for surf in obj.surfaces:
-            point = obj.pose.apply(surf.point)
-            normal = obj.pose.apply_dir(surf.normal)
-            depth = float((point - probe_world) @ normal)
-            if depth > 0:
-                force = force + surf.stiffness * depth * normal
+    for point, normal, stiffness in scene.contact_planes(
+            state.attached[0] if state.attached else None):
+        depth = float((point - probe_world) @ normal)
+        if depth > 0:
+            force = force + stiffness * depth * normal
     return force
 
 
@@ -258,8 +264,8 @@ def step_sim(state: SimState, twist: Twist, scene: Scene) -> SimState:
     ee = Frame._trusted(state.ee.origin + np.asarray(twist.v, dtype=np.float64) * state.dt,
                         rot @ state.ee.rotation)
     probe_world = ee.apply(state.probe_local)
-    return replace(state, ee=ee, contact_force=_contact_force(scene, state, probe_world),
-                   t=state.t + 1)
+    return SimState(ee, state.attached, state.probe_local,
+                    _contact_force(scene, state, probe_world), state.t + 1, state.dt)
 
 
 def grasp(state: SimState, scene: Scene, object_name: str, keypoint: str,

@@ -57,6 +57,7 @@ from .errors import (
     UnboundSymbol,
     UnknownControllerKind,
 )
+from .geometry import norm3
 
 ROBOT_ROLE_SOURCE = "robot"
 MAX_PRIORITIES = 3
@@ -115,7 +116,7 @@ def project_axes(axes):
         for _ in range(2):
             for b in basis:
                 r -= float(b @ r) * b
-        n = float(np.linalg.norm(r))
+        n = norm3(r)
         if n < _PROJ_TOL:
             out.append(None)
         else:
@@ -153,7 +154,7 @@ def _clamped_sum(commands, limit):
         if cmd is not None:
             axis_hat, u_hat = cmd
             total = total + u_hat * axis_hat
-    n = float(np.linalg.norm(total))
+    n = norm3(total)
     if n > limit:
         total = total * (limit / n)
     return total

@@ -2,9 +2,10 @@
 
 bench/tracing.py wraps each LAYERS entry by module and attribute name;
 a layer that no longer resolves is only warned about on stderr and
-reported as zero, so a refactor could drop one unnoticed. The tracing
-module is executed from its source here, without writing bytecode next
-to it.
+reported as zero, so a refactor could drop one unnoticed. A layer that
+resolves but is no longer called on the tick's path reads zero too, so
+the tick layers are also counted over short runs. The tracing module is
+executed from its source here, without writing bytecode next to it.
 """
 
 import importlib
@@ -16,7 +17,10 @@ import pytest
 
 from taskaxes import skill
 from taskaxes.controllers import ControllerConfig, Limits, ObservationBundle
+from taskaxes.geometry import CameraIntrinsics, Frame
 from taskaxes.grounding import GroundedParams
+from taskaxes.scenes import sample_box
+from taskaxes.simulator import ContactSurface, Scene, SceneObject, SkillRunner
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -71,3 +75,27 @@ def test_control_tick_layer_calls_per_tick():
     assert calls["skill.project_axes"] == 5 * 2
     assert calls["skill.project_actions"] == 5 * 2
     assert calls["skill.compose_twist"] == 5
+
+
+def test_runner_tick_layers_are_traced_once_per_tick():
+    block = SceneObject(name="block", pose=Frame.from_rpy_deg((0, 0, 0.5), (0, 0, 0)),
+                        cloud=sample_box(0.06, 0.06, 0.01, 0.002),
+                        surfaces=[ContactSurface(np.zeros(3), np.array([0, 0, -1.0]),
+                                                 5000.0)])
+    scene = Scene(objects=[block], intrinsics=CameraIntrinsics(
+        fx=300.0, fy=300.0, cx=80.0, cy=60.0, width=160, height=120))
+    runner = SkillRunner(skill.parse_skill(
+        "skill s {\n  uses r: robot\n  phase p budget=7 {\n"
+        "    AxisAlign(r.x, r.y);\n    PosAlign(r.pos, r.pos, theta=[0.01, 0, 0]);\n"
+        "    ForceAlign(r.z, theta=1.0)\n  }\n}\n"), scene, {})
+    tracer = TRACING_MODULE.Tracer()
+    tracer.install()
+    try:
+        result = runner.run()
+    finally:
+        tracer.uninstall()
+    assert result.state.t == 7
+    calls = {name: stats.calls for name, stats in tracer.layers.items()}
+    assert calls["simulator.step_sim"] == 7
+    assert calls["simulator.SkillRunner.observe"] == 7
+    assert calls["controllers.step_controller"] == 7 * 3

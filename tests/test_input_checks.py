@@ -168,6 +168,38 @@ KEY_CASES = [
 ]
 
 
+def _pan_pose(scene):
+    return scene["objects"][2]["pose"]
+
+
+def _desk_cloud(scene):
+    desk = scene["objects"][0]
+    del desk["primitive"]
+    desk["cloud"] = [[0.0, 0.0, 0.0], [0.01, "x", 0.0]]
+
+
+# (key its error names, edit of scene.json) for values that are not numbers
+NON_NUMERIC_CASES = [
+    ("object 'pan': normal must be numbers",
+     lambda s: _pan_surface(s).update(normal="abc")),
+    ("object 'pan': origin must be numbers", lambda s: _pan_pose(s).update(origin="xyz")),
+    ("object 'pan': rpy_deg must be numbers",
+     lambda s: _pan_pose(s).update(rpy_deg=[0.0, {"deg": 1}, 0.0])),
+    ("object 'desk': cloud must be numbers", _desk_cloud),
+]
+
+
+@pytest.mark.parametrize("message, edit", NON_NUMERIC_CASES,
+                         ids=["surface normal", "pose origin", "pose rpy_deg", "cloud"])
+def test_non_numeric_value_exits_2_naming_file_and_key(bundle, tmp_path, capsys,
+                                                       message, edit):
+    code, path, out = _run_edited(bundle, tmp_path, "scene.json", edit, "0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: {message} (" in err and "malformed input" not in err
+    assert not (out / "result.json").exists()
+
+
 @pytest.mark.parametrize("target, message, edit", KEY_CASES,
                          ids=["intrinsics.fx", "surfaces[0].normal", "surfaces[0].stiffness",
                               "keypoints[0].label"])

@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taskaxes.controllers import (
+    KIND_CLASS,
     ControllerConfig,
     ControllerOutput,
     Gains,
@@ -21,6 +25,7 @@ from taskaxes.errors import (
     UnknownControllerKind,
 )
 from taskaxes.grounding import GroundedParams
+from taskaxes.scenes import load_skill_text
 from taskaxes.skill import (
     GraspStep,
     LiftedSkill,
@@ -449,3 +454,41 @@ def test_run_phase_records_ticks():
     ctl = records[0]["controllers"][0]
     assert ctl["kind"] == "PosAlign" and ctl["class"] == "translational"
     assert set(ctl) >= {"axis", "axis_hat", "u", "u_hat", "active", "done"}
+
+
+# ------------------------------------------------------ skill-text fuzzing
+
+_WORDS = ("skill", "uses", "phase", "grasp", "at", "budget", "robot", "r", "o", "x",
+          "pos", "theta", "kp", "kr", "kf", "v_max", "w_max", "done_tol", "spec.json",
+          *KIND_CLASS)
+_PUNCTUATION = tuple("{}()[],;:=.#") + ("\n", " ")
+_NUMBERS = ("0", "-0", "1", "2.5", "-1", "1e400", "1e-400", "135", ".5", "3.", "+7e2")
+_token_soup = st.lists(st.sampled_from(_WORDS + _PUNCTUATION + _NUMBERS),
+                       max_size=40).map(" ".join)
+_DEMOS = tuple(load_skill_text(task) for task in ("scrape", "pour", "screw"))
+
+
+@st.composite
+def _mutated_demo(draw):
+    """A demo skill with one slice replaced by a token soup or any text."""
+    text = draw(st.sampled_from(_DEMOS))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 40)))
+    return text[:i] + draw(st.one_of(_token_soup, st.text(max_size=8))) + text[j:]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(), _token_soup, _mutated_demo()))
+@example("skill s {\n  uses r: robot\n  phase p budget=1 {\n"
+         "    PosWaypoint(r.pos, r.g, r.a, theta=[])\n  }\n}\n")
+def test_arbitrary_skill_text_raises_only_located_skill_errors(text):
+    try:
+        parse_skill(text)
+    except (SkillSyntaxError, SkillValidationError):
+        pass
+    except ConfigError as err:
+        # a controller's value error names the line and column of its kind
+        m = re.match(r"line (\d+), col (\d+): ", str(err))
+        assert m is not None, str(err)
+        line = text.split("\n")[int(m.group(1)) - 1]
+        assert re.match(r"[A-Za-z_]\w*", line[int(m.group(2)) - 1:]).group() in KIND_CLASS
