@@ -301,7 +301,7 @@ def _build_parser():
     p.add_argument("--depth", required=True)
     p.add_argument("--intr", required=True, help="camera intrinsics JSON")
     p.add_argument("--cloud", help="optional [[x,y,z],...] JSON; defaults to the "
-                                   "cloud deprojected from the depth file")
+                                   "depth file's points near each axis anchor")
     add_match_flags(p)
     p.add_argument("--min-score", type=float, default=GroundingConfig.min_score,
                    dest="min_score")

@@ -34,16 +34,20 @@ def positive(name, value):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
-def finite(name, value) -> np.ndarray:
-    """`value` as a float64 array; ConfigError naming `name` and the first
-    offending entry unless every entry is a finite number."""
+def finite(name, value, shape=None) -> np.ndarray:
+    """`value` as a float64 array, reshaped to `shape` when one is given;
+    ConfigError naming `name` and the first offending entry unless every
+    entry is a finite number, or naming the count unless `shape` holds
+    that many."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} must be numbers ({err})") from None
     if not np.isfinite(arr).all():
         raise ConfigError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
-    return arr
+    if shape is not None and arr.size != math.prod(shape):
+        raise ConfigError(f"{name} must hold {math.prod(shape)} numbers, got {arr.size}")
+    return arr if shape is None else arr.reshape(shape)
 
 
 def entry(data, key, path, cast=lambda value: value):

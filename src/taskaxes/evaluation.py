@@ -31,7 +31,6 @@ from .grounding import (
     GroundingConfig,
     GroundingSpec,
     axis_from_keypoints,
-    cloud_from_depth,
     ground_spec,
 )
 from .scenes import make_grounding_spec, sample_box, sample_cylinder, snap_to_cloud
@@ -201,9 +200,8 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
         ref_grid = _with_noise(ref_grid_clean, ref_depth, noise_sigma,
                                np.random.default_rng(
                                    np.random.SeedSequence([seed, trial, 5])))
-        cloud = cloud_from_depth(tgt_depth, _INTR)
         try:
-            grounded = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, cloud,
+            grounded = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, None,
                                    _INTR, cfg)
         except TaskAxesError:
             failures += 1

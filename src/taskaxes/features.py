@@ -111,29 +111,45 @@ class DepthMask:
         return self.depth.shape[1]
 
 
-@dataclass
 class SimilarityMap:
-    """Cosine scores per pixel plus the valid-candidate mask, and the
-    candidates' ascending flat indices and scores, which the matchers read
-    (derived here for a map built from `score` and `valid` alone)."""
+    """Cosine scores of a height x width image, stored only for the
+    candidate pixels: their ascending flat indices `candidates`
+    (v * width + u) and their `candidate_scores`, which the matchers read.
+    Every other pixel is invalid and scores zero."""
 
-    score: np.ndarray
-    valid: np.ndarray
-    candidates: np.ndarray = field(default=None, repr=False, compare=False)
-    candidate_scores: np.ndarray = field(default=None, repr=False, compare=False)
+    def __init__(self, score, valid):
+        """Map of a dense (height, width) `score` array and the `valid`
+        candidate mask; only the valid pixels' scores are kept."""
+        score = np.asarray(score)
+        if score.ndim != 2 or np.shape(valid) != score.shape:
+            raise ConfigError("similarity map needs 2D score and valid arrays of one shape")
+        self.height, self.width = score.shape
+        self.candidates = np.flatnonzero(valid)
+        self.candidate_scores = score.reshape(-1)[self.candidates]
 
-    def __post_init__(self):
-        if self.candidates is None:
-            self.candidates = np.flatnonzero(self.valid)
-            self.candidate_scores = np.ravel(self.score)[self.candidates]
+    @classmethod
+    def from_candidates(cls, height, width, candidates,
+                        candidate_scores) -> "SimilarityMap":
+        """Map of the `candidate_scores` at the ascending flat indices
+        `candidates` of a height x width image."""
+        sim = cls.__new__(cls)
+        sim.height, sim.width = height, width
+        sim.candidates, sim.candidate_scores = candidates, candidate_scores
+        return sim
 
     @property
-    def height(self) -> int:
-        return self.score.shape[0]
+    def score(self) -> np.ndarray:
+        """The dense (height, width) float64 scores, built on each read."""
+        score = np.zeros(self.height * self.width)
+        score[self.candidates] = self.candidate_scores
+        return score.reshape(self.height, self.width)
 
     @property
-    def width(self) -> int:
-        return self.score.shape[1]
+    def valid(self) -> np.ndarray:
+        """The dense (height, width) candidate mask, built on each read."""
+        valid = np.zeros(self.height * self.width, dtype=bool)
+        valid[self.candidates] = True
+        return valid.reshape(self.height, self.width)
 
 
 @dataclass
@@ -210,11 +226,11 @@ def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:
 
     Pixels with invalid depth, no stored row or a zero-norm descriptor
     are excluded from the candidate set. Only the candidates' stored rows
-    are scored, one float64 dot product each, and scattered into the
-    full-size map; scores are computed per pixel independently, so the
-    result does not depend on evaluation order. When every stored pixel
-    is a candidate, as on a rendered target, the grid's rows and norms
-    are scored as they are. The map keeps the candidates for the matchers.
+    are scored, one float64 dot product each; scores are computed per
+    pixel independently, so the result does not depend on evaluation
+    order. When every stored pixel is a candidate, as on a rendered
+    target, the grid's rows and norms are scored as they are. The map
+    stores the candidates and their scores alone.
     """
     ref = np.asarray(ref_desc, dtype=np.float64).reshape(-1)
     if ref.shape[0] != target.dim:
@@ -229,13 +245,7 @@ def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:
     if ref_norm <= 0:
         raise ZeroReferenceDescriptor("reference descriptor has zero norm")
     scores = (rows @ ref) / (norms * ref_norm)
-    score = np.zeros(mask.depth.size, dtype=np.float64)
-    score[idx] = scores
-    valid = np.zeros(mask.depth.size, dtype=bool)
-    valid[idx] = True
-    return SimilarityMap(score=score.reshape(mask.depth.shape),
-                         valid=valid.reshape(mask.depth.shape),
-                         candidates=idx, candidate_scores=scores)
+    return SimilarityMap.from_candidates(mask.height, mask.width, idx, scores)
 
 
 def hard_match(sim: SimilarityMap) -> PixelMatch:

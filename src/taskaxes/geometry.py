@@ -130,8 +130,8 @@ class Frame:
     rotation: np.ndarray
 
     def __post_init__(self):
-        self.origin = finite("origin", self.origin).reshape(3)
-        self.rotation = finite("rotation", self.rotation).reshape(3, 3)
+        self.origin = finite("origin", self.origin, (3,))
+        self.rotation = finite("rotation", self.rotation, (3, 3))
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
         if err > 1e-9:
             raise ConfigError(f"rotation not orthonormal (max deviation {err:.3e})")
@@ -151,7 +151,7 @@ class Frame:
 
     @classmethod
     def from_rpy_deg(cls, origin, rpy_deg) -> "Frame":
-        r, p, y = (math.radians(a) for a in finite("rpy_deg", rpy_deg).reshape(3))
+        r, p, y = (math.radians(a) for a in finite("rpy_deg", rpy_deg, (3,)))
         return cls(origin, euler_xyz_to_matrix(r, p, y))
 
     def apply(self, point) -> np.ndarray:

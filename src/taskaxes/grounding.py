@@ -168,11 +168,37 @@ def spec_from_json(data: dict) -> GroundingSpec:
 
 def cloud_from_depth(mask: DepthMask, intr: CameraIntrinsics) -> np.ndarray:
     """Back-project every valid depth pixel into a world point cloud."""
-    vv, uu = np.nonzero(mask.valid)
+    return _back_project(mask, intr)
+
+
+def _back_project(mask, intr, v0=0, v1=None, u0=0, u1=None) -> np.ndarray:
+    """World points of the valid pixels in rows v0:v1, columns u0:u1, in
+    row-major order."""
+    vv, uu = np.nonzero(mask.valid[v0:v1, u0:u1])
+    vv += v0
+    uu += u0
     depths = mask.depth[vv, uu]
     x = (uu - intr.cx) * depths / intr.fx
     y = (vv - intr.cy) * depths / intr.fy
     return np.column_stack([x, y, depths])
+
+
+def _depth_window(mask, intr, at, radius) -> np.ndarray:
+    """Back-projected valid pixels of the box holding every pixel whose
+    point can lie within `radius` of `at` (the projected corners of the
+    cube at +-radius around `at`, plus 1 px), or of the whole image when
+    the cube reaches the camera plane: within `radius`, the same rows in
+    the same order as cloud_from_depth's."""
+    x, y, z = at
+    r = radius * (1 + 1e-9)     # covers rounding in the distance test
+    if not z - r > 0:
+        return _back_project(mask, intr)
+    inv_depth = 1.0 / np.array([z - r, z + r])
+    us = intr.cx + intr.fx * np.outer([x - r, x + r], inv_depth)
+    vs = intr.cy + intr.fy * np.outer([y - r, y + r], inv_depth)
+    u0, u1 = np.clip([np.floor(us.min()) - 1, np.ceil(us.max()) + 2], 0, mask.width)
+    v0, v1 = np.clip([np.floor(vs.min()) - 1, np.ceil(vs.max()) + 2], 0, mask.height)
+    return _back_project(mask, intr, int(v0), int(v1), int(u0), int(u1))
 
 
 def ground_keypoint(ref: FeatureGrid, kp: KeypointRef, target: FeatureGrid,
@@ -277,12 +303,12 @@ def ground_spec(spec: GroundingSpec, ref: FeatureGrid, target: FeatureGrid,
                 cfg: GroundingConfig = None) -> GroundedParams:
     """Ground every keypoint, then resolve every axis in two phases.
 
+    A surface-normal or edge axis scans `cloud` when one is given, and
+    otherwise back-projects only the depth window around its anchor.
     Component failures propagate with the failing label prepended so a
     bad grounding can be traced back to the symbol that caused it.
     """
     cfg = cfg or GroundingConfig()
-    if cloud is None:
-        cloud = cloud_from_depth(target_depth, intr)
     grounded = GroundedParams()
     for kp in spec.keypoints:
         try:
@@ -298,12 +324,12 @@ def ground_spec(spec: GroundingSpec, ref: FeatureGrid, target: FeatureGrid,
             elif ax.kind == AXIS_FROM_KEYPOINTS:
                 direction = axis_from_keypoints(grounded.keypoints[ax.a],
                                                 grounded.keypoints[ax.b])
-            elif ax.kind == AXIS_SURFACE_NORMAL:
-                direction = surface_normal(cloud, grounded.keypoints[ax.at],
-                                           cfg.normal_radius, cfg.min_neighbors)
             else:
-                direction = edge_direction(cloud, grounded.keypoints[ax.at],
-                                           cfg.normal_radius, cfg.min_neighbors)
+                at = grounded.keypoints[ax.at]
+                points = (cloud if cloud is not None else
+                          _depth_window(target_depth, intr, at, cfg.normal_radius))
+                pca = surface_normal if ax.kind == AXIS_SURFACE_NORMAL else edge_direction
+                direction = pca(points, at, cfg.normal_radius, cfg.min_neighbors)
         except TaskAxesError as err:
             raise err.annotate(f"axis {ax.label!r}")
         grounded.axes[ax.label] = direction

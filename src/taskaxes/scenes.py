@@ -176,12 +176,14 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
     else:
         raise ConfigError("no cloud source")
     pose = data.get("pose", {})
+    if not isinstance(pose, dict):
+        raise FileFormatError("pose must be a JSON object")
     frame = Frame.from_rpy_deg(pose.get("origin", (0, 0, 0)),
                                pose.get("rpy_deg", (0, 0, 0)))
     keypoints = {}
     for label, p in data.get("keypoints", {}).items():
-        point = finite(f"keypoints.{label}", p)
-        key = None if source is None else (source, point.shape, point.tobytes())
+        point = finite(f"keypoints.{label}", p, (3,))
+        key = None if source is None else (source, point.tobytes())
         keypoints[label] = _shared(memo, key, lambda: snap_to_cloud(point, cloud))
     surfaces = [ContactSurface(entry(s, "point", f"surfaces[{i}].point"),
                                entry(s, "normal", f"surfaces[{i}].normal"),
@@ -239,8 +241,13 @@ def scene_from_json(data: dict, base_dir=".", memo=None):
     intr = CameraIntrinsics.from_json(entry(data, "intrinsics", "intrinsics"),
                                       "intrinsics.")
     ee = data.get("ee_start", {})
-    ee_start = Frame.from_rpy_deg(ee.get("origin", EE_START_ORIGIN),
-                                  ee.get("rpy_deg", EE_START_RPY_DEG))
+    try:
+        if not isinstance(ee, dict):
+            raise FileFormatError("must be a JSON object")
+        ee_start = Frame.from_rpy_deg(ee.get("origin", EE_START_ORIGIN),
+                                      ee.get("rpy_deg", EE_START_RPY_DEG))
+    except (ConfigError, FileFormatError) as err:
+        raise err.annotate("ee_start") from None
     features = config_from_json(FeatureRenderConfig(), data.get("features", {}),
                                 "features.")
     objects = []

@@ -26,12 +26,7 @@ from .controllers import FORCE_ALIGN, Limits, ObservationBundle
 from .errors import ConfigError, EmptyScene, GraspTooFar, TaskAxesError, finite, positive
 from .features import DepthMask, FeatureGrid, MatchConfig, window_pixels
 from .geometry import CameraIntrinsics, Frame, rotvec_to_matrix, unit
-from .grounding import (
-    GroundedParams,
-    GroundingConfig,
-    cloud_from_depth,
-    ground_spec,
-)
+from .grounding import GroundedParams, GroundingConfig, ground_spec
 from .skill import ROBOT_ROLE_SOURCE, GraspStep, LiftedSkill, Twist, run_phase
 
 ROBOT_BUILTIN_AXES = ("x", "y", "z")
@@ -52,8 +47,8 @@ class ContactSurface:
     stiffness: float
 
     def __post_init__(self):
-        self.point = finite("point", self.point)
-        self.normal = unit(finite("normal", self.normal))
+        self.point = finite("point", self.point, (3,))
+        self.normal = unit(finite("normal", self.normal, (3,)))
         positive("stiffness", self.stiffness)
 
 
@@ -461,14 +456,13 @@ class SkillRunner:
             return
         self._grounded = True
         ref_grid, tgt_grid, tgt_depth = self._render_inputs()
-        cloud = cloud_from_depth(tgt_depth, self.scene.intrinsics)
         for role, src in self.skill.uses:
             if role in self.robot_roles:
                 self.anchors.add_robot_role(role)
                 continue
             spec = self.specs[role]
             try:
-                grounded = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, cloud,
+                grounded = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, None,
                                        self.scene.intrinsics, self.config.grounding)
             except TaskAxesError as err:
                 raise err.annotate(f"role {role!r}")

@@ -4,22 +4,25 @@ bench/tracing.py wraps each LAYERS entry by module and attribute name;
 a layer that no longer resolves is only warned about on stderr and
 reported as zero, so a refactor could drop one unnoticed. A layer that
 resolves but is no longer called on the tick's path reads zero too, so
-the tick layers are also counted over short runs. The tracing module is
-executed from its source here, without writing bytecode next to it.
+the tick layers are also counted over short runs, and grounding is
+counted to scan only the depth window around each PCA anchor, never the
+whole back-projected cloud. The tracing module is executed from its
+source here, without writing bytecode next to it.
 """
 
 import importlib
+import math
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from taskaxes import skill
+from taskaxes import evaluation, grounding, skill
 from taskaxes.controllers import ControllerConfig, Limits, ObservationBundle
 from taskaxes.geometry import CameraIntrinsics, Frame
 from taskaxes.grounding import GroundedParams
-from taskaxes.scenes import sample_box
+from taskaxes.scenes import build_task, sample_box, scene_from_json
 from taskaxes.simulator import ContactSurface, Scene, SceneObject, SkillRunner
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -99,3 +102,53 @@ def test_runner_tick_layers_are_traced_once_per_tick():
     assert calls["simulator.step_sim"] == 7
     assert calls["simulator.SkillRunner.observe"] == 7
     assert calls["controllers.step_controller"] == 7 * 3
+
+
+def _window_area(at, radius, intr):
+    """Pixel count of the box grounding back-projects around an anchor:
+    the corners of the box at +-radius around it projected, plus 1 px."""
+    x, y, z = at
+    r = radius * (1 + 1e-9)
+    if not z - r > 0:
+        return intr.width * intr.height
+    us = [intr.cx + intr.fx * a / d for a in (x - r, x + r) for d in (z - r, z + r)]
+    vs = [intr.cy + intr.fy * b / d for b in (y - r, y + r) for d in (z - r, z + r)]
+    cols = min(math.ceil(max(us)) + 2, intr.width) - max(math.floor(min(us)) - 1, 0)
+    rows = min(math.ceil(max(vs)) + 2, intr.height) - max(math.floor(min(vs)) - 1, 0)
+    return max(cols, 0) * max(rows, 0)
+
+
+def _count_grounding(monkeypatch, intr, ground):
+    """(cloud_from_depth calls, [(points scanned, window area)] per PCA)
+    while ground() runs traced."""
+    scans = []
+    with monkeypatch.context() as patch:
+        for name in ("surface_normal", "edge_direction"):
+            def record(points, at, radius, min_neighbors, pca=getattr(grounding, name)):
+                scans.append((len(points), _window_area(at, radius, intr)))
+                return pca(points, at, radius, min_neighbors)
+            patch.setattr(grounding, name, record)
+        tracer = TRACING_MODULE.Tracer()
+        tracer.install()
+        try:
+            ground()
+        finally:
+            tracer.uninstall()
+    return tracer.layers["grounding.cloud_from_depth"].calls, scans
+
+
+def test_validation_and_runner_grounding_scan_the_depth_window_only(monkeypatch):
+    calls, scans = _count_grounding(monkeypatch, evaluation._INTR,
+                                    lambda: evaluation.run_validation(1, noise_sigma=0.1))
+    assert calls == 0
+    assert len(scans) == 2      # the validation spec's normal and edge axes
+    bundle = build_task("scrape")
+    scene, _ = scene_from_json(bundle["scene"])
+    ref_scene, _ = scene_from_json(bundle["ref_scene"])
+    runner = SkillRunner(skill.parse_skill(bundle["skill_text"]), scene, bundle["specs"],
+                         ref_scene=ref_scene)
+    calls, runner_scans = _count_grounding(monkeypatch, scene.intrinsics, runner.ground_all)
+    assert calls == 0
+    assert runner_scans
+    for scanned, area in scans + runner_scans:
+        assert 0 < scanned <= area < 640 * 480 // 20

@@ -112,6 +112,19 @@ def test_gen_bundles_are_byte_identical(tmp_path):
         assert sha(tmp_path / name) == digest, name
 
 
+# SHA-256 of each heat map `match --dump-simmap` writes for the scrape
+# spatula's keypoints matched against their own reference, recorded while
+# the similarity map still stored its dense score and valid arrays
+SIMMAP_SHA256 = {
+    "simmap_spatula_grasp_pos.pgm":
+        "aaa4377edbc68260ecebb94226d194ae54b0ec37997427f7f1fc3e17954d7ba4",
+    "simmap_spatula_handle_pos.pgm":
+        "6ddf16924143af23b4127308d6541e19e5351dbb7164eabd9521385d491b8195",
+    "simmap_spatula_tip_pos.pgm":
+        "dc9e0163acc652b79044a577bc4b2841780ac06d01c854ae2289596204ca2fb1",
+}
+
+
 def test_cmd_match_identity_and_simmap(feature_files, tmp_path):
     out = tmp_path / "match"
     code = main(["match", "--ref", str(feature_files / "ref.fgrd"),
@@ -124,9 +137,10 @@ def test_cmd_match_identity_and_simmap(feature_files, tmp_path):
     for m in matches:
         assert m["pixel"] == m["ref_pixel"]  # identity scene
         assert m["score"] > 0.99
-    pgms = list(out.glob("simmap_*.pgm"))
+    pgms = {p.name: p for p in out.glob("simmap_*.pgm")}
     assert len(pgms) == len(matches)
-    assert pgms[0].read_bytes().startswith(b"P5\n640 480\n255\n")
+    assert pgms["simmap_spatula_tip_pos.pgm"].read_bytes().startswith(b"P5\n640 480\n255\n")
+    assert {name: sha(path) for name, path in pgms.items()} == SIMMAP_SHA256
     manifest = read_json(out / "manifest.json")
     assert manifest["command"] == "match"
     assert set(manifest["outputs"]) >= {"matches.json"}

@@ -1,11 +1,14 @@
 """Grounding reads and checks only what it uses, with the same results.
 
-hard_match and soft_match read the compact candidate indices and scores
-a SimilarityMap carries instead of scanning the full map; they must give
-the same u, v and peak score, bit for bit, as the full-map code they
-replace, kept here as the reference. Grids the renderer and _with_noise
-build are checked for finiteness on the rows they store only, rounded
-to float32; they must reject exactly what the whole-grid check rejected.
+A SimilarityMap stores only its candidates' flat indices and scores;
+its dense score and valid arrays, built on each read, must equal those
+cosine_map once scattered into full-size arrays, kept here as the
+reference. hard_match and soft_match read the candidates instead of
+scanning the full map; they must give the same u, v and peak score, bit
+for bit, as the full-map code they replace, also kept here. Grids the
+renderer and _with_noise build are checked for finiteness on the rows
+they store only, rounded to float32; they must reject exactly what the
+whole-grid check rejected.
 """
 
 import math
@@ -117,7 +120,8 @@ def test_hard_match_never_returns_an_invalid_pixel():
 
 
 @st.composite
-def cosine_maps(draw):
+def cosine_inputs(draw):
+    """(reference descriptor, target grid, depth mask)."""
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     dim = draw(st.integers(1, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -129,17 +133,76 @@ def cosine_maps(draw):
         data[rng.random((h, w)) < 0.5] = data.reshape(-1, dim)[0]
     depth = rng.uniform(-0.1, 1.0, size=(h, w))
     depth[rng.random((h, w)) < 0.3] = np.nan
-    grid, mask = FeatureGrid(data=data), DepthMask(depth=depth)
-    return cosine_map(rng.normal(size=dim), grid, mask)
+    return rng.normal(size=dim), FeatureGrid(data=data), DepthMask(depth=depth)
+
+
+cosine_maps = cosine_inputs().map(lambda case: cosine_map(*case))
 
 
 @settings(max_examples=300, deadline=None)
-@given(cosine_maps(), st.sampled_from(TEMPERATURES))
+@given(cosine_maps, st.sampled_from(TEMPERATURES))
 def test_cosine_map_candidates_match_full_map(sim, temperature):
     rebuilt = SimilarityMap(score=sim.score, valid=sim.valid)
     assert np.array_equal(sim.candidates, rebuilt.candidates)
     assert np.array_equal(sim.candidate_scores, rebuilt.candidate_scores)
     _assert_matches_equal(sim, temperature)
+
+
+def _scattered_cosine(ref, grid, mask):
+    """cosine_map's dense score and valid arrays as built when the map
+    stored them: the candidates' scores scattered into float64 zeros."""
+    ref = np.asarray(ref, dtype=np.float64)
+    idx, rows, norms = grid.pixels, grid.rows, grid.norms
+    keep = mask.valid.reshape(-1)[idx] & (norms > 0)
+    if not keep.all():
+        idx, rows, norms = idx[keep], rows[keep], norms[keep]
+    scores = (rows @ ref) / (norms * float(np.linalg.norm(ref)))
+    score = np.zeros(mask.depth.size, dtype=np.float64)
+    score[idx] = scores
+    valid = np.zeros(mask.depth.size, dtype=bool)
+    valid[idx] = True
+    return score.reshape(mask.depth.shape), valid.reshape(mask.depth.shape)
+
+
+def _assert_same_array(got, expected):
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cosine_inputs())
+def test_compact_map_reads_as_the_scattered_dense_map(case):
+    sim = cosine_map(*case)
+    score, valid = _scattered_cosine(*case)
+    _assert_same_array(sim.score, score)
+    _assert_same_array(sim.valid, valid)
+    assert (sim.height, sim.width) == score.shape
+    # each read builds fresh arrays, so writing to one changes no map
+    sim.score[...] = 7.0
+    sim.valid[...] = ~valid
+    _assert_same_array(sim.score, score)
+    _assert_same_array(sim.valid, valid)
+
+
+def test_dense_constructor_keeps_only_the_valid_scores():
+    score = np.array([[0.5, -0.25, 0.75], [0.1, 0.2, -0.9]])
+    valid = np.array([[True, False, True], [False, False, True]])
+    sim = SimilarityMap(score=score, valid=valid)
+    assert (sim.height, sim.width) == (2, 3)
+    assert sim.candidates.tolist() == [0, 2, 5]
+    assert sim.candidate_scores.tolist() == [0.5, 0.75, -0.9]
+    _assert_same_array(sim.valid, valid)
+    _assert_same_array(sim.score, np.where(valid, score, 0.0))
+    same = SimilarityMap.from_candidates(2, 3, sim.candidates, sim.candidate_scores)
+    _assert_same_array(same.score, sim.score)
+    _assert_same_array(same.valid, sim.valid)
+
+
+@pytest.mark.parametrize("score, valid", [(np.zeros(4), np.ones(4, dtype=bool)),
+                                          (np.zeros((2, 2)), np.ones((2, 3), dtype=bool))])
+def test_dense_constructor_rejects_arrays_that_are_not_one_2d_shape(score, valid):
+    with pytest.raises(ConfigError, match="similarity map needs 2D"):
+        SimilarityMap(score=score, valid=valid)
 
 
 def test_matches_on_rendered_grid_equal_full_map_matches():

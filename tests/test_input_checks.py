@@ -157,7 +157,12 @@ def _pan_surface(scene):
     return scene["objects"][2]["surfaces"][0]
 
 
-# (input, what its error names, edit) for keys that are missing or do not cast
+def _pan_pose(scene):
+    return scene["objects"][2]["pose"]
+
+
+# (input, what its error names, edit) for keys that are missing, do not
+# cast or hold a vector of the wrong length
 KEY_CASES = [
     ("scene.json", "intrinsics.fx is missing", lambda s: s["intrinsics"].pop("fx")),
     ("scene.json", "object 'pan': surfaces[0].normal is missing",
@@ -165,11 +170,23 @@ KEY_CASES = [
     ("scene.json", "object 'pan': surfaces[0].stiffness: expected float, got 'abc'",
      lambda s: _pan_surface(s).update(stiffness="abc")),
     ("spatula.json", "keypoints[0].label is missing", lambda s: s["keypoints"][0].pop("label")),
+    ("scene.json", "object 'pan': origin must hold 3 numbers, got 2",
+     lambda s: _pan_pose(s).update(origin=[0.0, 0.0])),
+    ("scene.json", "object 'pan': rpy_deg must hold 3 numbers, got 2",
+     lambda s: _pan_pose(s).update(rpy_deg=[0.0, 0.0])),
+    ("scene.json", "ee_start: origin must hold 3 numbers, got 4",
+     lambda s: s["ee_start"].update(origin=[0.0, 0.0, 0.25, 1.0])),
+    ("scene.json", "ee_start: rpy_deg must hold 3 numbers, got 2",
+     lambda s: s["ee_start"].update(rpy_deg=[0.0, 0.0])),
+    ("scene.json", "object 'pan': normal must hold 3 numbers, got 2",
+     lambda s: _pan_surface(s).update(normal=[0.0, -1.0])),
+    ("scene.json", "object 'pan': keypoints.center_pos must hold 3 numbers, got 2",
+     lambda s: s["objects"][2]["keypoints"].update(center_pos=[0.0, 0.0])),
+    ("scene.json", "ee_start: must be a JSON object",
+     lambda s: s.update(ee_start=[0.0, 0.0, 0.25])),
+    ("scene.json", "object 'pan': pose must be a JSON object",
+     lambda s: s["objects"][2].update(pose=[0.0, 0.0, 0.0])),
 ]
-
-
-def _pan_pose(scene):
-    return scene["objects"][2]["pose"]
 
 
 def _desk_cloud(scene):
@@ -186,11 +203,13 @@ NON_NUMERIC_CASES = [
     ("object 'pan': rpy_deg must be numbers",
      lambda s: _pan_pose(s).update(rpy_deg=[0.0, {"deg": 1}, 0.0])),
     ("object 'desk': cloud must be numbers", _desk_cloud),
+    ("ee_start: origin must be numbers", lambda s: s["ee_start"].update(origin="xyz")),
 ]
 
 
 @pytest.mark.parametrize("message, edit", NON_NUMERIC_CASES,
-                         ids=["surface normal", "pose origin", "pose rpy_deg", "cloud"])
+                         ids=["surface normal", "pose origin", "pose rpy_deg", "cloud",
+                              "ee_start origin"])
 def test_non_numeric_value_exits_2_naming_file_and_key(bundle, tmp_path, capsys,
                                                        message, edit):
     code, path, out = _run_edited(bundle, tmp_path, "scene.json", edit, "0")
@@ -202,7 +221,10 @@ def test_non_numeric_value_exits_2_naming_file_and_key(bundle, tmp_path, capsys,
 
 @pytest.mark.parametrize("target, message, edit", KEY_CASES,
                          ids=["intrinsics.fx", "surfaces[0].normal", "surfaces[0].stiffness",
-                              "keypoints[0].label"])
+                              "keypoints[0].label", "pose origin length",
+                              "pose rpy_deg length", "ee_start origin length",
+                              "ee_start rpy_deg length", "surface normal length",
+                              "keypoint length", "ee_start list", "pose list"])
 def test_missing_or_bad_key_exits_2_naming_file_and_key_path(bundle, tmp_path, capsys,
                                                              target, message, edit):
     code, path, out = _run_edited(bundle, tmp_path, target, edit, "0")
@@ -284,6 +306,9 @@ def test_helpers_name_the_first_offending_entry():
         finite("dir", [0.0, -np.inf, np.nan])
     with pytest.raises(ConfigError, match=r"^theta must be finite, got nan$"):
         finite("theta", float("nan"))
+    assert finite("origin", [[1, 2, 3]], (3,)).tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ConfigError, match=r"^rotation must hold 9 numbers, got 3$"):
+        finite("rotation", [1, 0, 0], (3, 3))
 
 
 @pytest.mark.parametrize("v", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0],
