@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FileFormatError, TaskAxesError
+from .errors import ConfigError, FileFormatError, TaskAxesError, entry, finite
 from .evaluation import run_validation
 from .features import (
     MatchConfig,
@@ -43,6 +43,7 @@ from .scenes import (
     config_from_json,
     load_scene,
     read_json,
+    read_text,
     write_json,
     write_task_bundle,
 )
@@ -105,15 +106,26 @@ def _from_file(path, build):
         raise err.annotate(path) from None
 
 
+def _keypoint_pixels(data):
+    """(keypoint, (u, v) pixel) of each keypoint object of a JSON list."""
+    if not isinstance(data, list):
+        raise FileFormatError("keypoints must be a JSON list")
+    pairs = []
+    for i, kp in enumerate(data):
+        entry(kp, "label", f"[{i}].label")
+        u, v = finite(f"[{i}].pixel", entry(kp, "pixel", f"[{i}].pixel"), (2,))
+        pairs.append((kp, (int(u), int(v))))
+    return pairs
+
+
 def cmd_match(flags, out_dir):
     ref = read_feature_grid(flags["ref"])
     target = read_feature_grid(flags["target"])
     depth = read_depth_mask(flags["depth"])
-    keypoints = read_json(flags["keypoints"])
+    keypoints = _from_file(flags["keypoints"], _keypoint_pixels)
     cfg = _match_config(flags)
     results = []
-    for kp in keypoints:
-        px = (int(kp["pixel"][0]), int(kp["pixel"][1]))
+    for kp, px in keypoints:
         # the map behind the match is also the one --dump-simmap writes
         sim = cosine_map(window_average(ref, px[0], px[1], cfg.window_radius),
                          target, depth)
@@ -139,7 +151,7 @@ def cmd_ground(flags, out_dir):
               flags["intr"]]
     cloud = None
     if flags.get("cloud"):
-        cloud = np.asarray(read_json(flags["cloud"]), dtype=np.float64)
+        cloud = _from_file(flags["cloud"], lambda data: finite("cloud", data, (-1, 3)))
         inputs.append(flags["cloud"])
     cfg = GroundingConfig(match=_match_config(flags),
                           min_score=flags["min_score"])
@@ -168,8 +180,7 @@ def cmd_run(flags, out_dir):
     skill_path = flags["skill"]
     inputs = [skill_path, flags["scene"]]
     cfg, gains = _run_config(flags, inputs)
-    with open(skill_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(skill_path)
     try:
         skill = parse_skill(text, default_gains=gains, default_limits=cfg.limits)
     except TaskAxesError as err:
@@ -221,7 +232,11 @@ def _write_trajectory_csv(path, log):
 
 def cmd_validate(flags, out_dir):
     if flags.get("noise_sweep"):
-        sigmas = [float(s) for s in flags["noise_sweep"].split(",") if s.strip()]
+        try:
+            sigmas = [float(s) for s in flags["noise_sweep"].split(",") if s.strip()]
+        except ValueError:
+            raise ConfigError(f"--noise-sweep must be comma-separated numbers, "
+                              f"got {flags['noise_sweep']!r}") from None
         stats = {"sweep": [run_validation(flags["trials"], noise_sigma=s,
                                           mode=flags["mode"],
                                           temperature=flags["temp"],
@@ -243,8 +258,18 @@ _COMMANDS = {"match": cmd_match, "ground": cmd_ground, "run": cmd_run,
              "validate": cmd_validate, "gen": cmd_gen}
 
 
+class _RecordedFlags(dict):
+    """A manifest's flags: a flag it lacks is a FileFormatError."""
+
+    def __missing__(self, key):
+        raise FileFormatError(f"manifest flags lack {key!r}")
+
+
 def cmd_replay(flags, out_dir):
     manifest = read_json(flags["manifest"])
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("flags"), dict):
+        raise FileFormatError(f"{flags['manifest']}: not a manifest (a JSON object "
+                              f"with a \"flags\" object)")
     command = manifest.get("command")
     if command not in _COMMANDS:
         raise FileFormatError(f"manifest names unknown command {command!r}")
@@ -253,7 +278,7 @@ def cmd_replay(flags, out_dir):
             raise FileFormatError(f"manifest input missing: {path}")
         if _sha256(path) != digest:
             raise FileFormatError(f"manifest input changed since recording: {path}")
-    code, inputs = _COMMANDS[command](manifest["flags"], out_dir)
+    code, inputs = _COMMANDS[command](_RecordedFlags(manifest["flags"]), out_dir)
     _write_manifest(out_dir, command, manifest["flags"], inputs)
     return code, [flags["manifest"]]
 
@@ -355,9 +380,6 @@ def main(argv=None) -> int:
         code, inputs = handler(flags, out_dir)
     except (TaskAxesError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (KeyError, ValueError) as err:
-        print(f"error: malformed input ({err})", file=sys.stderr)
         return 2
     if args.command != "replay":
         _write_manifest(out_dir, args.command, flags, inputs)

@@ -38,16 +38,23 @@ def finite(name, value, shape=None) -> np.ndarray:
     """`value` as a float64 array, reshaped to `shape` when one is given;
     ConfigError naming `name` and the first offending entry unless every
     entry is a finite number, or naming the count unless `shape` holds
-    that many."""
+    that many. A -1 in `shape` stands for any number of rows, such as the
+    (-1, 3) of a point list, so the count must then be a multiple of the
+    other dimensions' product."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{name} must be numbers ({err})") from None
     if not np.isfinite(arr).all():
         raise ConfigError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
-    if shape is not None and arr.size != math.prod(shape):
-        raise ConfigError(f"{name} must hold {math.prod(shape)} numbers, got {arr.size}")
-    return arr if shape is None else arr.reshape(shape)
+    if shape is None:
+        return arr
+    count = math.prod(n for n in shape if n != -1)
+    if -1 in shape and arr.size % count:
+        raise ConfigError(f"{name} must hold a multiple of {count} numbers, got {arr.size}")
+    if -1 not in shape and arr.size != count:
+        raise ConfigError(f"{name} must hold {count} numbers, got {arr.size}")
+    return arr.reshape(shape)
 
 
 def entry(data, key, path, cast=lambda value: value):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, TaskAxesError
-from .features import DepthMask, FeatureGrid, MatchConfig, window_pixels
+from .features import DepthMask, FeatureGrid, MatchConfig, add_noise, window_pixels
 from .geometry import CameraIntrinsics, Frame, angle_between
 from .grounding import (
     AXIS_EDGE_DIRECTION,
@@ -124,16 +124,18 @@ def _draw_poses(rng) -> dict:
 
 def _with_noise(grid: FeatureGrid, mask: DepthMask, sigma, rng) -> FeatureGrid:
     """The grid with Gaussian noise added, in float64, to its stored rows
-    at valid pixels. The draw covers every valid pixel, in pixel order,
-    so a row gets the same noise whichever pixels the grid stores; rows
-    at invalid pixels keep their values. `grid` is not changed."""
+    at valid pixels: row i of one (valid pixels, dim) draw, in pixel
+    order, goes to the i-th valid pixel, so a row gets the same noise
+    whichever pixels the grid stores; rows at invalid pixels keep their
+    values. `grid` is not changed."""
     if sigma <= 0:
         return grid
-    valid = np.flatnonzero(mask.valid)
-    noise = rng.normal(0.0, sigma, size=(valid.size, grid.dim))
-    hit = mask.valid.reshape(-1)[grid.pixels]
+    hit = np.flatnonzero(mask.valid.reshape(-1)[grid.pixels])
+    noisy = grid.rows[hit]
+    add_noise(noisy, np.searchsorted(np.flatnonzero(mask.valid), grid.pixels[hit]),
+              sigma, rng)
     rows = grid.rows.copy()
-    rows[hit] += noise[np.searchsorted(valid, grid.pixels[hit])]
+    rows[hit] = noisy
     return FeatureGrid.from_rows(grid.height, grid.width, grid.pixels, rows,
                                  grid.dtype, dict(grid.meta))
 

@@ -42,6 +42,10 @@ FGRD_MAGIC = b"FGRD"
 DPTH_MAGIC = b"DPTH"
 FILE_VERSION = 1
 
+# rows per block where whole (n, dim) arrays are rounded, checked or
+# drawn a block at a time, so that no second array of their size is made
+_BLOCK_ROWS = 4096
+
 
 class FeatureGrid:
     """Descriptors of a height x width image, stored only for the pixels
@@ -51,29 +55,40 @@ class FeatureGrid:
     that every stored value is finite; grids are treated as immutable."""
 
     def __init__(self, data, meta=None):
-        """Grid storing every pixel of a (height, width, dim) array."""
+        """Grid storing every pixel of a (height, width, dim) array, which
+        is copied, never changed."""
         data = np.asarray(data)
         if data.ndim != 3:
             raise ConfigError(f"feature grid must be 3D, got shape {data.shape}")
         height, width, dim = data.shape
         # a grid without descriptor components stores no pixels
         pixels = np.arange(height * width if dim else 0, dtype=np.int64)
-        self._store(height, width, pixels, data.reshape(height * width, dim)[:pixels.size],
-                    data.dtype, meta)
+        # the copy's values are those of data.dtype already: nothing to round
+        rows = np.array(data.reshape(height * width, dim)[:pixels.size], dtype=np.float64)
+        self._store(height, width, pixels, rows, data.dtype, meta, rounded=True)
 
     @classmethod
     def from_rows(cls, height, width, pixels, rows, dtype, meta=None) -> "FeatureGrid":
         """Grid of the (n, dim) `rows` at the n ascending flat indices
-        `pixels`, each value rounded to `dtype`."""
+        `pixels`, each value rounded to `dtype`.
+
+        The grid takes over `rows`: a writeable, C-contiguous float64 array
+        is rounded in place, a block of rows at a time, and kept as the
+        grid's rows, so the caller must not use it afterwards. Any other
+        array is copied first."""
         grid = cls.__new__(cls)
-        grid._store(height, width, pixels, rows, np.dtype(dtype), meta)
+        grid._store(height, width, pixels, np.require(rows, np.float64, ("C", "W")),
+                    np.dtype(dtype), meta, rounded=False)
         return grid
 
-    def _store(self, height, width, pixels, rows, dtype, meta):
-        with np.errstate(over="ignore"):
-            rows = np.asarray(rows).astype(dtype, copy=False).astype(np.float64)
-        if not np.isfinite(rows).all():
-            raise ConfigError("feature grid contains non-finite values")
+    def _store(self, height, width, pixels, rows, dtype, meta, rounded):
+        for start in range(0, rows.shape[0], _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            if not rounded:
+                with np.errstate(over="ignore"):
+                    block[...] = block.astype(dtype)
+            if not np.isfinite(block).all():
+                raise ConfigError("feature grid contains non-finite values")
         self.height, self.width, self.dim = int(height), int(width), rows.shape[1]
         self.pixels, self.rows, self.dtype = np.asarray(pixels, dtype=np.int64), rows, dtype
         self.meta = {} if meta is None else meta
@@ -219,6 +234,22 @@ def window_pixels(keypoints, width: int, height: int,
         if 0 <= u < width and 0 <= v < height:
             flat.append(_window(u, v, radius, width, height))
     return np.unique(np.concatenate(flat))
+
+
+def add_noise(rows, at, sigma, rng) -> None:
+    """Add to rows[j] the row at[j] of one normal(0, sigma) draw of shape
+    (at[-1] + 1, dim) from `rng`, for ascending indices `at`.
+
+    The draw is made _BLOCK_ROWS rows at a time, and stops after the last
+    row read: the generator hands out its doubles in order, so each row
+    equals that of the one whole draw, while a single block of noise is
+    held at a time."""
+    end = int(at[-1]) + 1 if at.size else 0
+    for start in range(0, end, _BLOCK_ROWS):
+        noise = rng.normal(0.0, sigma, size=(min(_BLOCK_ROWS, end - start), rows.shape[1]))
+        lo, hi = np.searchsorted(at, (start, start + noise.shape[0]))
+        # ascending distinct indices that fill the block are all of it
+        rows[lo:hi] += noise if hi - lo == noise.shape[0] else noise[at[lo:hi] - start]
 
 
 def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:

@@ -131,14 +131,23 @@ def snap_to_cloud(point, cloud) -> np.ndarray:
 # scene JSON
 
 
-def read_json(path):
-    """JSON value of the file at `path`; a decode error names the file."""
+def read_text(path) -> str:
+    """Text of the UTF-8 file at `path`; a decode error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise FileFormatError(f"{path}: malformed JSON at line {err.lineno}, "
-                                  f"column {err.colno}: {err.msg}") from None
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise FileFormatError(f"{path}: not UTF-8 text ({err.reason} at byte "
+                                  f"{err.start})") from None
+
+
+def read_json(path):
+    """JSON value of the file at `path`; a decode error names the file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as err:
+        raise FileFormatError(f"{path}: malformed JSON at line {err.lineno}, "
+                              f"column {err.colno}: {err.msg}") from None
 
 
 def write_json(path, payload):
@@ -169,10 +178,10 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
             source = json.dumps(data["primitive"], sort_keys=True)
         cloud = _shared(memo, source, lambda: sample_primitive(data["primitive"]))
     elif "cloud" in data:
-        cloud = finite("cloud", data["cloud"]).reshape(-1, 3)
+        cloud = finite("cloud", data["cloud"], (-1, 3))
     elif "cloud_file" in data:
         cloud = finite(f"cloud_file {data['cloud_file']}",
-                       read_json(os.path.join(base_dir, data["cloud_file"]))).reshape(-1, 3)
+                       read_json(os.path.join(base_dir, data["cloud_file"])), (-1, 3))
     else:
         raise ConfigError("no cloud source")
     pose = data.get("pose", {})

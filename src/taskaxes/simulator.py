@@ -24,7 +24,7 @@ import numpy as np
 
 from .controllers import FORCE_ALIGN, Limits, ObservationBundle
 from .errors import ConfigError, EmptyScene, GraspTooFar, TaskAxesError, finite, positive
-from .features import DepthMask, FeatureGrid, MatchConfig, window_pixels
+from .features import DepthMask, FeatureGrid, MatchConfig, add_noise, window_pixels
 from .geometry import CameraIntrinsics, Frame, rotvec_to_matrix, unit
 from .grounding import GroundedParams, GroundingConfig, ground_spec
 from .skill import ROBOT_ROLE_SOURCE, GraspStep, LiftedSkill, Twist, run_phase
@@ -125,6 +125,40 @@ def _object_basis(name: str, cfg: FeatureRenderConfig):
     return freqs, phases
 
 
+def _zbuffer(scene: Scene):
+    """(won, point, depth) of the scene's z-buffer: the ascending flat
+    indices (v * width + u) of the pixels some point wins, the global
+    index of each winning point (objects own consecutive ranges of it, in
+    scene order), and the whole image's flat depth, NaN where none wins."""
+    intr = scene.intrinsics
+    world = np.concatenate([obj.cloud @ obj.pose.rotation.T + obj.pose.origin
+                            for obj in scene.objects if obj.cloud.shape[0]])
+
+    z = world[:, 2]
+    front = z > 1e-6
+    safe_z = np.where(front, z, 1.0)
+    u = np.rint(intr.fx * world[:, 0] / safe_z + intr.cx).astype(np.int64)
+    v = np.rint(intr.fy * world[:, 1] / safe_z + intr.cy).astype(np.int64)
+    visible = front & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
+    point_idx = np.flatnonzero(visible)  # global index of each visible point
+    u, v, z = u[point_idx], v[point_idx], z[point_idx]
+
+    # the nearest depth per pixel, then the lowest point index among the
+    # points at that depth; winners come out in pixel order
+    size = intr.height * intr.width
+    flat = v * intr.width + u
+    nearest = np.full(size, np.inf)
+    np.minimum.at(nearest, flat, z)
+    at_nearest = np.flatnonzero(z == nearest[flat])
+    first = np.full(size, flat.size)
+    np.minimum.at(first, flat[at_nearest], at_nearest)
+    won = np.flatnonzero(first < flat.size)
+    winners = first[won]
+    depth = np.full(size, np.nan)
+    depth[won] = z[winners]
+    return won, point_idx[winners], depth
+
+
 def render_synthetic_features(scene: Scene, noise_tag: int = 0, pixels=None):
     """Render the scene into a (FeatureGrid, DepthMask) pair.
 
@@ -139,64 +173,47 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0, pixels=None):
     the grid reads as zero. The depth always covers the whole image.
 
     Descriptors and noise are computed only for the kept winners, in
-    pixel order, as one compact float64 array; the noise is one normal
-    draw of shape (winners, dim) of which the kept rows are added, so a
-    pixel's bytes do not depend on `pixels`. The grid stores that array,
-    rounded to float32, as its rows: no whole-image array is built.
+    pixel order, into one float64 array, which the grid takes over as its
+    rows after rounding them to float32 in place. The noise is that of
+    one normal draw of shape (winners, dim), of which the kept rows are
+    added, so a pixel's bytes do not depend on `pixels`.
+
+    Memory: besides that array (the output) and the z-buffer's per-pixel
+    arrays, the only large transient is one object's descriptor block,
+    cloud[idx] @ W.T, made, phase-shifted and passed through cos in place
+    before it is copied into the array; the z-buffer's per-point arrays
+    are freed before it is made, and the noise is drawn a block of rows
+    at a time. The product is not split into row blocks, since a blocked
+    BLAS product can differ in the last bit from the whole one.
     """
-    intr = scene.intrinsics
     cfg = scene.features
     if not scene.objects or all(obj.cloud.shape[0] == 0 for obj in scene.objects):
         raise EmptyScene("scene has no renderable points")
+    won, point, depth = _zbuffer(scene)
 
-    world = np.concatenate([obj.cloud @ obj.pose.rotation.T + obj.pose.origin
-                            for obj in scene.objects if obj.cloud.shape[0]])
-
-    z = world[:, 2]
-    front = z > 1e-6
-    safe_z = np.where(front, z, 1.0)
-    u = np.rint(intr.fx * world[:, 0] / safe_z + intr.cx).astype(np.int64)
-    v = np.rint(intr.fy * world[:, 1] / safe_z + intr.cy).astype(np.int64)
-    visible = front & (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
-    point_idx = np.flatnonzero(visible)  # global index of each visible point
-    u, v, z = u[point_idx], v[point_idx], z[point_idx]
-
-    # z-buffer: the nearest depth per pixel, then the lowest point index
-    # among the points at that depth; winners come out in pixel order
-    size = intr.height * intr.width
-    flat = v * intr.width + u
-    nearest = np.full(size, np.inf)
-    np.minimum.at(nearest, flat, z)
-    at_nearest = np.flatnonzero(z == nearest[flat])
-    first = np.full(size, flat.size)
-    np.minimum.at(first, flat[at_nearest], at_nearest)
-    won = np.flatnonzero(first < flat.size)
-    winners = first[won]
-    depth = np.full(size, np.nan)
-    depth[won] = z[winners]
-
-    keep = slice(None)
+    at = np.arange(won.size)   # each kept winner's row of the noise draw
     if pixels is not None:
-        wanted = np.zeros(size, dtype=bool)
+        wanted = np.zeros(depth.size, dtype=bool)
         wanted[pixels] = True
-        keep = np.flatnonzero(wanted[won])
-    won = won[keep]
+        at = np.flatnonzero(wanted[won])
+        won, point = won[at], point[at]
 
-    # objects own consecutive ranges of the global point index
-    point_idx = point_idx[winners[keep]]
     desc = np.empty((won.size, cfg.dim))
     start = 0
     for obj in scene.objects:
         stop = start + obj.cloud.shape[0]
-        sel = (point_idx >= start) & (point_idx < stop)
+        sel = (point >= start) & (point < stop)
         if sel.any():
             freqs, phase = _object_basis(obj.name, cfg)
-            desc[sel] = np.cos(obj.cloud[point_idx[sel] - start] @ freqs.T + phase)
+            block = obj.cloud[point[sel] - start] @ freqs.T
+            block += phase
+            desc[sel] = np.cos(block, out=block)
+            del block   # before the next object's block is made
         start = stop
     if cfg.noise_sigma > 0:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, 7919, noise_tag]))
-        desc += rng.normal(0.0, cfg.noise_sigma, size=(winners.size, cfg.dim))[keep]
+        add_noise(desc, at, cfg.noise_sigma, np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, 7919, noise_tag])))
+    intr = scene.intrinsics
     grid = FeatureGrid.from_rows(intr.height, intr.width, won, desc, np.float32,
                                  {"source": "synthetic", "dim": str(cfg.dim),
                                   "length_scale": str(cfg.length_scale),

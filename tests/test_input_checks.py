@@ -15,10 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskaxes import cli
 from taskaxes.cli import main
 from taskaxes.controllers import Limits
 from taskaxes.errors import ConfigError, SkillSyntaxError, finite, positive
-from taskaxes.features import MatchConfig
+from taskaxes.features import (
+    DepthMask,
+    FeatureGrid,
+    MatchConfig,
+    write_depth_mask,
+    write_feature_grid,
+)
 from taskaxes.geometry import CameraIntrinsics, Frame, unit
 from taskaxes.grounding import GroundingConfig
 from taskaxes.scenes import sample_box
@@ -186,13 +193,21 @@ KEY_CASES = [
      lambda s: s.update(ee_start=[0.0, 0.0, 0.25])),
     ("scene.json", "object 'pan': pose must be a JSON object",
      lambda s: s["objects"][2].update(pose=[0.0, 0.0, 0.0])),
+    ("scene.json", "object 'desk': cloud must hold a multiple of 3 numbers, got 4",
+     lambda s: _replace_desk_cloud(s, cloud=[0.0, 0.0, 0.0, 1.0])),
+    ("scene.json", "object 'desk': cloud must hold a multiple of 3 numbers, got 8",
+     lambda s: _replace_desk_cloud(s, cloud=[[0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]])),
 ]
 
 
-def _desk_cloud(scene):
+def _replace_desk_cloud(scene, **source):
     desk = scene["objects"][0]
     del desk["primitive"]
-    desk["cloud"] = [[0.0, 0.0, 0.0], [0.01, "x", 0.0]]
+    desk.update(source)
+
+
+def _desk_cloud(scene):
+    _replace_desk_cloud(scene, cloud=[[0.0, 0.0, 0.0], [0.01, "x", 0.0]])
 
 
 # (key its error names, edit of scene.json) for values that are not numbers
@@ -224,12 +239,33 @@ def test_non_numeric_value_exits_2_naming_file_and_key(bundle, tmp_path, capsys,
                               "keypoints[0].label", "pose origin length",
                               "pose rpy_deg length", "ee_start origin length",
                               "ee_start rpy_deg length", "surface normal length",
-                              "keypoint length", "ee_start list", "pose list"])
+                              "keypoint length", "ee_start list", "pose list",
+                              "cloud length", "cloud row length"])
 def test_missing_or_bad_key_exits_2_naming_file_and_key_path(bundle, tmp_path, capsys,
                                                              target, message, edit):
     code, path, out = _run_edited(bundle, tmp_path, target, edit, "0")
     assert code == 2
     assert f"error: {path}: {message}\n" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("points, message", [
+    ([0.0, 0.0, 0.0, 1.0], "must hold a multiple of 3 numbers, got 4"),
+    ([[0.0, 0.0, 0.0], [0.0, "x", 0.0]], "must be numbers ("),
+    ([0.0, 0.0, "NaN"], "must be finite, got nan"),
+])
+def test_bad_cloud_file_exits_2_naming_scene_object_and_file(bundle, tmp_path, capsys,
+                                                             points, message):
+    def edit(scene):
+        # runs on the copied bundle, beside which the points file goes
+        _replace_desk_cloud(scene, cloud_file="desk_points.json")
+        (tmp_path / "bundle" / "desk_points.json").write_text(
+            json.dumps(points).replace('"NaN"', "NaN"))
+
+    code, path, out = _run_edited(bundle, tmp_path, "scene.json", edit, "0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: object 'desk': cloud_file desk_points.json {message}" in err
     assert not (out / "result.json").exists()
 
 
@@ -384,3 +420,100 @@ def test_integrated_rotation_stays_orthonormal_over_10k_ticks(seed):
     assert worst_orth <= 1e-9 and worst_det <= 1e-9
     # the last frame passes the public constructor's check
     Frame(state.ee.origin, state.ee.rotation)
+
+
+# Inputs that cli.main once reported through a blanket KeyError/ValueError
+# catch as "malformed input" each get a check naming the file and key; a
+# KeyError or ValueError from the program itself is a bug and propagates.
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    write_feature_grid(out / "grid.fgrd", FeatureGrid(np.ones((3, 4, 4), dtype=np.float32)))
+    write_depth_mask(out / "grid.dpth", DepthMask(np.full((3, 4), 0.5)))
+    intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=2.0, cy=1.5, width=4, height=3)
+    (out / "intr.json").write_text(json.dumps(intr.to_json()))
+    return out
+
+
+@pytest.mark.parametrize("keypoints, message", [
+    ({"label": "a"}, "keypoints must be a JSON list"),
+    ([{"pixel": [1, 1]}], "[0].label is missing"),
+    ([{"label": "a", "pixel": [1, 1]}, {"label": "b"}], "[1].pixel is missing"),
+    ([{"label": "a", "pixel": ["x", 1]}], "[0].pixel must be numbers ("),
+    ([{"label": "a", "pixel": [1]}], "[0].pixel must hold 2 numbers, got 1"),
+], ids=["not a list", "no label", "no pixel", "pixel not numbers", "pixel length"])
+def test_match_keypoint_file_error_names_file_and_key(small_files, tmp_path, capsys,
+                                                      keypoints, message):
+    path = tmp_path / "keypoints.json"
+    path.write_text(json.dumps(keypoints))
+    grid = str(small_files / "grid.fgrd")
+    assert main(["match", "--ref", grid, "--keypoints", str(path), "--target", grid,
+                 "--depth", str(small_files / "grid.dpth"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cloud, message", [
+    ([0.0, 0.0, 0.0, 1.0], "cloud must hold a multiple of 3 numbers, got 4"),
+    ("abc", "cloud must be numbers ("),
+], ids=["length", "not numbers"])
+def test_ground_cloud_file_error_names_file(bundle, small_files, tmp_path, capsys,
+                                           cloud, message):
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps(cloud))
+    grid = str(small_files / "grid.fgrd")
+    assert main(["ground", "--spec", str(bundle / "spatula.json"), "--ref", grid,
+                 "--target", grid, "--depth", str(small_files / "grid.dpth"),
+                 "--intr", str(small_files / "intr.json"), "--cloud", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_validate_noise_sweep_that_is_not_numbers_exits_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["validate", "--trials", "1", "--noise-sweep", "0.1,abc",
+                 "--out", str(out)]) == 2
+    assert ("error: --noise-sweep must be comma-separated numbers, got '0.1,abc'"
+            in capsys.readouterr().err)
+    assert not (out / "stats.json").exists()
+
+
+@pytest.mark.parametrize("name", ["scene.json", "scrape.skill", "spatula.json"])
+def test_file_that_is_not_utf8_exits_2_naming_it(bundle, tmp_path, capsys, name):
+    work = tmp_path / "bundle"
+    shutil.copytree(bundle, work)
+    (work / name).write_bytes(b'{"a": "\xff"}')
+    assert _run(work, tmp_path / "out") == 2
+    assert f"error: {work / name}: not UTF-8 text (" in capsys.readouterr().err
+
+
+def test_replay_of_a_manifest_without_a_flag_exits_2_naming_it(tmp_path, capsys):
+    recorded = tmp_path / "recorded"
+    assert main(["validate", "--trials", "0", "--out", str(recorded)]) == 0
+    manifest = json.loads((recorded / "manifest.json").read_text())
+    del manifest["flags"]["trials"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert "error: manifest flags lack 'trials'" in capsys.readouterr().err
+    path.write_text(json.dumps([manifest]))
+    assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / "r")]) == 2
+    assert f"error: {path}: not a manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError("x"), ValueError("y")])
+def test_key_or_value_error_of_the_program_propagates(monkeypatch, tmp_path, error):
+    def broken(flags, out_dir):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", broken)
+    with pytest.raises(type(error)):
+        main(["gen", "--task", "scrape", "--out", str(tmp_path / "out")])
+
+
+def test_finite_takes_any_number_of_rows_of_a_fixed_length():
+    assert finite("cloud", [1, 2, 3, 4, 5, 6], (-1, 3)).shape == (2, 3)
+    assert finite("cloud", [], (-1, 3)).shape == (0, 3)
+    with pytest.raises(ConfigError, match=r"^cloud must hold a multiple of 3 numbers, got 4$"):
+        finite("cloud", [[1, 2], [3, 4]], (-1, 3))
