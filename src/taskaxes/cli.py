@@ -207,27 +207,14 @@ def cmd_run(flags, out_dir):
     runner.ground_all()
     result = runner.run()
     log_name = flags.get("log") or "log.jsonl"
-    result.log.write(os.path.join(out_dir, log_name))
+    result.log.write(os.path.join(out_dir, log_name),
+                     os.path.join(out_dir, "trajectory.csv"))
     write_json(os.path.join(out_dir, "result.json"), result.summary())
-    _write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), result.log)
     if not result.success:
         print(f"run failed: {json.dumps(result.summary(), sort_keys=True)}",
               file=sys.stderr)
         return 3, inputs
     return 0, inputs
-
-
-def _write_trajectory_csv(path, log):
-    cols = ("t", "x", "y", "z", "vx", "vy", "vz", "wx", "wy", "wz",
-            "fx", "fy", "fz")
-    lines = [",".join(cols)]
-    for rec in log.records:
-        row = ([rec["t"]] + rec["ee"]["origin"] + rec["twist"]["v"]
-               + rec["twist"]["w"] + rec["contact_force"])
-        lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_validate(flags, out_dir):
@@ -258,11 +245,26 @@ _COMMANDS = {"match": cmd_match, "ground": cmd_ground, "run": cmd_run,
              "validate": cmd_validate, "gen": cmd_gen}
 
 
-class _RecordedFlags(dict):
-    """A manifest's flags: a flag it lacks is a FileFormatError."""
-
-    def __missing__(self, key):
-        raise FileFormatError(f"manifest flags lack {key!r}")
+def _recorded_flags(command, flags, out_dir):
+    """A manifest's `flags` of `command`, parsed as its command line would
+    be: each recorded value goes back through the command's own argparse
+    action, so a value of the wrong type or choice names its flag."""
+    parser = _build_parser()
+    argv = [command]
+    for action in parser.commands[command]._actions:
+        if action.dest in ("help", "out"):
+            continue
+        if action.dest not in flags:
+            raise FileFormatError(f"manifest flags lack {action.dest!r}")
+        value = flags[action.dest]
+        if action.nargs == 0:       # a switch
+            argv += [action.option_strings[0]] if value else []
+        elif value is not None:
+            argv.append(f"{action.option_strings[0]}={value}")
+    try:
+        return vars(parser.parse_args(argv + ["--out", out_dir]))
+    except _UsageError as err:
+        raise FileFormatError(f"manifest flags: {err}") from None
 
 
 def cmd_replay(flags, out_dir):
@@ -271,14 +273,15 @@ def cmd_replay(flags, out_dir):
         raise FileFormatError(f"{flags['manifest']}: not a manifest (a JSON object "
                               f"with a \"flags\" object)")
     command = manifest.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise FileFormatError(f"manifest names unknown command {command!r}")
+    recorded = _recorded_flags(command, manifest["flags"], out_dir)
     for path, digest in manifest.get("inputs", {}).items():
         if not os.path.isfile(path):
             raise FileFormatError(f"manifest input missing: {path}")
         if _sha256(path) != digest:
             raise FileFormatError(f"manifest input changed since recording: {path}")
-    code, inputs = _COMMANDS[command](_RecordedFlags(manifest["flags"]), out_dir)
+    code, inputs = _COMMANDS[command](recorded, out_dir)
     _write_manifest(out_dir, command, manifest["flags"], inputs)
     return code, [flags["manifest"]]
 
@@ -359,6 +362,7 @@ def _build_parser():
     p = sub.add_parser("replay", help="re-execute a recorded manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
+    parser.commands = sub.choices
     return parser
 
 

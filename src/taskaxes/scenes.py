@@ -178,7 +178,7 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
             source = json.dumps(data["primitive"], sort_keys=True)
         cloud = _shared(memo, source, lambda: sample_primitive(data["primitive"]))
     elif "cloud" in data:
-        cloud = finite("cloud", data["cloud"], (-1, 3))
+        cloud = data["cloud"]   # SceneObject checks it
     elif "cloud_file" in data:
         cloud = finite(f"cloud_file {data['cloud_file']}",
                        read_json(os.path.join(base_dir, data["cloud_file"])), (-1, 3))
@@ -189,19 +189,21 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
         raise FileFormatError("pose must be a JSON object")
     frame = Frame.from_rpy_deg(pose.get("origin", (0, 0, 0)),
                                pose.get("rpy_deg", (0, 0, 0)))
-    keypoints = {}
-    for label, p in data.get("keypoints", {}).items():
-        point = finite(f"keypoints.{label}", p, (3,))
-        key = None if source is None else (source, point.tobytes())
-        keypoints[label] = _shared(memo, key, lambda: snap_to_cloud(point, cloud))
     surfaces = [ContactSurface(entry(s, "point", f"surfaces[{i}].point"),
                                entry(s, "normal", f"surfaces[{i}].normal"),
                                entry(s, "stiffness", f"surfaces[{i}].stiffness", float))
                 for i, s in enumerate(data.get("surfaces", []))]
-    return SceneObject(name=entry(data, "name", "name"), pose=frame, cloud=cloud,
-                       truth_keypoints=keypoints, surfaces=surfaces,
-                       graspable=bool(data.get("graspable", False)),
-                       contact_probe=data.get("contact_probe"))
+    keypoints = {label: finite(f"keypoints.{label}", p, (3,))
+                 for label, p in data.get("keypoints", {}).items()}
+    obj = SceneObject(name=entry(data, "name", "name"), pose=frame, cloud=cloud,
+                      truth_keypoints=keypoints, surfaces=surfaces,
+                      graspable=bool(data.get("graspable", False)),
+                      contact_probe=data.get("contact_probe"))
+    # each keypoint snaps to the nearest point of the cloud the constructor checked
+    for label, point in keypoints.items():
+        key = None if source is None else (source, point.tobytes())
+        obj.truth_keypoints[label] = _shared(memo, key, lambda: snap_to_cloud(point, obj.cloud))
+    return obj
 
 
 def config_from_json(base, data, prefix=""):

@@ -17,17 +17,18 @@ Gaussian noise).
 from __future__ import annotations
 
 import json
+import operator
 import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import FORCE_ALIGN, Limits, ObservationBundle
+from .controllers import FORCE_ALIGN, ROTATIONAL, TRANSLATIONAL, Limits, ObservationBundle
 from .errors import ConfigError, EmptyScene, GraspTooFar, TaskAxesError, finite, positive
 from .features import DepthMask, FeatureGrid, MatchConfig, add_noise, window_pixels
 from .geometry import CameraIntrinsics, Frame, rotvec_to_matrix, unit
 from .grounding import GroundedParams, GroundingConfig, ground_spec
-from .skill import ROBOT_ROLE_SOURCE, GraspStep, LiftedSkill, Twist, run_phase
+from .skill import ROBOT_ROLE_SOURCE, GraspStep, LiftedSkill, SkillPhase, Twist, run_phase
 
 ROBOT_BUILTIN_AXES = ("x", "y", "z")
 ROBOT_BUILTIN_KEYPOINT = "pos"
@@ -63,7 +64,7 @@ class SceneObject:
     contact_probe: str = None              # keypoint used as tool tip after grasp
 
     def __post_init__(self):
-        self.cloud = np.asarray(self.cloud, dtype=np.float64).reshape(-1, 3)
+        self.cloud = finite("cloud", self.cloud, (-1, 3))
         self.truth_keypoints = {k: np.asarray(v, dtype=np.float64)
                                 for k, v in self.truth_keypoints.items()}
         if self.contact_probe is not None and self.contact_probe not in self.truth_keypoints:
@@ -310,15 +311,13 @@ class GroundedAnchors:
     or a robot built-in. Attached entries follow the end effector.
 
     Each table maps a kind ("keypoints" or "axes") to qualified labels.
-    World-fixed values, and the float lists the tick log writes for them,
-    are built once at add_role; a grasp moves a role's entries to the
-    held table, re-expressed in the gripper frame.
+    A grasp moves a role's entries from the world table to the held
+    table, re-expressed in the gripper frame.
     """
 
     def __init__(self):
-        self._world = {"keypoints": {}, "axes": {}}        # value in the world frame
-        self._world_lists = {"keypoints": {}, "axes": {}}  # its float list
-        self._held = {"keypoints": {}, "axes": {}}         # value in the gripper frame
+        self._world = {"keypoints": {}, "axes": {}}   # value in the world frame
+        self._held = {"keypoints": {}, "axes": {}}    # value in the gripper frame
         self._robot_labels = []    # (keypoint label, ((axis label, column), ...))
 
     def add_robot_role(self, role):
@@ -329,9 +328,7 @@ class GroundedAnchors:
     def add_role(self, role, grounded: GroundedParams):
         for kind, values in (("keypoints", grounded.keypoints), ("axes", grounded.axes)):
             for label, value in values.items():
-                q = f"{role}.{label}"
-                self._world[kind][q] = np.asarray(value, dtype=np.float64)
-                self._world_lists[kind][q] = self._world[kind][q].tolist()
+                self._world[kind][f"{role}.{label}"] = np.asarray(value, dtype=np.float64)
 
     def attach_role(self, role, ee: Frame):
         """Re-express a role's world-fixed groundings in the gripper frame."""
@@ -342,46 +339,208 @@ class GroundedAnchors:
             world = self._world[kind]
             for q in [q for q in world if q.startswith(prefix)]:
                 self._held[kind][q] = move(world.pop(q))
-                del self._world_lists[kind][q]
 
     def current(self, ee: Frame):
-        """(GroundedParams, float lists for the tick log) at gripper pose
-        `ee`; the world-fixed lists are shared, not rebuilt."""
-        values, lists = {}, {}
+        """(GroundedParams at gripper pose `ee`, its held values in the
+        order of layout()'s held labels)."""
+        values, held = {}, []
         for kind, move in (("keypoints", ee.apply), ("axes", ee.apply_dir)):
             values[kind] = dict(self._world[kind])
-            lists[kind] = dict(self._world_lists[kind])
             for q, local in self._held[kind].items():
                 values[kind][q] = value = move(local)
-                lists[kind][q] = value.tolist()
+                held.append(value)
         for keypoint, builtin_axes in self._robot_labels:
             values["keypoints"][keypoint] = ee.origin
-            lists["keypoints"][keypoint] = ee.origin.tolist()
             for q, i in builtin_axes:
-                values["axes"][q] = axis = ee.rotation[:, i]
-                lists["axes"][q] = axis.tolist()
-        return GroundedParams(**values), lists
+                values["axes"][q] = ee.rotation[:, i]
+        return GroundedParams(**values), held
+
+    def layout(self):
+        """(world, held, robot) of the tick log until the next grasp: the
+        world-fixed values as float lists by kind and label, the (kind,
+        label) of each held value, and the robot built-in labels."""
+        world = {kind: {q: value.tolist() for q, value in table.items()}
+                 for kind, table in self._world.items()}
+        held = [(kind, q) for kind, table in self._held.items() for q in table]
+        return world, held, self._robot_labels
 
 
 # ----------------------------------------------------------------------
 # whole-skill execution
 
 
+_POSE_COLS = 12          # ee origin, then its rotation row-major
+_STATE_COLS = 21         # the pose, the contact force, twist v and w
+_CONTROLLER_COLS = 10    # axis, axis_hat, u, u_hat, active, done
+_NAN3 = np.full(3, np.nan)
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_TRAJECTORY_COLS = operator.itemgetter(0, 1, 2, 15, 16, 17, 18, 19, 20, 12, 13, 14)
+
+
+class _PhaseTable:
+    """The rows of one phase and what stays fixed over them (see SimLog)."""
+
+    def __init__(self, phase: SkillPhase, t0, ee: Frame, layout):
+        self.name, self.t0 = phase.name, t0
+        self.world, self.held, self.robot = layout
+        self.controllers = [(cls, i + 1, cfg.kind)
+                            for cls, cfgs in ((TRANSLATIONAL, phase.translational),
+                                              (ROTATIONAL, phase.rotational))
+                            for i, cfg in enumerate(cfgs)]
+        first = _STATE_COLS + 3 * len(self.held)
+        self.cols = [first + _CONTROLLER_COLS * c   # each controller's first column
+                     for c in range(len(self.controllers))]
+        self.rows = np.empty((phase.step_budget + 1,
+                              first + _CONTROLLER_COLS * len(self.controllers)))
+        np.concatenate((ee.origin, ee.rotation.reshape(9)), out=self.rows[0, :_POSE_COLS])
+        self.ticks = 0
+        self._templates = {}
+
+    def _template(self, flags):
+        """Format string of the lines whose controllers have the (active,
+        done, active, done, ...) flags `flags`. Its arguments are t, the
+        row's strings, then the previous row's pose strings."""
+        names = [self.name, *self.world["keypoints"], *self.world["axes"],
+                 *(q for _, q in self.held),
+                 *(q for kp, axes in self.robot for q in (kp, *(a for a, _ in axes)))]
+        mark = "\x00" * (1 + max(s.count("\x00") for s in names))   # in no name or label
+        width = self.rows.shape[1]
+
+        def vec(*cols):
+            return [f"{mark}{c + 1}" for c in cols]
+
+        grounded = {kind: dict(table) for kind, table in self.world.items()}
+        for j, (kind, q) in enumerate(self.held):
+            grounded[kind][q] = vec(*range(_STATE_COLS + 3 * j, _STATE_COLS + 3 * j + 3))
+        for keypoint, builtin_axes in self.robot:
+            grounded["keypoints"][keypoint] = vec(width, width + 1, width + 2)
+            for q, i in builtin_axes:
+                grounded["axes"][q] = vec(width + 3 + i, width + 6 + i, width + 9 + i)
+        controllers = []
+        for (cls, priority, kind), col, active, done in zip(
+                self.controllers, self.cols, flags[::2], flags[1::2]):
+            controllers.append({
+                "class": cls, "priority": priority, "kind": kind,
+                "axis": vec(col, col + 1, col + 2),
+                "axis_hat": vec(col + 3, col + 4, col + 5) if active else None,
+                "u": vec(col + 6)[0], "u_hat": vec(col + 7)[0],
+                "active": active, "done": done,
+            })
+        skeleton = {
+            "phase": self.name,
+            "t": f"{mark}0",
+            "ee": {"origin": vec(0, 1, 2),
+                   "rotation": [vec(3, 4, 5), vec(6, 7, 8), vec(9, 10, 11)]},
+            "contact_force": vec(12, 13, 14),
+            "twist": {"v": vec(15, 16, 17), "w": vec(18, 19, 20)},
+            "controllers": controllers,
+            "grounded": grounded,
+        }
+        text = json.dumps(skeleton, sort_keys=True).replace("{", "{{").replace("}", "}}")
+        for k in range(width + _POSE_COLS + 1):
+            text = text.replace(json.dumps(f"{mark}{k}"), f"{{{k}}}")
+        template = self._templates[flags] = text + "\n"
+        return template
+
+    def lines(self, csv):
+        """(JSON line, CSV row or None) of each tick."""
+        rows = self.rows[:self.ticks + 1]
+        flag_cols = [col + k for col in self.cols for k in (8, 9)]
+        # JSON spells a non-finite value its own way; an inactive controller's
+        # NaN axis_hat, which is not printed, takes that path too
+        plain = np.isfinite(rows).all(axis=1)
+        prev = [_JSON_SPELLING.get(s, s) for s in map(repr, rows[0, :_POSE_COLS].tolist())]
+        for k in range(1, self.ticks + 1):
+            values = rows[k].tolist()   # a row at a time: no copy of the table as floats
+            text = list(map(repr, values))
+            js = text if plain[k] else [_JSON_SPELLING.get(s, s) for s in text]
+            flags = tuple(values[j] == 1.0 for j in flag_cols)
+            template = self._templates.get(flags) or self._template(flags)
+            t = str(self.t0 + k)
+            yield (template.format(t, *js, *prev),
+                   ",".join((t, *_TRAJECTORY_COLS(text))) if csv else None)
+            prev = js[:_POSE_COLS]
+
+
 class SimLog:
-    """Append-only per-tick trace, serializable as JSON lines."""
+    """Per-tick trace of a run: one float64 table per phase, formatted as
+    JSON lines and trajectory CSV rows in one pass.
+
+    Row k >= 1 of a phase's table is tick k of the phase, whose t is the
+    phase's start tick plus k. It holds the gripper pose after the tick
+    (origin, then rotation row-major), the contact force, the twist v
+    and w, each held grounded value as observed at the start of the
+    tick, then per controller (translational then rotational, each by
+    priority) its axis, axis_hat (NaN when inactive), u, u_hat, active
+    and done. Row 0 holds only the pose the phase starts from. The
+    phase's name, each controller's class, priority and kind, and the
+    world-fixed grounded values are fixed for the phase and written into
+    one format template per combination of active and done flags. The
+    robot built-ins (role.pos, .x, .y, .z) of tick k are the pose of row
+    k - 1, so they reuse that row's strings. Each float is formatted once
+    with repr, non-finite ones as json.dumps spells them, so every line
+    equals json.dumps(record, sort_keys=True) of the tick's record.
+
+    `records` is json.loads of every line, which restores each float
+    bit for bit; it is built on first read and kept until a tick is
+    recorded.
+    """
 
     def __init__(self):
-        self.records = []
+        self._tables = []
+        self._records = None
 
-    def append(self, record):
-        self.records.append(record)
+    def begin_phase(self, phase: SkillPhase, t0, ee: Frame, layout):
+        """Start the table of `phase`, which starts at tick `t0` from
+        gripper pose `ee`; `layout` is GroundedAnchors.layout()."""
+        self._tables.append(_PhaseTable(phase, t0, ee, layout))
+
+    def record(self, state: SimState, held, outputs, commands, twist: Twist):
+        """Write the next row of the current phase: the state after the
+        tick, the held values observed before it, and the tick's
+        controller outputs and commands (as run_phase's on_tick gets
+        them) and twist."""
+        table = self._tables[-1]
+        table.ticks += 1
+        parts = [state.ee.origin, state.ee.rotation.reshape(9), state.contact_force,
+                 twist.v, twist.w, *held]
+        for out, cmd in zip(outputs, commands):
+            if cmd is None:
+                parts += (out.primary_axis, _NAN3, (out.action, 0.0, 0.0, out.done))
+            else:
+                parts += (out.primary_axis, cmd[0], (out.action, cmd[1], 1.0, out.done))
+        np.concatenate(parts, out=table.rows[table.ticks])
+        self._records = None
+
+    def end_phase(self):
+        """Free the current table's rows past its last tick."""
+        table = self._tables[-1]
+        table.rows = table.rows[:table.ticks + 1].copy()
+
+    def _lines(self, csv=False):
+        for table in self._tables:
+            yield from table.lines(csv)
+
+    @property
+    def records(self) -> list:
+        if self._records is None:
+            self._records = [json.loads(line) for line, _ in self._lines()]
+        return self._records
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+        return "".join(line for line, _ in self._lines())
 
-    def write(self, path):
+    def write(self, path, csv_path):
+        """Write the JSON lines to `path` and the trajectory CSV (t, ee
+        origin, twist v and w, contact force) to `csv_path`."""
+        lines, rows = [], ["t,x,y,z,vx,vy,vz,wx,wy,wz,fx,fy,fz"]
+        for line, row in self._lines(csv=True):
+            lines.append(line)
+            rows.append(row)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
+            fh.write("".join(lines))
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows) + "\n")
 
     @staticmethod
     def read(path):
@@ -449,7 +608,7 @@ class SkillRunner:
         self.log = SimLog()
         self.state = SimState(ee=scene.ee_start, dt=self.config.dt)
         self._grounded = False
-        self._grounded_lists = None   # of the last observe(), for its tick record
+        self._held = None   # held values of the last observe(), for its tick's row
 
     # -- grounding
 
@@ -488,21 +647,14 @@ class SkillRunner:
     # -- environment protocol for run_phase
 
     def observe(self) -> ObservationBundle:
-        grounded, self._grounded_lists = self.anchors.current(self.state.ee)
+        grounded, self._held = self.anchors.current(self.state.ee)
         return ObservationBundle(grounded=grounded, measured_force=-self.state.contact_force)
 
     def apply(self, twist: Twist):
         self.state = step_sim(self.state, twist, self.scene)
 
-    def _on_tick(self, record):
-        record.update({
-            "t": self.state.t,
-            "ee": {"origin": self.state.ee.origin.tolist(),
-                   "rotation": self.state.ee.rotation.tolist()},
-            "contact_force": self.state.contact_force.tolist(),
-            "grounded": self._grounded_lists,
-        })
-        self.log.append(record)
+    def _log_tick(self, outputs, commands, twist):
+        self.log.record(self.state, self._held, outputs, commands, twist)
 
     # -- execution
 
@@ -526,8 +678,11 @@ class SkillRunner:
                                        step.keypoint, tol=self.config.grasp_tol)
                     self.anchors.attach_role(step.role, self.state.ee)
                     continue
+                self.log.begin_phase(step, self.state.t, self.state.ee,
+                                     self.anchors.layout())
                 result = run_phase(step, self, self.config.limits,
-                                   on_tick=self._on_tick)
+                                   on_tick=self._log_tick)
+                self.log.end_phase()
                 phases.append((step.name, result))
                 if result.outcome != "done":
                     break

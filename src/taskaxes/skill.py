@@ -180,6 +180,9 @@ def run_phase(phase: SkillPhase, env, limits: Limits, on_tick=None) -> PhaseResu
     """Run one phase against an environment until done or out of budget.
 
     env must provide observe() -> ObservationBundle and apply(Twist).
+    on_tick, when given, is called after each tick with the controllers'
+    outputs and projected commands (translational then rotational, each
+    by priority; a command is None when inactive) and the twist.
     The phase is done when every done-capable controller reports done on
     the same tick; a phase with no done-capable controllers runs its
     whole budget and counts as done. Controller errors propagate with
@@ -205,21 +208,7 @@ def run_phase(phase: SkillPhase, env, limits: Limits, on_tick=None) -> PhaseResu
         env.apply(twist)
         ticks += 1
         if on_tick is not None:
-            on_tick({
-                "phase": phase.name,
-                "controllers": [{
-                    "class": cls,
-                    "priority": i + 1,
-                    "kind": cfg.kind,
-                    "axis": out.primary_axis.tolist(),
-                    "axis_hat": None if cmd is None else cmd[0].tolist(),
-                    "u": float(out.action),
-                    "u_hat": 0.0 if cmd is None else float(cmd[1]),
-                    "active": cmd is not None,
-                    "done": bool(out.done),
-                } for (cls, i, cfg), out, cmd in zip(controllers, outputs, commands)],
-                "twist": {"v": twist.v.tolist(), "w": twist.w.tolist()},
-            })
+            on_tick(outputs, commands, twist)
         if done_idx and all(outputs[k].done for k in done_idx):
             return PhaseResult("done", ticks)
     if phase.step_budget > 0 and not done_idx:

@@ -364,6 +364,16 @@ def test_public_frame_constructor_still_checks():
         Frame(np.zeros(3), np.diag([1.0, 1.0, -1.0]))
 
 
+@pytest.mark.parametrize("cloud, message", [
+    ([0.0, 0.0, 0.0, 1.0], r"^cloud must hold a multiple of 3 numbers, got 4$"),
+    ([[0.0, np.nan, 0.0]], r"^cloud must be finite, got nan$"),
+    ("abc", r"^cloud must be numbers \("),
+])
+def test_public_scene_object_constructor_checks_its_cloud(cloud, message):
+    with pytest.raises(ConfigError, match=message):
+        SceneObject(name="x", pose=Frame.identity(), cloud=cloud)
+
+
 def test_sim_state_zero_vectors_are_not_shared():
     a, b = SimState(ee=Frame.identity()), SimState(ee=Frame.identity())
     a.contact_force[0] = 1.0
@@ -500,6 +510,24 @@ def test_replay_of_a_manifest_without_a_flag_exits_2_naming_it(tmp_path, capsys)
     path.write_text(json.dumps([manifest]))
     assert main(["replay", "--manifest", str(path), "--out", str(tmp_path / "r")]) == 2
     assert f"error: {path}: not a manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("trials", "abc", "argument --trials: invalid int value: 'abc'"),
+    ("mode", "bogus", "argument --mode: invalid choice: 'bogus'"),
+])
+def test_replay_of_a_manifest_flag_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys,
+                                                                      flag, value, message):
+    recorded = tmp_path / "recorded"
+    assert main(["validate", "--trials", "0", "--out", str(recorded)]) == 0
+    manifest = json.loads((recorded / "manifest.json").read_text())
+    manifest["flags"][flag] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "r"
+    assert main(["replay", "--manifest", str(path), "--out", str(out)]) == 2
+    assert f"error: manifest flags: {message}" in capsys.readouterr().err
+    assert not (out / "stats.json").exists()
 
 
 @pytest.mark.parametrize("error", [KeyError("x"), ValueError("y")])

@@ -5,10 +5,10 @@ that kept the projected axes, the per-controller commands and the tick
 record in separate structures. The reference copies below are that
 version, verbatim in behaviour; the folded code must give the same
 bits on random stacks (inactive outputs, parallel and antiparallel
-axes) and the same tick records, outcome and twists on a scripted
-environment. The last property is the priority contract itself: a
-lower-priority controller never moves the twist along a higher one's
-projected axis.
+axes) and the same tick records (as the tick log writes them),
+outcome and twists on a scripted environment. The last property is
+the priority contract itself: a lower-priority controller never moves
+the twist along a higher one's projected axis.
 """
 
 import math
@@ -30,7 +30,9 @@ from taskaxes.controllers import (
     step_controller,
 )
 from taskaxes.errors import TaskAxesError
+from taskaxes.geometry import Frame
 from taskaxes.grounding import GroundedParams
+from taskaxes.simulator import GroundedAnchors, SimLog, SimState
 from taskaxes.skill import (
     PhaseResult,
     SkillPhase,
@@ -303,9 +305,22 @@ ROTATIONAL_POOL = (
 )
 
 
+def _logged_run_phase(phase, env, limits, on_tick):
+    """run_phase with its ticks in the runner's tick log (the scripted env
+    has no gripper pose: the log's is fixed); on_tick gets the phase,
+    controllers and twist of each logged record."""
+    log, state = SimLog(), SimState(ee=Frame.identity())
+    log.begin_phase(phase, 0, state.ee, GroundedAnchors().layout())
+    result = run_phase(phase, env, limits,
+                       on_tick=lambda *tick: log.record(state, [], *tick))
+    for record in log.records:
+        on_tick({key: record[key] for key in ("phase", "controllers", "twist")})
+    return result
+
+
 def _run_both(phase, start, goal, tool_x, target_y, limits):
     runs = []
-    for run in (run_phase, ref_run_phase):
+    for run in (_logged_run_phase, ref_run_phase):
         env = ScriptedEnv(start, goal, tool_x, target_y)
         records = []
         result = run(phase, env, limits, on_tick=records.append)

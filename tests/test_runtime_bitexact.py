@@ -5,10 +5,11 @@ line and column counters; it now matches three compiled patterns and
 reads positions from a table of line starts. GroundedAnchors once kept
 a stale world value in an attached entry's slot and rebuilt the log
 lists in a separate pass (`as_lists`); it now moves a grasped role's
-entries from a world table to a held table and returns the values and
-the lists in one pass. The reference copies below are the old versions,
-verbatim in behaviour; the new code must give the same tokens,
-positions and errors, and the same values and lists, on random input.
+entries from a world table to a held table, returns the values with
+the held ones in a list, and the tick log writes the lists from its
+layout. The reference copies below are the old versions, verbatim in
+behaviour; the new code must give the same tokens, positions and
+errors, and the same values and logged lists, on random input.
 """
 
 import json
@@ -31,9 +32,11 @@ from taskaxes.simulator import (
     GroundedAnchors,
     Scene,
     SceneObject,
+    SimLog,
+    SimState,
     SkillRunner,
 )
-from taskaxes.skill import _Lexer, parse_skill
+from taskaxes.skill import SkillPhase, Twist, _Lexer, parse_skill
 
 # ---------------------------------------------------------------- reference lexer
 
@@ -265,6 +268,9 @@ def anchor_scripts(draw):
     return roles, robot, grounded, events
 
 
+NO_CONTROLLERS = SkillPhase(name="p", translational=(), rotational=(), step_budget=1)
+
+
 @settings(max_examples=400, deadline=None)
 @given(anchor_scripts())
 def test_anchors_match_reference(script):
@@ -276,13 +282,12 @@ def test_anchors_match_reference(script):
                 anchors.add_robot_role(role)
             else:
                 anchors.add_role(role, grounded[role])
-    previous = None
     for grasped, (origin, rpy) in events:
         ee = Frame.from_rpy_deg(origin, rpy)
         if grasped is not None:
             new.attach_role(grasped, ee)
             ref.attach_role(grasped, ee)
-        values, lists = new.current(ee)
+        values, held = new.current(ee)
         ref_values = ref.current(ee)
         for kind in ("keypoints", "axes"):
             got, want = getattr(values, kind), getattr(ref_values, kind)
@@ -290,14 +295,22 @@ def test_anchors_match_reference(script):
             for q in want:
                 assert got[q].dtype == want[q].dtype
                 assert got[q].tobytes() == want[q].tobytes()
+        # the grounded lists of a tick the runner logs at this pose
+        layout = new.layout()
+        log = SimLog()
+        log.begin_phase(NO_CONTROLLERS, 0, ee, layout)
+        log.record(SimState(ee=ee), held, [], [], Twist(np.zeros(3), np.zeros(3)))
+        lists = log.records[0]["grounded"]
         ref_lists = ref.as_lists(ref_values)
         assert lists == ref_lists
         assert json.dumps(lists, sort_keys=True) == json.dumps(ref_lists, sort_keys=True)
-        if previous is not None:
-            # world-fixed lists are built once and shared by every tick
-            for kind, world in (("keypoints", ref._keypoint_lists), ("axes", ref._axis_lists)):
-                assert all(lists[kind][q] is previous[kind][q] for q in world)
-        previous = lists
+        # world-fixed lists are built once per phase, not per tick: a
+        # tick's row holds only the held values
+        world, held_labels, _ = layout
+        assert world == {"keypoints": ref._keypoint_lists, "axes": ref._axis_lists}
+        assert sorted(held_labels) == sorted([("keypoints", q) for q in ref._ee_keypoints]
+                                             + [("axes", q) for q in ref._ee_axes])
+        assert len(held) == len(held_labels)
 
 
 def test_runner_keeps_only_the_lists_of_the_last_observation():

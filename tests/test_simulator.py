@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from taskaxes.controllers import ControllerConfig, ControllerOutput
 from taskaxes.errors import ConfigError, EmptyScene, GraspTooFar
 from taskaxes.geometry import Frame, rotvec_to_matrix
 from taskaxes.scenes import build_task, sample_box, scene_from_json, snap_to_cloud
 from taskaxes.simulator import (
     ContactSurface,
     FeatureRenderConfig,
+    GroundedAnchors,
     Scene,
     SceneObject,
     SimLog,
@@ -17,7 +19,7 @@ from taskaxes.simulator import (
     render_synthetic_features,
     step_sim,
 )
-from taskaxes.skill import Twist, parse_skill
+from taskaxes.skill import SkillPhase, Twist, parse_skill
 
 from taskaxes.geometry import CameraIntrinsics
 
@@ -211,11 +213,17 @@ def test_missing_spec_rejected():
 
 
 def test_simlog_jsonl_roundtrip(tmp_path):
+    cfg = ControllerConfig(kind="ForceAlign", bindings=("w.down",), theta=1.0)
+    phase = SkillPhase(name="press", translational=(cfg,), rotational=(), step_budget=2)
+    state = SimState(ee=Frame.from_rpy_deg((0, 0, 0.5), (0, 0, 30)))
     log = SimLog()
-    log.append({"t": 1, "x": 0.25})
-    log.append({"t": 2, "x": -1.5e-7})
+    log.begin_phase(phase, 0, state.ee, GroundedAnchors().layout())
+    down = np.array([0.0, 0.0, 1.0])
+    for u in (0.25, -1.5e-7):
+        log.record(state, [], [ControllerOutput(down, u, False, False)], [(down, u)],
+                   Twist(down * u, np.zeros(3)))
     path = tmp_path / "log.jsonl"
-    log.write(path)
+    log.write(path, tmp_path / "trajectory.csv")
     assert SimLog.read(path) == log.records
     assert path.read_text().count("\n") == 2
 

@@ -24,8 +24,10 @@ from taskaxes.errors import (
     UnboundSymbol,
     UnknownControllerKind,
 )
+from taskaxes.geometry import Frame
 from taskaxes.grounding import GroundedParams
 from taskaxes.scenes import load_skill_text
+from taskaxes.simulator import GroundedAnchors, SimLog, SimState
 from taskaxes.skill import (
     GraspStep,
     LiftedSkill,
@@ -447,9 +449,12 @@ def test_run_phase_records_ticks():
     cfg = ControllerConfig(kind="PosAlign", bindings=("r.pos", "o.goal"))
     phase = SkillPhase(name="go", translational=(cfg,), rotational=(),
                        step_budget=500)
-    records = []
     env = PointEnv([0.0, 0.0, 0.0], [0.02, 0.0, 0.0])
-    run_phase(phase, env, Limits(), on_tick=records.append)
+    # the runner's tick log, with the point env's fixed state
+    log, state = SimLog(), SimState(ee=Frame.identity())
+    log.begin_phase(phase, 0, state.ee, GroundedAnchors().layout())
+    run_phase(phase, env, Limits(), on_tick=lambda *tick: log.record(state, [], *tick))
+    records = log.records
     assert records and records[0]["phase"] == "go"
     ctl = records[0]["controllers"][0]
     assert ctl["kind"] == "PosAlign" and ctl["class"] == "translational"
