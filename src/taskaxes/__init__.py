@@ -66,7 +66,6 @@ from .simulator import (
     SimState,
     SkillRunner,
     grasp,
-    object_pose,
     render_synthetic_features,
     step_sim,
 )
@@ -81,5 +80,4 @@ from .skill import (
     project_actions,
     project_axes,
     run_phase,
-    skill_to_json,
 )

@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -188,9 +189,9 @@ def cmd_run(flags, out_dir):
     scene, ref_scene, feature_files, scene_paths = load_scene(flags["scene"])
     inputs.extend(scene_paths)
     if flags.get("seed") is not None:
-        scene.features.seed = int(flags["seed"])
+        scene.features = replace(scene.features, seed=flags["seed"])
         if ref_scene is not None:
-            ref_scene.features.seed = int(flags["seed"])
+            ref_scene.features = replace(ref_scene.features, seed=flags["seed"])
     specs = {}
     skill_dir = os.path.dirname(os.path.abspath(skill_path))
     for role, source in skill.uses:
@@ -206,8 +207,7 @@ def cmd_run(flags, out_dir):
     # any output is written; run() would report it as a failed run (exit 3)
     runner.ground_all()
     result = runner.run()
-    log_name = flags.get("log") or "log.jsonl"
-    result.log.write(os.path.join(out_dir, log_name),
+    result.log.write(os.path.join(out_dir, "log.jsonl"),
                      os.path.join(out_dir, "trajectory.csv"))
     write_json(os.path.join(out_dir, "result.json"), result.summary())
     if not result.success:
@@ -340,7 +340,6 @@ def _build_parser():
     p.add_argument("--scene", required=True)
     p.add_argument("--seed", type=int, default=None,
                    help="override the scene's feature seed")
-    p.add_argument("--log", default=None, help="log file name inside --out")
     p.add_argument("--config", default=None, help="run configuration JSON")
     p.add_argument("--out", required=True)
 

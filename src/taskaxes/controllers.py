@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, EmptyWaypointList, UnresolvedBinding, finite, positive
+from .errors import ConfigError, EmptyWaypointList, finite, positive
 from .geometry import (
     WORLD_Z,
     completion_matrix,
@@ -50,7 +50,10 @@ KIND_CLASS = {
     AXIS_ALIGN: ROTATIONAL,
 }
 
-BINDING_ARITY = {POS_ALIGN: 2, POS_WAYPOINT: 3, AXIS_ALIGN: 2, FORCE_ALIGN: 1}
+# what each binding slot names: a grounded keypoint or a grounded axis
+BINDING_KINDS = {POS_ALIGN: ("keypoints", "keypoints"),
+                 POS_WAYPOINT: ("keypoints", "keypoints", "axes"),
+                 AXIS_ALIGN: ("axes", "axes"), FORCE_ALIGN: ("axes",)}
 
 # kind-specific convergence tolerances: meters for position controllers,
 # degrees for AxisAlign (converted to radians at evaluation time)
@@ -103,9 +106,9 @@ class ControllerConfig:
     def __post_init__(self):
         if self.kind not in KIND_CLASS:
             raise ConfigError(f"unknown controller kind {self.kind!r}")
-        if len(self.bindings) != BINDING_ARITY[self.kind]:
+        if len(self.bindings) != len(BINDING_KINDS[self.kind]):
             raise ConfigError(
-                f"{self.kind} takes {BINDING_ARITY[self.kind]} bindings, "
+                f"{self.kind} takes {len(BINDING_KINDS[self.kind])} bindings, "
                 f"got {len(self.bindings)}")
         object.__setattr__(self, "theta", _normalize_theta(self.kind, self.theta))
         if self.done_tol is None:
@@ -186,20 +189,6 @@ class ObservationBundle:
     measured_force: np.ndarray
 
 
-def _keypoint(obs, label):
-    try:
-        return obs.grounded.keypoints[label]
-    except KeyError:
-        raise UnresolvedBinding(f"keypoint binding {label!r} not grounded") from None
-
-
-def _axis(obs, label):
-    try:
-        return obs.grounded.axes[label]
-    except KeyError:
-        raise UnresolvedBinding(f"axis binding {label!r} not grounded") from None
-
-
 def _fallback_axis(state):
     if state.last_axis is not None:
         return np.asarray(state.last_axis, dtype=np.float64)
@@ -234,8 +223,8 @@ def _servo_toward(cfg, state, current, target, at_last_waypoint=True):
 
 def step_pos_align(cfg: ControllerConfig, obs: ObservationBundle,
                    state: ControllerState):
-    g1 = _keypoint(obs, cfg.bindings[0])
-    g2 = _keypoint(obs, cfg.bindings[1])
+    keypoints = obs.grounded.keypoints
+    g1, g2 = keypoints[cfg.bindings[0]], keypoints[cfg.bindings[1]]
     target = g2 + np.asarray(cfg.theta, dtype=np.float64)
     out, _, new_state = _servo_toward(cfg, state, g1, target)
     return out, new_state
@@ -243,9 +232,9 @@ def step_pos_align(cfg: ControllerConfig, obs: ObservationBundle,
 
 def step_pos_waypoint(cfg: ControllerConfig, obs: ObservationBundle,
                       state: ControllerState):
-    g1 = _keypoint(obs, cfg.bindings[0])
-    g2 = _keypoint(obs, cfg.bindings[1])
-    a2 = _axis(obs, cfg.bindings[2])
+    keypoints = obs.grounded.keypoints
+    g1, g2 = keypoints[cfg.bindings[0]], keypoints[cfg.bindings[1]]
+    a2 = obs.grounded.axes[cfg.bindings[2]]
     waypoints = cfg.theta
     k = min(state.waypoint_index, len(waypoints) - 1)
     frame, state = _memoized(state, a2, completion_matrix)
@@ -260,8 +249,8 @@ def step_pos_waypoint(cfg: ControllerConfig, obs: ObservationBundle,
 
 def step_axis_align(cfg: ControllerConfig, obs: ObservationBundle,
                     state: ControllerState):
-    a1 = _axis(obs, cfg.bindings[0])
-    a2 = _axis(obs, cfg.bindings[1])
+    axes = obs.grounded.axes
+    a1, a2 = axes[cfg.bindings[0]], axes[cfg.bindings[1]]
     target, state = _memoized(state, a2, axis_align_target, cfg.theta)
     w = rotation_between_axes(a1, target)
     ang = norm3(w)
@@ -293,7 +282,7 @@ def axis_align_target(a2, theta_deg) -> np.ndarray:
 
 def step_force_align(cfg: ControllerConfig, obs: ObservationBundle,
                      state: ControllerState):
-    a1 = _axis(obs, cfg.bindings[0])
+    a1 = obs.grounded.axes[cfg.bindings[0]]
     f_meas = float(obs.measured_force @ a1)
     raw = cfg.gains.kf * (cfg.theta - f_meas)
     action = min(max(raw, -cfg.limits.v_max), cfg.limits.v_max)

@@ -124,7 +124,7 @@ class DegenerateNeighborhood(TaskAxesError):
 # controllers / skills -------------------------------------------------
 
 class UnresolvedBinding(TaskAxesError):
-    """Controller binding label missing from the grounded parameters."""
+    """Controller binding names no keypoint or axis that its role grounds."""
 
 
 class EmptyWaypointList(ConfigError):

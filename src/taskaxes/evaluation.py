@@ -162,8 +162,9 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
     keyed by the controller kind that would consume each error type.
     Every setting is checked, also when there are no trials.
     """
-    if trials < 0:
-        raise ConfigError(f"trials must be >= 0, got {trials}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if value < 0:
+            raise ConfigError(f"{name} must be >= 0, got {value}")
     cfg = GroundingConfig(match=MatchConfig(mode=mode, temperature=temperature),
                           min_score=min_score)
     features = replace(_FEATURES, noise_sigma=noise_sigma)

@@ -55,17 +55,19 @@ class FeatureGrid:
     that every stored value is finite; grids are treated as immutable."""
 
     def __init__(self, data, meta=None):
-        """Grid storing every pixel of a (height, width, dim) array, which
-        is copied, never changed."""
+        """Grid of a (height, width, dim) array, which is copied, never
+        changed. It stores the pixels whose components are not all +0.0;
+        a pixel of -0.0s is stored, so `data` gives back the array's bytes."""
         data = np.asarray(data)
         if data.ndim != 3:
             raise ConfigError(f"feature grid must be 3D, got shape {data.shape}")
         height, width, dim = data.shape
-        # a grid without descriptor components stores no pixels
-        pixels = np.arange(height * width if dim else 0, dtype=np.int64)
-        # the copy's values are those of data.dtype already: nothing to round
-        rows = np.array(data.reshape(height * width, dim)[:pixels.size], dtype=np.float64)
-        self._store(height, width, pixels, rows, data.dtype, meta, rounded=True)
+        flat = data.reshape(height * width, dim)
+        # without descriptor components: no pixel stored, no mask made, at any size
+        pixels = (np.flatnonzero((flat != 0).any(axis=1) | np.signbit(flat).any(axis=1))
+                  if dim else np.empty(0, dtype=np.int64))
+        self._store(height, width, pixels, np.asarray(flat[pixels], dtype=np.float64),
+                    data.dtype, meta)
 
     @classmethod
     def from_rows(cls, height, width, pixels, rows, dtype, meta=None) -> "FeatureGrid":
@@ -78,15 +80,14 @@ class FeatureGrid:
         array is copied first."""
         grid = cls.__new__(cls)
         grid._store(height, width, pixels, np.require(rows, np.float64, ("C", "W")),
-                    np.dtype(dtype), meta, rounded=False)
+                    np.dtype(dtype), meta)
         return grid
 
-    def _store(self, height, width, pixels, rows, dtype, meta, rounded):
+    def _store(self, height, width, pixels, rows, dtype, meta):
         for start in range(0, rows.shape[0], _BLOCK_ROWS):
             block = rows[start:start + _BLOCK_ROWS]
-            if not rounded:
-                with np.errstate(over="ignore"):
-                    block[...] = block.astype(dtype)
+            with np.errstate(over="ignore"):
+                block[...] = block.astype(dtype)
             if not np.isfinite(block).all():
                 raise ConfigError("feature grid contains non-finite values")
         self.height, self.width, self.dim = int(height), int(width), rows.shape[1]

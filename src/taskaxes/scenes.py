@@ -357,8 +357,7 @@ def _base_scene_json(objects, seed):
     return {
         "intrinsics": _intrinsics_json(),
         "ee_start": {"origin": list(EE_START_ORIGIN), "rpy_deg": list(EE_START_RPY_DEG)},
-        "features": {"dim": 24, "length_scale": 0.02, "noise_sigma": 0.0,
-                     "seed": seed},
+        "features": dataclasses.asdict(FeatureRenderConfig(seed=seed)),
         "objects": objects,
     }
 

@@ -23,8 +23,23 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .controllers import FORCE_ALIGN, ROTATIONAL, TRANSLATIONAL, Limits, ObservationBundle
-from .errors import ConfigError, EmptyScene, GraspTooFar, TaskAxesError, finite, positive
+from .controllers import (
+    BINDING_KINDS,
+    FORCE_ALIGN,
+    ROTATIONAL,
+    TRANSLATIONAL,
+    Limits,
+    ObservationBundle,
+)
+from .errors import (
+    ConfigError,
+    EmptyScene,
+    GraspTooFar,
+    TaskAxesError,
+    UnresolvedBinding,
+    finite,
+    positive,
+)
 from .features import DepthMask, FeatureGrid, MatchConfig, add_noise, window_pixels
 from .geometry import CameraIntrinsics, Frame, rotvec_to_matrix, unit
 from .grounding import GroundedParams, GroundingConfig, ground_spec
@@ -89,6 +104,8 @@ class FeatureRenderConfig:
         # +inf passes here and is caught by the render's check of its rows
         if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -252,13 +269,6 @@ class SimState:
     contact_force: np.ndarray = field(default_factory=lambda: np.zeros(3))
     t: int = 0
     dt: float = RunConfig.dt
-
-
-def object_pose(scene: Scene, state: SimState, name: str) -> Frame:
-    """Current world pose of an object, tracking the gripper if attached."""
-    if state.attached is not None and state.attached[0] == name:
-        return state.ee.compose(state.attached[1])
-    return scene.find(name).pose
 
 
 def _contact_force(scene: Scene, state: SimState, probe_world) -> np.ndarray:
@@ -542,11 +552,6 @@ class SimLog:
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
 
-    @staticmethod
-    def read(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
-
 
 @dataclass
 class RunResult:
@@ -566,19 +571,38 @@ class RunResult:
         }
 
 
-def _check_stability(skill: LiftedSkill, scene: Scene, cfg: RunConfig):
-    """Forward-Euler gain bounds; violations are config errors, not runtime."""
+def _check_skill(skill: LiftedSkill, scene: Scene, specs: dict, cfg: RunConfig):
+    """Each role's spec, the forward-Euler gain bounds, and that each
+    binding names a value its role grounds: a keypoint or axis of a spec
+    role's spec (ground_spec grounds them all or raises) or a robot role's
+    built-in. Violations are config errors, raised before any render."""
+    grounds = {"keypoints": set(), "axes": set()}
+    for role, src in skill.uses:
+        if src == ROBOT_ROLE_SOURCE:
+            keypoints, axes = (ROBOT_BUILTIN_KEYPOINT,), ROBOT_BUILTIN_AXES
+        elif role not in specs:
+            raise ConfigError(f"no grounding spec supplied for role {role!r}")
+        else:
+            keypoints = [kp.label for kp in specs[role].keypoints]
+            axes = [ax.label for ax in specs[role].axes]
+        grounds["keypoints"].update(f"{role}.{label}" for label in keypoints)
+        grounds["axes"].update(f"{role}.{label}" for label in axes)
     max_k = max((s.stiffness for obj in scene.objects for s in obj.surfaces),
                 default=0.0)
     for phase in skill.phases:
-        for ctrl in phase.translational + phase.rotational:
-            if ctrl.gains.kp * cfg.dt > 1.0 or ctrl.gains.kr * cfg.dt > 1.0:
-                raise ConfigError(
-                    f"phase {phase.name!r}: gain*dt exceeds 1, integration unstable")
-            if ctrl.kind == FORCE_ALIGN and max_k > 0 \
-                    and ctrl.gains.kf * max_k * cfg.dt >= 1.0:
-                raise ConfigError(
-                    f"phase {phase.name!r}: kf*stiffness*dt >= 1, force loop unstable")
+        for cls, ctrls in ((TRANSLATIONAL, phase.translational), (ROTATIONAL, phase.rotational)):
+            for i, ctrl in enumerate(ctrls):
+                if ctrl.gains.kp * cfg.dt > 1.0 or ctrl.gains.kr * cfg.dt > 1.0:
+                    raise ConfigError(
+                        f"phase {phase.name!r}: gain*dt exceeds 1, integration unstable")
+                if ctrl.kind == FORCE_ALIGN and ctrl.gains.kf * max_k * cfg.dt >= 1.0:
+                    raise ConfigError(
+                        f"phase {phase.name!r}: kf*stiffness*dt >= 1, force loop unstable")
+                for kind, label in zip(BINDING_KINDS[ctrl.kind], ctrl.bindings):
+                    if label not in grounds[kind]:
+                        raise UnresolvedBinding(
+                            f"phase {phase.name!r} {cls}[{i}] {ctrl.kind}: binding "
+                            f"{label!r} is none of the grounded {kind}")
 
 
 class SkillRunner:
@@ -600,10 +624,7 @@ class SkillRunner:
         self.specs = specs
         self.feature_files = feature_files
         self.robot_roles = {role for role, src in skill.uses if src == ROBOT_ROLE_SOURCE}
-        for role, src in skill.uses:
-            if src != ROBOT_ROLE_SOURCE and role not in specs:
-                raise ConfigError(f"no grounding spec supplied for role {role!r}")
-        _check_stability(skill, scene, self.config)
+        _check_skill(skill, scene, specs, self.config)
         self.anchors = GroundedAnchors()
         self.log = SimLog()
         self.state = SimState(ee=scene.ee_start, dt=self.config.dt)

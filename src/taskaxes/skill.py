@@ -35,11 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controllers import (
-    BINDING_ARITY,
     DEFAULT_DONE_TOL,
     DEFAULT_THETA,
     KIND_CLASS,
-    ROTATIONAL,
     TRANSLATIONAL,
     ControllerConfig,
     ControllerState,
@@ -185,23 +183,19 @@ def run_phase(phase: SkillPhase, env, limits: Limits, on_tick=None) -> PhaseResu
     by priority; a command is None when inactive) and the twist.
     The phase is done when every done-capable controller reports done on
     the same tick; a phase with no done-capable controllers runs its
-    whole budget and counts as done. Controller errors propagate with
-    phase/tick context attached.
+    whole budget and counts as done. Every binding must name a grounded
+    value of the observation (SkillRunner checks them before the run).
     """
-    controllers = ([(TRANSLATIONAL, i, cfg) for i, cfg in enumerate(phase.translational)]
-                   + [(ROTATIONAL, i, cfg) for i, cfg in enumerate(phase.rotational)])
+    controllers = phase.translational + phase.rotational
     n_trans = len(phase.translational)
     states = [ControllerState()] * len(controllers)
-    done_idx = [k for k, (_, _, cfg) in enumerate(controllers) if done_capable(cfg)]
+    done_idx = [k for k, cfg in enumerate(controllers) if done_capable(cfg)]
     ticks = 0
     while ticks < phase.step_budget:
         obs = env.observe()
         outputs = []
-        for k, (cls, i, cfg) in enumerate(controllers):
-            try:
-                out, states[k] = step_controller(cfg, obs, states[k])
-            except TaskAxesError as err:
-                raise err.annotate(f"phase {phase.name!r} tick {ticks} {cls}[{i}] {cfg.kind}")
+        for k, cfg in enumerate(controllers):
+            out, states[k] = step_controller(cfg, obs, states[k])
             outputs.append(out)
         commands = project_actions(outputs[:n_trans]) + project_actions(outputs[n_trans:])
         twist = compose_twist(commands[:n_trans], commands[n_trans:], limits)
@@ -436,8 +430,6 @@ class _Parser:
                 continue
             self._expect("RPAREN", "')' or ','")
             break
-        if len(bindings) != BINDING_ARITY[kind]:
-            self._fail(f"{BINDING_ARITY[kind]} bindings for {kind}", kind_tok)
         try:
             gains = Gains(kp=params.get("kp", self.default_gains.kp),
                           kr=params.get("kr", self.default_gains.kr),
@@ -491,7 +483,7 @@ def parse_skill(text: str, default_gains: Gains = None,
 
 
 # ----------------------------------------------------------------------
-# canonical printer and JSON form
+# canonical printer
 
 
 def _fmt_number(x) -> str:
@@ -536,30 +528,3 @@ def format_skill(skill: LiftedSkill) -> str:
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def skill_to_json(skill: LiftedSkill) -> dict:
-    def controller(cfg):
-        return {
-            "kind": cfg.kind,
-            "class": cfg.control_class,
-            "bindings": list(cfg.bindings),
-            "theta": cfg.theta if isinstance(cfg.theta, float)
-            else [list(w) if isinstance(w, tuple) else w for w in cfg.theta],
-            "gains": {"kp": cfg.gains.kp, "kr": cfg.gains.kr, "kf": cfg.gains.kf},
-            "limits": {"v_max": cfg.limits.v_max, "w_max": cfg.limits.w_max},
-            "done_tol": cfg.done_tol,
-        }
-
-    steps = []
-    for step in skill.steps:
-        if isinstance(step, GraspStep):
-            steps.append({"grasp": {"role": step.role, "keypoint": step.keypoint}})
-        else:
-            steps.append({"phase": {
-                "name": step.name,
-                "budget": step.step_budget,
-                "translational": [controller(c) for c in step.translational],
-                "rotational": [controller(c) for c in step.rotational],
-            }})
-    return {"skill": skill.name, "uses": [list(u) for u in skill.uses], "steps": steps}

@@ -17,7 +17,7 @@ from taskaxes.controllers import (
     done_capable,
     step_controller,
 )
-from taskaxes.errors import ConfigError, EmptyWaypointList, UnresolvedBinding
+from taskaxes.errors import ConfigError, EmptyWaypointList
 from taskaxes.geometry import orthonormal_completion, rotvec_to_matrix
 from taskaxes.grounding import GroundedParams
 
@@ -69,13 +69,6 @@ def test_pos_align_theta_offset():
     obs = obs_with({"r.g1": (0.0, 0.0, 0.45), "o.g2": (0.0, 0.0, 0.5)})
     out, _ = step_controller(cfg, obs, ControllerState())
     assert out.done  # g2 + theta equals g1
-
-
-def test_pos_align_unresolved_binding():
-    cfg = ControllerConfig(kind=POS_ALIGN, bindings=("r.g1", "o.missing"))
-    obs = obs_with({"r.g1": (0.0, 0.0, 0.0)})
-    with pytest.raises(UnresolvedBinding):
-        step_controller(cfg, obs, ControllerState())
 
 
 def test_pos_align_error_norm_non_increasing_kinematic():

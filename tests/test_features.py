@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +338,74 @@ def test_feature_grid_file_property(tmp_path_factory, data, meta):
         for value in (0x00, 0x01, 0x7F, 0xFF):
             _read_only_file_format_errors(read_feature_grid, bad,
                                           raw[:i] + bytes([value]) + raw[i + 1:])
+
+
+# A grid stores the pixels whose components are not all +0.0, whichever
+# constructor or file it comes from; -0.0 and NaN have set bits, so a
+# pixel holding one is stored (and a NaN rejected).
+
+_ROW_FILLS = st.sampled_from(["random", "+0", "-0", "one -0", "one +0"])
+
+
+@st.composite
+def _sparse_grids(draw):
+    h, w, dim = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = rng.normal(size=(h, w, dim)).astype(np.float32)
+    rows = data.reshape(h * w, dim)
+    for k in range(h * w):
+        fill = draw(_ROW_FILLS)
+        if fill in ("+0", "-0"):
+            rows[k] = 0.0 if fill == "+0" else -0.0
+        elif fill != "random" and dim:
+            rows[k] = 0.0
+            rows[k, draw(st.integers(0, dim - 1))] = -0.0 if fill == "one -0" else 1.5
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sparse_grids())
+def test_grid_stores_exactly_the_pixels_not_all_positive_zero(tmp_path_factory, data):
+    h, w, dim = data.shape
+    stored = np.flatnonzero((data.reshape(h * w, dim).view(np.uint32) != 0).any(axis=1))
+    grid = FeatureGrid(data=data)
+    assert grid.pixels.tolist() == stored.tolist()
+    assert grid.data.tobytes() == data.tobytes()
+    path = tmp_path_factory.mktemp("sparse") / "grid.fgrd"
+    write_feature_grid(path, grid)
+    back = read_feature_grid(path)
+    assert back.pixels.tolist() == stored.tolist()
+    assert back.rows.tobytes() == grid.rows.tobytes()
+    assert back.data.tobytes() == data.tobytes()
+
+
+def test_negative_zero_pixel_survives_a_write_and_a_read(tmp_path):
+    data = np.zeros((2, 3, 4), dtype=np.float32)
+    data[0, 1] = -0.0
+    data[1, 2, 0] = -0.0
+    path = tmp_path / "negzero.fgrd"
+    write_feature_grid(path, FeatureGrid(data=data))
+    raw = path.read_bytes()
+    back = read_feature_grid(path)
+    assert back.pixels.tolist() == [1, 5]
+    assert back.data.tobytes() == data.tobytes()
+    write_feature_grid(tmp_path / "again.fgrd", back)
+    assert (tmp_path / "again.fgrd").read_bytes() == raw
+
+
+def test_dim_zero_file_of_two_billion_pixels_reads_without_allocating(tmp_path):
+    side = 46341   # side * side > 2**31
+    path = tmp_path / "dim0.fgrd"
+    path.write_bytes(b"FGRD" + struct.pack("<IIIII", 1, side, side, 0, 0))
+    tracemalloc.start()
+    try:
+        grid = read_feature_grid(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (grid.height, grid.width, grid.dim) == (side, side, 0)
+    assert grid.pixels.size == 0 and grid.rows.shape == (0, 0)
+    assert peak < 1_000_000
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,8 +3,12 @@
 A non-finite or out-of-range number in a --config, scene, spec or skill
 file stops `taskaxes run` at load (exit 2, file and key or line named,
 nothing written), as do a missing key, a value that does not cast and a
-contact probe that names no keypoint of its object. Inside the tick, frames are built unchecked, so drift of the
-integrated rotation is pinned by a property test instead.
+contact probe that names no keypoint of its object. A negative seed
+exits 2 from every command that takes one, and a skill binding that its
+role does not ground fails when the SkillRunner is built, before any
+render. Inside the tick, frames are built and bindings looked up
+unchecked, so drift of the integrated rotation is pinned by a property
+test instead.
 """
 
 import json
@@ -15,10 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskaxes import cli
+from taskaxes import cli, simulator
 from taskaxes.cli import main
-from taskaxes.controllers import Limits
-from taskaxes.errors import ConfigError, SkillSyntaxError, finite, positive
+from taskaxes.controllers import (
+    BINDING_KINDS,
+    KIND_CLASS,
+    TRANSLATIONAL,
+    ControllerConfig,
+    Limits,
+)
+from taskaxes.errors import ConfigError, SkillSyntaxError, UnresolvedBinding, finite, positive
 from taskaxes.features import (
     DepthMask,
     FeatureGrid,
@@ -27,7 +37,7 @@ from taskaxes.features import (
     write_feature_grid,
 )
 from taskaxes.geometry import CameraIntrinsics, Frame, unit
-from taskaxes.grounding import GroundingConfig
+from taskaxes.grounding import AxisSpec, GroundingConfig, GroundingSpec, KeypointRef
 from taskaxes.scenes import sample_box
 from taskaxes.simulator import (
     ContactSurface,
@@ -38,7 +48,7 @@ from taskaxes.simulator import (
     SkillRunner,
     step_sim,
 )
-from taskaxes.skill import Twist, parse_skill
+from taskaxes.skill import LiftedSkill, SkillPhase, Twist, parse_skill
 
 BAD = "__bad__"
 
@@ -545,3 +555,118 @@ def test_finite_takes_any_number_of_rows_of_a_fixed_length():
     assert finite("cloud", [], (-1, 3)).shape == (0, 3)
     with pytest.raises(ConfigError, match=r"^cloud must hold a multiple of 3 numbers, got 4$"):
         finite("cloud", [[1, 2], [3, 4]], (-1, 3))
+
+
+# ------------------------------------------------------------ skill bindings
+
+# a skill's bindings are checked against the labels their roles ground
+# when the SkillRunner is built, so the tick looks them up unchecked
+
+_SPEC = GroundingSpec(reference_image_id="ref",
+                      keypoints=[KeypointRef(object="block", label="goal", pixel=(80, 60))],
+                      axes=[AxisSpec(label="dir", kind="global", dir=(0.0, 0.0, 1.0))])
+
+# bindings every role grounds, per controller kind; r is the robot
+_GOOD_BINDINGS = {"PosAlign": ("r.pos", "o.goal"), "PosWaypoint": ("r.pos", "o.goal", "o.dir"),
+                  "AxisAlign": ("r.x", "o.dir"), "ForceAlign": ("o.dir",)}
+
+# per slot kind: a missing label, a label of the other kind, a robot
+# built-in of the other kind
+_BAD_LABELS = {"keypoints": {"missing": "o.nope", "other kind": "o.dir", "robot": "r.z"},
+               "axes": {"missing": "o.nope", "other kind": "o.goal", "robot": "r.pos"}}
+
+BINDING_CASES = [(kind, slot, case)
+                 for kind, slot_kinds in BINDING_KINDS.items()
+                 for slot in range(len(slot_kinds))
+                 for case in ("missing", "other kind", "robot")]
+
+
+def _binding_skill(kind, bindings):
+    theta = ((0.0, 0.0, 0.0),) if kind == "PosWaypoint" else None
+    cfg = ControllerConfig(kind=kind, bindings=bindings, theta=theta)
+    trans, rot = ((cfg,), ()) if KIND_CLASS[kind] == TRANSLATIONAL else ((), (cfg,))
+    phase = SkillPhase(name="reach", translational=trans, rotational=rot, step_budget=5)
+    return LiftedSkill(name="s", uses=(("r", "robot"), ("o", "o.json")), steps=(phase,))
+
+
+@pytest.mark.parametrize("kind, slot, case", BINDING_CASES,
+                         ids=[f"{k}[{s}]-{c}" for k, s, c in BINDING_CASES])
+def test_bad_binding_raises_before_any_render(monkeypatch, kind, slot, case):
+    def render(*args, **kwargs):
+        raise AssertionError("rendered before the bindings were checked")
+
+    monkeypatch.setattr(simulator, "render_synthetic_features", render)
+    scene = Scene(objects=[], intrinsics=INTR)
+    SkillRunner(_binding_skill(kind, _GOOD_BINDINGS[kind]), scene, {"o": _SPEC})
+    slot_kind = BINDING_KINDS[kind][slot]
+    label = _BAD_LABELS[slot_kind][case]
+    bindings = list(_GOOD_BINDINGS[kind])
+    bindings[slot] = label
+    with pytest.raises(UnresolvedBinding) as err:
+        SkillRunner(_binding_skill(kind, tuple(bindings)), scene, {"o": _SPEC})
+    cls = KIND_CLASS[kind]
+    assert str(err.value) == (f"phase 'reach' {cls}[0] {kind}: binding {label!r} "
+                              f"is none of the grounded {slot_kind}")
+
+
+@pytest.fixture(scope="module")
+def pour_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("pour")
+    assert main(["gen", "--task", "pour", "--out", str(out)]) == 0
+    return out
+
+
+def test_misspelt_binding_exits_2_before_anything_is_written(pour_bundle, tmp_path,
+                                                              capsys):
+    work = tmp_path / "bundle"
+    shutil.copytree(pour_bundle, work)
+    skill = work / "pour.skill"
+    assert "bowl.center_pos" in skill.read_text()
+    skill.write_text(skill.read_text().replace("bowl.center_pos", "bowl.centre_pos"))
+    out = tmp_path / "out"
+    assert main(["run", "--skill", str(skill), "--scene", str(work / "scene.json"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: phase 'move' translational[0] PosAlign: binding 'bowl.centre_pos'" in err
+    assert "none of the grounded keypoints" in err
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
+# ------------------------------------------------------------------- seeds
+
+
+def test_negative_seed_exits_2_naming_it(bundle, pour_bundle, tmp_path, capsys):
+    out = tmp_path / "validate"
+    assert main(["validate", "--trials", "1", "--seed", "-3", "--out", str(out)]) == 2
+    assert "error: seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not (out / "stats.json").exists()
+
+    out = tmp_path / "run"
+    assert main(["run", "--skill", str(pour_bundle / "pour.skill"),
+                 "--scene", str(pour_bundle / "scene.json"), "--seed", "-2",
+                 "--out", str(out)]) == 2
+    assert "error: seed must be >= 0, got -2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+    out = tmp_path / "gen"
+    assert main(["gen", "--task", "pour", "--seed", "-1", "--out", str(out)]) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+    code, path, out = _run_edited(bundle, tmp_path, "scene.json",
+                                  lambda s: s["features"].update(seed=-1), "NaN")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and "features.seed" in err
+    assert "seed must be >= 0, got -1" in err
+    assert list(out.iterdir()) == []
+
+
+def test_run_has_no_log_flag_and_old_manifests_still_parse(bundle, tmp_path, capsys):
+    assert _run(bundle, tmp_path / "out", "--log", "result.json") == 1
+    assert "unrecognized arguments: --log" in capsys.readouterr().err
+    # a manifest recorded while the flag existed still parses for replay
+    flags = {"skill": "s.skill", "scene": "scene.json", "seed": None, "log": None,
+             "config": None}
+    recorded = cli._recorded_flags("run", flags, str(tmp_path / "r"))
+    assert "log" not in recorded and recorded["skill"] == "s.skill"

@@ -38,7 +38,6 @@ from taskaxes.skill import (
     project_actions,
     project_axes,
     run_phase,
-    skill_to_json,
 )
 
 
@@ -384,14 +383,6 @@ def test_format_parse_roundtrip_randomized():
 def test_parse_format_parse_idempotent_on_source():
     first = parse_skill(SCRAPE_ALIGN_LISTING)
     assert parse_skill(format_skill(first)) == first
-
-
-def test_skill_to_json_structure():
-    data = skill_to_json(parse_skill(SCRAPE_ALIGN_LISTING))
-    assert data["skill"] == "scraping_alignment"
-    phase = data["steps"][0]["phase"]
-    assert len(phase["rotational"]) == 2 and len(phase["translational"]) == 1
-    assert phase["rotational"][0]["theta"] == [0.0, 0.0, 45.0]
 
 
 # ------------------------------------------------------------- run_phase
