@@ -39,7 +39,6 @@ from .geometry import (
     CameraIntrinsics,
     Frame,
     deproject_pixel,
-    orthonormal_completion,
     project_point,
     rotation_between_axes,
 )

@@ -61,6 +61,11 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+# input file flags; a manifest records them and its inputs relative to itself
+_PATH_FLAGS = ("skill", "scene", "config", "ref", "target", "depth", "keypoints",
+               "spec", "intr", "cloud")
+
+
 def _write_manifest(out_dir, command, flags, inputs):
     outputs = {}
     for name in sorted(os.listdir(out_dir)):
@@ -72,8 +77,9 @@ def _write_manifest(out_dir, command, flags, inputs):
     manifest = {
         "artifact_version": __version__,
         "command": command,
-        "flags": flags,
-        "inputs": {os.path.abspath(p): _sha256(p) for p in sorted(set(inputs))},
+        "flags": {k: os.path.relpath(v, out_dir) if k in _PATH_FLAGS and v else v
+                  for k, v in flags.items() if k not in ("command", "out")},
+        "inputs": {os.path.relpath(p, out_dir): _sha256(p) for p in inputs},
         "outputs": outputs,
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
@@ -201,8 +207,11 @@ def cmd_run(flags, out_dir):
         specs[role] = _from_file(spec_path, spec_from_json)
         inputs.append(spec_path)
 
-    runner = SkillRunner(skill, scene, specs, ref_scene=ref_scene, config=cfg,
-                         feature_files=feature_files)
+    try:
+        runner = SkillRunner(skill, scene, specs, ref_scene=ref_scene, config=cfg,
+                             feature_files=feature_files)
+    except TaskAxesError as err:
+        raise err.annotate(skill_path) from None
     # grounding here, not inside run(), lets a grounding error exit 2 before
     # any output is written; run() would report it as a failed run (exit 3)
     runner.ground_all()
@@ -218,20 +227,19 @@ def cmd_run(flags, out_dir):
 
 
 def cmd_validate(flags, out_dir):
+    def stats_at(sigma):
+        return run_validation(flags["trials"], noise_sigma=sigma, mode=flags["mode"],
+                              temperature=flags["temp"], seed=flags["seed"])
+
     if flags.get("noise_sweep"):
         try:
             sigmas = [float(s) for s in flags["noise_sweep"].split(",") if s.strip()]
         except ValueError:
             raise ConfigError(f"--noise-sweep must be comma-separated numbers, "
                               f"got {flags['noise_sweep']!r}") from None
-        stats = {"sweep": [run_validation(flags["trials"], noise_sigma=s,
-                                          mode=flags["mode"],
-                                          temperature=flags["temp"],
-                                          seed=flags["seed"]) for s in sigmas]}
+        stats = {"sweep": [stats_at(s) for s in sigmas]}
     else:
-        stats = run_validation(flags["trials"], noise_sigma=flags["noise"],
-                               mode=flags["mode"], temperature=flags["temp"],
-                               seed=flags["seed"])
+        stats = stats_at(flags["noise"])
     write_json(os.path.join(out_dir, "stats.json"), stats)
     return 0, []
 
@@ -276,13 +284,17 @@ def cmd_replay(flags, out_dir):
     if not isinstance(command, str) or command not in _COMMANDS:
         raise FileFormatError(f"manifest names unknown command {command!r}")
     recorded = _recorded_flags(command, manifest["flags"], out_dir)
-    for path, digest in manifest.get("inputs", {}).items():
+    base = os.path.dirname(flags["manifest"])
+    recorded = {k: os.path.join(base, v) if k in _PATH_FLAGS and v else v
+                for k, v in recorded.items()}
+    for name, digest in manifest.get("inputs", {}).items():
+        path = os.path.join(base, name)
         if not os.path.isfile(path):
             raise FileFormatError(f"manifest input missing: {path}")
         if _sha256(path) != digest:
             raise FileFormatError(f"manifest input changed since recording: {path}")
     code, inputs = _COMMANDS[command](recorded, out_dir)
-    _write_manifest(out_dir, command, manifest["flags"], inputs)
+    _write_manifest(out_dir, command, recorded, inputs)
     return code, [flags["manifest"]]
 
 
@@ -375,7 +387,7 @@ def main(argv=None) -> int:
     except SystemExit:
         # argparse exits for --help; treat that as success
         return 0
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    flags = vars(args)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     handler = cmd_replay if args.command == "replay" else _COMMANDS[args.command]

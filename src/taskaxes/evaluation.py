@@ -13,15 +13,14 @@ orientation convention is a determinism device, not a semantic claim.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigError, TaskAxesError
 from .features import DepthMask, FeatureGrid, MatchConfig, add_noise, window_pixels
-from .geometry import CameraIntrinsics, Frame, angle_between
+from .geometry import CameraIntrinsics, angle_between
 from .grounding import (
     AXIS_EDGE_DIRECTION,
     AXIS_FROM_KEYPOINTS,
@@ -33,13 +32,28 @@ from .grounding import (
     axis_from_keypoints,
     ground_spec,
 )
-from .scenes import make_grounding_spec, sample_box, sample_cylinder, snap_to_cloud
-from .simulator import FeatureRenderConfig, Scene, SceneObject, render_synthetic_features
+from .scenes import make_grounding_spec, object_from_json
+from .simulator import FeatureRenderConfig, Scene, render_synthetic_features
 
 _INTR = CameraIntrinsics(fx=680.0, fy=680.0, cx=320.0, cy=240.0, width=640, height=480)
 _FEATURES = FeatureRenderConfig(seed=11)
 
-_REF_POSES = {"paddle": ((-0.07, 0.0, 0.44), 0.0), "dish": ((0.085, 0.0, 0.44), 0.0)}
+# the validation objects, described as scenes.py describes the demo ones
+_OBJECTS = {
+    "paddle": {"primitive": {"type": "box", "size": [0.20, 0.03, 0.012], "spacing": 0.0005},
+               "keypoints": {"tip_pos": [0.085, 0.0, -0.006],
+                             "tail_pos": [-0.085, 0.0, -0.006],
+                             "side_pos": [0.0, 0.012, -0.006]}},
+    "dish": {"primitive": {"type": "cylinder", "radius": 0.06, "height": 0.015,
+                           "spacing": 0.0005},
+             "keypoints": {"center_pos": [0.0, 0.0, -0.0075],
+                           "rim_pos": [0.052, 0.0, -0.0075]}},
+}
+# their clouds and snapped keypoints, sampled once per process
+_MEMO = {}
+
+_REF_POSES = {"paddle": ((-0.07, 0.0, 0.44), (0.0, 0.0, 0.0)),
+              "dish": ((0.085, 0.0, 0.44), (0.0, 0.0, 0.0))}
 
 # local axes the grounded ones are judged against, per axis label
 _TRUE_LOCAL = {
@@ -50,51 +64,23 @@ _TRUE_LOCAL = {
 }
 
 
-@dataclass
-class _Geometry:
-    cloud: np.ndarray
-    keypoints: dict
-
-
-@functools.cache
-def _build_geometry():
-    paddle_cloud = sample_box(0.20, 0.03, 0.012, 0.0005)
-    paddle_kp = {
-        "tip_pos": snap_to_cloud((0.085, 0.0, -0.006), paddle_cloud),
-        "tail_pos": snap_to_cloud((-0.085, 0.0, -0.006), paddle_cloud),
-        "side_pos": snap_to_cloud((0.0, 0.012, -0.006), paddle_cloud),
-    }
-    dish_cloud = sample_cylinder(0.06, 0.015, 0.0005)
-    dish_kp = {
-        "center_pos": snap_to_cloud((0.0, 0.0, -0.0075), dish_cloud),
-        "rim_pos": snap_to_cloud((0.052, 0.0, -0.0075), dish_cloud),
-    }
-    return {"paddle": _Geometry(paddle_cloud, paddle_kp),
-            "dish": _Geometry(dish_cloud, dish_kp)}
-
-
 def _make_scene(poses, features: FeatureRenderConfig) -> Scene:
-    geo = _build_geometry()
-    objects = [SceneObject(name=name, pose=pose, cloud=geo[name].cloud,
-                           truth_keypoints=geo[name].keypoints)
-               for name, pose in poses.items()]
+    """The validation objects at `poses`, name -> (origin, rpy_deg)."""
+    objects = [object_from_json({"name": name, "pose": {"origin": origin, "rpy_deg": rpy},
+                                 **_OBJECTS[name]}, memo=_MEMO)
+               for name, (origin, rpy) in poses.items()]
     return Scene(objects=objects, intrinsics=_INTR, features=features)
 
 
 def reference_scene() -> Scene:
-    poses = {name: Frame.from_rpy_deg(origin, (0.0, 0.0, yaw))
-             for name, (origin, yaw) in _REF_POSES.items()}
-    return _make_scene(poses, replace(_FEATURES))
+    return _make_scene(_REF_POSES, replace(_FEATURES))
 
 
 def validation_spec() -> GroundingSpec:
     scene = reference_scene()
-    keypoints = []
-    for obj_name, labels in (("paddle", ("tip_pos", "tail_pos", "side_pos")),
-                             ("dish", ("center_pos", "rim_pos"))):
-        sub = make_grounding_spec(scene, obj_name, labels, [],
-                                  reference_image_id="validation")
-        keypoints.extend(sub.keypoints)
+    keypoints = [kp for name, obj in _OBJECTS.items()
+                 for kp in make_grounding_spec(scene, name, obj["keypoints"], [],
+                                               reference_image_id="validation").keypoints]
     axes = [
         AxisSpec(label="main_dir", kind=AXIS_FROM_KEYPOINTS, a="tip_pos", b="tail_pos"),
         AxisSpec(label="edge_dir", kind=AXIS_EDGE_DIRECTION, at="side_pos"),
@@ -106,18 +92,17 @@ def validation_spec() -> GroundingSpec:
 
 
 def _draw_poses(rng) -> dict:
+    """Object name -> (origin, rpy_deg) of two objects at least 17 cm apart."""
     for _ in range(200):
         poses = {}
-        centers = {}
         for name, x_range, y_range in (("paddle", (-0.095, -0.04), (-0.04, 0.04)),
                                        ("dish", (0.05, 0.12), (-0.05, 0.05))):
             origin = np.array([rng.uniform(*x_range), rng.uniform(*y_range),
                                rng.uniform(0.425, 0.455)])
             rpy = (rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0),
                    rng.uniform(-40.0, 40.0))
-            poses[name] = Frame.from_rpy_deg(origin, rpy)
-            centers[name] = origin[:2]
-        if np.linalg.norm(centers["paddle"] - centers["dish"]) >= 0.17:
+            poses[name] = (origin, rpy)
+        if np.linalg.norm(poses["paddle"][0][:2] - poses["dish"][0][:2]) >= 0.17:
             return poses
     raise RuntimeError("could not draw non-overlapping object poses")
 
@@ -138,13 +123,6 @@ def _with_noise(grid: FeatureGrid, mask: DepthMask, sigma, rng) -> FeatureGrid:
     rows[hit] = noisy
     return FeatureGrid.from_rows(grid.height, grid.width, grid.pixels, rows,
                                  grid.dtype, dict(grid.meta))
-
-
-def _axis_error_deg(grounded, truth, metric) -> float:
-    ang = math.degrees(angle_between(grounded, truth))
-    if metric == "line":
-        return min(ang, 180.0 - ang)
-    return ang
 
 
 def quantization_bound_m(max_depth=0.46) -> float:
@@ -188,7 +166,6 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
                          _INTR.height, cfg.match.window_radius)
     ref_grid_clean, ref_depth = render_synthetic_features(reference_scene(),
                                                           pixels=read)
-    geo = _build_geometry()
 
     owner = {kp.label: kp.object for kp in spec.keypoints}
     kp_errors = []
@@ -196,10 +173,8 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
     failures = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
-        poses = _draw_poses(rng)
-        scene = _make_scene(poses, features)
-        tgt_grid, tgt_depth = render_synthetic_features(scene,
-                                                        noise_tag=2 * trial + 1)
+        scene = _make_scene(_draw_poses(rng), features)
+        tgt_grid, tgt_depth = render_synthetic_features(scene, noise_tag=2 * trial + 1)
         ref_grid = _with_noise(ref_grid_clean, ref_depth, noise_sigma,
                                np.random.default_rng(
                                    np.random.SeedSequence([seed, trial, 5])))
@@ -210,7 +185,7 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
             failures += 1
             continue
 
-        truth_kp = {label: poses[owner[label]].apply(geo[owner[label]].keypoints[label])
+        truth_kp = {label: scene.find(owner[label]).world_keypoint(label)
                     for label in grounded.keypoints}
         for label, pos in grounded.keypoints.items():
             kp_errors.append(float(np.linalg.norm(pos - truth_kp[label])))
@@ -222,13 +197,14 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
             elif obj is None:
                 truth = local
             else:
-                truth = poses[obj].apply_dir(local)
-            axis_errors[label].append(_axis_error_deg(direction, truth, metric))
+                truth = scene.find(obj).pose.apply_dir(local)
+            ang = math.degrees(angle_between(direction, truth))
+            axis_errors[label].append(min(ang, 180.0 - ang) if metric == "line" else ang)
 
-    def summarize(values, scale=1.0):
+    def summarize(values):
         if not values:
             return {"count": 0}
-        arr = np.asarray(values) * scale
+        arr = np.asarray(values)
         return {"count": int(arr.size), "median": float(np.median(arr)),
                 "mean": float(arr.mean()), "p90": float(np.percentile(arr, 90)),
                 "max": float(arr.max())}

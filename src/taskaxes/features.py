@@ -133,25 +133,9 @@ class SimilarityMap:
     (v * width + u) and their `candidate_scores`, which the matchers read.
     Every other pixel is invalid and scores zero."""
 
-    def __init__(self, score, valid):
-        """Map of a dense (height, width) `score` array and the `valid`
-        candidate mask; only the valid pixels' scores are kept."""
-        score = np.asarray(score)
-        if score.ndim != 2 or np.shape(valid) != score.shape:
-            raise ConfigError("similarity map needs 2D score and valid arrays of one shape")
-        self.height, self.width = score.shape
-        self.candidates = np.flatnonzero(valid)
-        self.candidate_scores = score.reshape(-1)[self.candidates]
-
-    @classmethod
-    def from_candidates(cls, height, width, candidates,
-                        candidate_scores) -> "SimilarityMap":
-        """Map of the `candidate_scores` at the ascending flat indices
-        `candidates` of a height x width image."""
-        sim = cls.__new__(cls)
-        sim.height, sim.width = height, width
-        sim.candidates, sim.candidate_scores = candidates, candidate_scores
-        return sim
+    def __init__(self, height, width, candidates, candidate_scores):
+        self.height, self.width = height, width
+        self.candidates, self.candidate_scores = candidates, candidate_scores
 
     @property
     def score(self) -> np.ndarray:
@@ -277,7 +261,7 @@ def cosine_map(ref_desc, target: FeatureGrid, mask: DepthMask) -> SimilarityMap:
     if ref_norm <= 0:
         raise ZeroReferenceDescriptor("reference descriptor has zero norm")
     scores = (rows @ ref) / (norms * ref_norm)
-    return SimilarityMap.from_candidates(mask.height, mask.width, idx, scores)
+    return SimilarityMap(mask.height, mask.width, idx, scores)
 
 
 def hard_match(sim: SimilarityMap) -> PixelMatch:

@@ -86,10 +86,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ConfigError("principal point must lie inside the image")
 
-    def to_json(self):
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "width": self.width, "height": self.height}
-
     @classmethod
     def from_json(cls, data, prefix=""):
         """Intrinsics of a JSON object; an error names the key after `prefix`."""
@@ -145,10 +141,6 @@ class Frame:
         frame.origin, frame.rotation = origin, rotation
         return frame
 
-    @staticmethod
-    def identity() -> "Frame":
-        return Frame._trusted(np.zeros(3), np.eye(3))
-
     @classmethod
     def from_rpy_deg(cls, origin, rpy_deg) -> "Frame":
         r, p, y = (math.radians(a) for a in finite("rpy_deg", rpy_deg, (3,)))
@@ -181,22 +173,16 @@ def cross3(a, b) -> np.ndarray:
 
 
 def completion_matrix(z) -> np.ndarray:
-    """Rotation matrix of orthonormal_completion(z), without building
-    and validating a Frame (the columns are orthonormal by construction)."""
+    """Deterministic right-handed rotation whose third column equals unit z.
+
+    Seed vector is world X unless |z . X| > 0.9, in which case world Y;
+    the fixed rule makes the output reproducible for regression tests.
+    """
     z = np.asarray(z, dtype=np.float64)
     seed = WORLD_X if abs(float(z @ WORLD_X)) <= 0.9 else WORLD_Y
     x = seed - float(seed @ z) * z
     x = x / norm3(x)
     return np.column_stack([x, cross3(z, x), z])
-
-
-def orthonormal_completion(z) -> Frame:
-    """Deterministic right-handed frame whose third column equals unit z.
-
-    Seed vector is world X unless |z . X| > 0.9, in which case world Y;
-    the fixed rule makes the output reproducible for regression tests.
-    """
-    return Frame._trusted(np.zeros(3), completion_matrix(z))
 
 
 def rotation_between_axes(a, b) -> np.ndarray:

@@ -238,12 +238,13 @@ def config_from_json(base, data, prefix=""):
     if data:
         raise FileFormatError("unknown key "
                               + ", ".join(repr(prefix + k) for k in sorted(data)))
-    try:
-        return dataclasses.replace(base, **changes)
-    except ConfigError as err:
-        # the class checks its values together, so name every one set here
-        keys = [prefix + k for k, v in changes.items() if not dataclasses.is_dataclass(v)]
-        raise err.annotate(", ".join(keys)) from None
+    # each class checks its fields one by one, so one value at a time names the key
+    for key, value in changes.items():
+        try:
+            base = dataclasses.replace(base, **{key: value})
+        except ConfigError as err:
+            raise err.annotate(prefix + key) from None
+    return base
 
 
 def scene_from_json(data: dict, base_dir=".", memo=None):
@@ -341,11 +342,6 @@ def make_grounding_spec(ref_scene: Scene, object_name: str, keypoint_labels,
 # demo task scenes
 
 
-def _intrinsics_json():
-    return {"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0,
-            "width": 640, "height": 480}
-
-
 def _desk_json():
     return {"name": "desk",
             "pose": {"origin": [0.0, 0.0, DESK_Z], "rpy_deg": [0.0, 0.0, 0.0]},
@@ -355,7 +351,8 @@ def _desk_json():
 
 def _base_scene_json(objects, seed):
     return {
-        "intrinsics": _intrinsics_json(),
+        "intrinsics": {"fx": 600.0, "fy": 600.0, "cx": 320.0, "cy": 240.0,
+                       "width": 640, "height": 480},
         "ee_start": {"origin": list(EE_START_ORIGIN), "rpy_deg": list(EE_START_RPY_DEG)},
         "features": dataclasses.asdict(FeatureRenderConfig(seed=seed)),
         "objects": objects,
@@ -495,9 +492,7 @@ def build_task(task: str, seed: int = TASK_SEED):
 
 def load_skill_text(task: str) -> str:
     here = os.path.dirname(os.path.abspath(__file__))
-    path = os.path.join(here, "data", "skills", f"{task}.skill")
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    return read_text(os.path.join(here, "data", "skills", f"{task}.skill"))
 
 
 def write_task_bundle(task: str, out_dir: str, seed: int = TASK_SEED):

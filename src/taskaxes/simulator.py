@@ -291,14 +291,20 @@ def step_sim(state: SimState, twist: Twist, scene: Scene) -> SimState:
                     _contact_force(scene, state, probe_world), state.t + 1, state.dt)
 
 
-def grasp(state: SimState, scene: Scene, object_name: str, keypoint: str,
-          tol: float = RunConfig.grasp_tol) -> SimState:
-    """Rigidly attach an object when the gripper is at its grasp keypoint."""
+def _graspable(scene: Scene, object_name: str, keypoint: str) -> SceneObject:
+    """The scene's object `object_name`, which must be graspable at `keypoint`."""
     obj = scene.find(object_name)
     if not obj.graspable:
         raise ConfigError(f"object {object_name!r} is not graspable")
     if keypoint not in obj.truth_keypoints:
         raise ConfigError(f"object {object_name!r} has no keypoint {keypoint!r}")
+    return obj
+
+
+def grasp(state: SimState, scene: Scene, object_name: str, keypoint: str,
+          tol: float = RunConfig.grasp_tol) -> SimState:
+    """Rigidly attach an object when the gripper is at its grasp keypoint."""
+    obj = _graspable(scene, object_name, keypoint)
     target = obj.world_keypoint(keypoint)
     distance = float(np.linalg.norm(state.ee.origin - target))
     if distance > tol:
@@ -537,9 +543,6 @@ class SimLog:
             self._records = [json.loads(line) for line, _ in self._lines()]
         return self._records
 
-    def to_jsonl(self) -> str:
-        return "".join(line for line, _ in self._lines())
-
     def write(self, path, csv_path):
         """Write the JSON lines to `path` and the trajectory CSV (t, ee
         origin, twist v and w, contact force) to `csv_path`."""
@@ -572,10 +575,12 @@ class RunResult:
 
 
 def _check_skill(skill: LiftedSkill, scene: Scene, specs: dict, cfg: RunConfig):
-    """Each role's spec, the forward-Euler gain bounds, and that each
-    binding names a value its role grounds: a keypoint or axis of a spec
-    role's spec (ground_spec grounds them all or raises) or a robot role's
-    built-in. Violations are config errors, raised before any render."""
+    """Each role's spec, the forward-Euler gain bounds, that each binding
+    names a value its role grounds: a keypoint or axis of a spec role's
+    spec (ground_spec grounds them all or raises) or a robot role's
+    built-in, and that each grasp step's role is one graspable object of
+    the scene with the step's keypoint. Violations are config errors,
+    raised before any render."""
     grounds = {"keypoints": set(), "axes": set()}
     for role, src in skill.uses:
         if src == ROBOT_ROLE_SOURCE:
@@ -587,6 +592,18 @@ def _check_skill(skill: LiftedSkill, scene: Scene, specs: dict, cfg: RunConfig):
             axes = [ax.label for ax in specs[role].axes]
         grounds["keypoints"].update(f"{role}.{label}" for label in keypoints)
         grounds["axes"].update(f"{role}.{label}" for label in axes)
+    for step in skill.steps:
+        if not isinstance(step, GraspStep):
+            continue
+        source = dict(skill.uses).get(step.role)
+        if source is None:
+            raise ConfigError(f"grasp role {step.role!r} is not declared with 'uses'")
+        if source == ROBOT_ROLE_SOURCE:
+            raise ConfigError(f"role {step.role!r} is the robot, it cannot be grasped")
+        names = specs[step.role].object_names
+        if len(names) != 1:
+            raise ConfigError(f"role {step.role!r} spans objects {names}, expected one")
+        _graspable(scene, names[0], step.keypoint)
     max_k = max((s.stiffness for obj in scene.objects for s in obj.surfaces),
                 default=0.0)
     for phase in skill.phases:
@@ -679,14 +696,6 @@ class SkillRunner:
 
     # -- execution
 
-    def _role_object(self, role) -> str:
-        if role in self.robot_roles:
-            raise ConfigError(f"role {role!r} is the robot, it cannot be grasped")
-        names = self.specs[role].object_names
-        if len(names) != 1:
-            raise ConfigError(f"role {role!r} spans objects {names}, expected one")
-        return names[0]
-
     def run(self) -> RunResult:
         error = None
         phases = []
@@ -694,7 +703,8 @@ class SkillRunner:
             self.ground_all()
             for step in self.skill.steps:
                 if isinstance(step, GraspStep):
-                    obj_name = self._role_object(step.role)
+                    # _check_skill made the role's spec span one object
+                    obj_name = self.specs[step.role].object_names[0]
                     self.state = grasp(self.state, self.scene, obj_name,
                                        step.keypoint, tol=self.config.grasp_tol)
                     self.anchors.attach_role(step.role, self.state.ee)

@@ -90,10 +90,6 @@ class LiftedSkill:
     def phases(self):
         return tuple(s for s in self.steps if isinstance(s, SkillPhase))
 
-    @property
-    def roles(self):
-        return dict(self.uses)
-
 
 # ----------------------------------------------------------------------
 # null-space priority projection

@@ -25,7 +25,7 @@ from taskaxes.controllers import (
 from taskaxes.errors import SkillSyntaxError
 from taskaxes.evaluation import run_validation
 from taskaxes.features import SimilarityMap, hard_match, soft_match
-from taskaxes.geometry import angle_between, orthonormal_completion, rotvec_to_matrix
+from taskaxes.geometry import angle_between, completion_matrix, rotvec_to_matrix
 from taskaxes.grounding import GroundedParams
 from taskaxes.scenes import build_task, scene_from_json
 from taskaxes.simulator import SkillRunner
@@ -41,6 +41,12 @@ def _announce(n, message):
 def _unit(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def _dense_map(score, valid):
+    """SimilarityMap of a dense score array at its valid pixels."""
+    idx = np.flatnonzero(valid)
+    return SimilarityMap(*score.shape, idx, score.reshape(-1)[idx])
 
 
 def _run_task(task):
@@ -86,7 +92,7 @@ def test_criterion_2_matching_oracle_equivalence():
         valid = rng.random((h, w)) < 0.85
         if not valid.any():
             valid[rng.integers(h), rng.integers(w)] = True
-        sim = SimilarityMap(score=score, valid=valid)
+        sim = _dense_map(score, valid)
         best = None
         for v in range(h):
             for u in range(w):
@@ -99,13 +105,13 @@ def test_criterion_2_matching_oracle_equivalence():
         flat = np.where(valid, score, -np.inf)
         v0, u0 = np.unravel_index(np.argmax(flat), flat.shape)
         score[v0, u0] = flat.max() + 0.05 + float(rng.uniform(0.0, 0.1))
-        sim = SimilarityMap(score=score, valid=valid)
+        sim = _dense_map(score, valid)
         hard = hard_match(sim)
         soft = soft_match(sim, temperature=1e-4)
         assert np.hypot(soft.u - hard.u, soft.v - hard.v) < 0.5
         cold_checked += 1
 
-        shifted = soft_match(SimilarityMap(score=score + 0.61, valid=valid),
+        shifted = soft_match(_dense_map(score + 0.61, valid),
                              temperature=1e-4)
         assert abs(shifted.u - soft.u) < 1e-9 and abs(shifted.v - soft.v) < 1e-9
     elapsed = time.perf_counter() - start
@@ -173,7 +179,7 @@ def test_criterion_4_scraping_end_to_end():
 
     g0 = scrape[0]["grounded"]
     base = np.array(g0["keypoints"]["pan.scrape_pos"])
-    frame = orthonormal_completion(np.array(g0["axes"]["pan.scrape_dir"])).rotation
+    frame = completion_matrix(np.array(g0["axes"]["pan.scrape_dir"]))
     visit_t = []
     for off in ((0, 0, 0), (0, 0, 0.02), (0, 0, 0.04)):
         wp = base + frame @ np.array(off, dtype=float)

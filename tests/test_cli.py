@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -43,7 +44,7 @@ def feature_files(tmp_path_factory):
     with open(out / "spec.json", "w") as fh:
         json.dump(spec_to_json(bundle["specs"]["spatula"]), fh)
     with open(out / "intr.json", "w") as fh:
-        json.dump(run_scene.intrinsics.to_json(), fh)
+        json.dump(dataclasses.asdict(run_scene.intrinsics), fh)
     keypoints = [{"object": kp.object, "label": kp.label,
                   "pixel": list(kp.pixel)}
                  for kp in bundle["specs"]["spatula"].keypoints]
@@ -287,6 +288,33 @@ def test_replay_reproduces_match_outputs(feature_files, tmp_path):
         assert sha(out2 / name) == digest
 
 
+def test_replay_runs_the_inputs_its_manifest_verified(tmp_path, monkeypatch):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+    monkeypatch.chdir(a)
+    assert main(["gen", "--task", "pour", "--out", "bundle"]) == 0
+    assert main(["run", "--skill", "bundle/pour.skill", "--scene", "bundle/scene.json",
+                 "--out", "out"]) == 0
+    manifest = read_json(a / "out" / "manifest.json")
+    assert manifest["flags"]["skill"] == "../bundle/pour.skill"
+    assert "../bundle/pour.skill" in manifest["inputs"]
+    # the same relative paths from another directory name another skill
+    shutil.copytree(a / "bundle", b / "bundle")
+    skill = b / "bundle" / "pour.skill"
+    skill.write_text(skill.read_text().replace("budget=1400", "budget=3"))
+    monkeypatch.chdir(b)
+    assert main(["replay", "--manifest", "../a/out/manifest.json", "--out", "out"]) == 0
+    replayed = read_json(b / "out" / "manifest.json")
+    assert replayed["outputs"] == manifest["outputs"]
+    for name, digest in manifest["outputs"].items():
+        assert sha(b / "out" / name) == digest
+    # the replayed manifest is relative to its own directory
+    assert replayed["flags"]["skill"] == "../../a/bundle/pour.skill"
+    assert replayed["inputs"] == {f"../../a/{name[3:]}": digest
+                                  for name, digest in manifest["inputs"].items()}
+
+
 def test_replay_detects_modified_input(feature_files, tmp_path, scrape_dir):
     out1 = tmp_path / "r1"
     assert main(["validate", "--trials", "1", "--out", str(out1)]) == 0
@@ -314,7 +342,9 @@ def test_cmd_run_config_presets_gains_and_dt(scrape_dir, tmp_path):
     result = read_json(out / "result.json")
     assert result["success"] is True
     manifest = read_json(out / "manifest.json")
-    assert str(config) in "".join(manifest["inputs"])
+    # recorded relative to the manifest's directory
+    assert manifest["flags"]["config"] == "../config.json"
+    assert "../config.json" in manifest["inputs"]
 
 
 def _run_scrape(scrape_dir, out, *extra):

@@ -42,6 +42,12 @@ from taskaxes.simulator import (
 TEMPERATURES = (1e-4, 0.01, 0.5)
 
 
+def _dense_map(score, valid):
+    """SimilarityMap of a dense score array at its valid pixels."""
+    idx = np.flatnonzero(valid)
+    return SimilarityMap(*score.shape, idx, score.reshape(-1)[idx])
+
+
 def _full_hard(sim):
     """hard_match as written before: argmax over the masked full map."""
     if not sim.valid.any():
@@ -98,7 +104,7 @@ def hand_built_maps(draw):
         valid = np.zeros((h, w), dtype=bool)
         if cover == "one":
             valid[rng.integers(h), rng.integers(w)] = True
-    return SimilarityMap(score=score, valid=valid)
+    return _dense_map(score, valid)
 
 
 @settings(max_examples=300, deadline=None)
@@ -115,7 +121,7 @@ def test_hard_match_never_returns_an_invalid_pixel():
     score[0, 0] = 5.0
     valid = np.zeros((2, 3), dtype=bool)
     valid[1, 2] = True
-    m = hard_match(SimilarityMap(score=score, valid=valid))
+    m = hard_match(_dense_map(score, valid))
     assert (m.u, m.v, m.peak_score) == (2.0, 1.0, -np.inf)
 
 
@@ -142,7 +148,7 @@ cosine_maps = cosine_inputs().map(lambda case: cosine_map(*case))
 @settings(max_examples=300, deadline=None)
 @given(cosine_maps, st.sampled_from(TEMPERATURES))
 def test_cosine_map_candidates_match_full_map(sim, temperature):
-    rebuilt = SimilarityMap(score=sim.score, valid=sim.valid)
+    rebuilt = _dense_map(sim.score, sim.valid)
     assert np.array_equal(sim.candidates, rebuilt.candidates)
     assert np.array_equal(sim.candidate_scores, rebuilt.candidate_scores)
     _assert_matches_equal(sim, temperature)
@@ -184,25 +190,10 @@ def test_compact_map_reads_as_the_scattered_dense_map(case):
     _assert_same_array(sim.valid, valid)
 
 
-def test_dense_constructor_keeps_only_the_valid_scores():
-    score = np.array([[0.5, -0.25, 0.75], [0.1, 0.2, -0.9]])
-    valid = np.array([[True, False, True], [False, False, True]])
-    sim = SimilarityMap(score=score, valid=valid)
-    assert (sim.height, sim.width) == (2, 3)
-    assert sim.candidates.tolist() == [0, 2, 5]
-    assert sim.candidate_scores.tolist() == [0.5, 0.75, -0.9]
-    _assert_same_array(sim.valid, valid)
-    _assert_same_array(sim.score, np.where(valid, score, 0.0))
-    same = SimilarityMap.from_candidates(2, 3, sim.candidates, sim.candidate_scores)
-    _assert_same_array(same.score, sim.score)
-    _assert_same_array(same.valid, sim.valid)
-
-
-@pytest.mark.parametrize("score, valid", [(np.zeros(4), np.ones(4, dtype=bool)),
-                                          (np.zeros((2, 2)), np.ones((2, 3), dtype=bool))])
-def test_dense_constructor_rejects_arrays_that_are_not_one_2d_shape(score, valid):
-    with pytest.raises(ConfigError, match="similarity map needs 2D"):
-        SimilarityMap(score=score, valid=valid)
+def test_candidate_map_reads_as_its_dense_arrays():
+    sim = SimilarityMap(2, 3, np.array([0, 2, 5]), np.array([0.5, 0.75, -0.9]))
+    _assert_same_array(sim.valid, np.array([[True, False, True], [False, False, True]]))
+    _assert_same_array(sim.score, np.array([[0.5, 0.0, 0.75], [0.0, 0.0, -0.9]]))
 
 
 def test_matches_on_rendered_grid_equal_full_map_matches():

@@ -18,7 +18,7 @@ from taskaxes.controllers import (
     step_controller,
 )
 from taskaxes.errors import ConfigError, EmptyWaypointList
-from taskaxes.geometry import orthonormal_completion, rotvec_to_matrix
+from taskaxes.geometry import completion_matrix, rotvec_to_matrix
 from taskaxes.grounding import GroundedParams
 
 
@@ -123,7 +123,7 @@ def test_pos_waypoint_frame_mapping():
 
 def test_pos_waypoint_advances_and_finishes():
     a2 = np.array([1.0, 0.0, 0.0])
-    frame = orthonormal_completion(a2).rotation
+    frame = completion_matrix(a2)
     offsets = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.02), (0.0, 0.0, 0.04))
     cfg = ControllerConfig(kind=POS_WAYPOINT, bindings=("r.g1", "o.g2", "o.a2"),
                            theta=offsets, gains=Gains(kp=8.0),

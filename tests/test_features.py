@@ -50,7 +50,8 @@ def sim_map(score, valid=None):
     score = np.asarray(score, dtype=float)
     if valid is None:
         valid = np.ones_like(score, dtype=bool)
-    return SimilarityMap(score=score, valid=valid)
+    idx = np.flatnonzero(valid)
+    return SimilarityMap(*score.shape, idx, score.reshape(-1)[idx])
 
 
 # ---------------------------------------------------------------- window

@@ -10,7 +10,7 @@ from taskaxes.geometry import (
     angle_between,
     deproject_pixel,
     euler_xyz_to_matrix,
-    orthonormal_completion,
+    completion_matrix,
     project_point,
     rotation_between_axes,
     rotvec_to_matrix,
@@ -70,26 +70,26 @@ def test_deproject_reproject_roundtrip():
         assert abs(u2 - u) < 1e-9 and abs(v2 - v) < 1e-9 and abs(d2 - depth) < 1e-9
 
 
-def test_orthonormal_completion_identity_case():
-    frame = orthonormal_completion(np.array([0.0, 0.0, 1.0]))
-    np.testing.assert_allclose(frame.rotation, np.eye(3), atol=1e-15)
+def test_completion_matrix_identity_case():
+    rot = completion_matrix(np.array([0.0, 0.0, 1.0]))
+    np.testing.assert_allclose(rot, np.eye(3), atol=1e-15)
 
 
-def test_orthonormal_completion_x_axis():
-    frame = orthonormal_completion(np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(frame.rotation[:, 2], [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(frame.rotation.T @ frame.rotation, np.eye(3), atol=1e-12)
+def test_completion_matrix_x_axis():
+    rot = completion_matrix(np.array([1.0, 0.0, 0.0]))
+    np.testing.assert_allclose(rot[:, 2], [1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-12)
 
 
-def test_orthonormal_completion_properties_and_determinism():
+def test_completion_matrix_properties_and_determinism():
     rng = np.random.default_rng(11)
     for _ in range(300):
         z = random_unit(rng)
-        rot = orthonormal_completion(z).rotation
+        rot = completion_matrix(z)
         np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-9)
         assert abs(np.linalg.det(rot) - 1.0) < 1e-9
         np.testing.assert_allclose(rot[:, 2], z, atol=1e-9)
-        again = orthonormal_completion(z).rotation
+        again = completion_matrix(z)
         assert np.array_equal(rot, again)
 
 

@@ -5,13 +5,15 @@ file stops `taskaxes run` at load (exit 2, file and key or line named,
 nothing written), as do a missing key, a value that does not cast and a
 contact probe that names no keypoint of its object. A negative seed
 exits 2 from every command that takes one, and a skill binding that its
-role does not ground fails when the SkillRunner is built, before any
-render. Inside the tick, frames are built and bindings looked up
+role does not ground, or a grasp step that its role cannot take, fails
+when the SkillRunner is built, before any render. Inside the tick, frames are built and bindings looked up
 unchecked, so drift of the integrated rotation is pinned by a property
 test instead.
 """
 
+import dataclasses
 import json
+import math
 import shutil
 
 import numpy as np
@@ -26,6 +28,7 @@ from taskaxes.controllers import (
     KIND_CLASS,
     TRANSLATIONAL,
     ControllerConfig,
+    Gains,
     Limits,
 )
 from taskaxes.errors import ConfigError, SkillSyntaxError, UnresolvedBinding, finite, positive
@@ -38,9 +41,10 @@ from taskaxes.features import (
 )
 from taskaxes.geometry import CameraIntrinsics, Frame, unit
 from taskaxes.grounding import AxisSpec, GroundingConfig, GroundingSpec, KeypointRef
-from taskaxes.scenes import sample_box
+from taskaxes.scenes import config_from_json, sample_box
 from taskaxes.simulator import (
     ContactSurface,
+    FeatureRenderConfig,
     RunConfig,
     Scene,
     SceneObject,
@@ -48,7 +52,7 @@ from taskaxes.simulator import (
     SkillRunner,
     step_sim,
 )
-from taskaxes.skill import LiftedSkill, SkillPhase, Twist, parse_skill
+from taskaxes.skill import GraspStep, LiftedSkill, SkillPhase, Twist, parse_skill
 
 BAD = "__bad__"
 
@@ -381,11 +385,12 @@ def test_public_frame_constructor_still_checks():
 ])
 def test_public_scene_object_constructor_checks_its_cloud(cloud, message):
     with pytest.raises(ConfigError, match=message):
-        SceneObject(name="x", pose=Frame.identity(), cloud=cloud)
+        SceneObject(name="x", pose=Frame(np.zeros(3), np.eye(3)), cloud=cloud)
 
 
 def test_sim_state_zero_vectors_are_not_shared():
-    a, b = SimState(ee=Frame.identity()), SimState(ee=Frame.identity())
+    origin = Frame(np.zeros(3), np.eye(3))
+    a, b = SimState(ee=origin), SimState(ee=origin)
     a.contact_force[0] = 1.0
     assert b.contact_force.tolist() == [0.0, 0.0, 0.0]
     assert a.probe_local is not b.probe_local
@@ -452,7 +457,7 @@ def small_files(tmp_path_factory):
     write_feature_grid(out / "grid.fgrd", FeatureGrid(np.ones((3, 4, 4), dtype=np.float32)))
     write_depth_mask(out / "grid.dpth", DepthMask(np.full((3, 4), 0.5)))
     intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=2.0, cy=1.5, width=4, height=3)
-    (out / "intr.json").write_text(json.dumps(intr.to_json()))
+    (out / "intr.json").write_text(json.dumps(dataclasses.asdict(intr)))
     return out
 
 
@@ -626,10 +631,53 @@ def test_misspelt_binding_exits_2_before_anything_is_written(pour_bundle, tmp_pa
     out = tmp_path / "out"
     assert main(["run", "--skill", str(skill), "--scene", str(work / "scene.json"),
                  "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "error: phase 'move' translational[0] PosAlign: binding 'bowl.centre_pos'" in err
-    assert "none of the grounded keypoints" in err
+    assert capsys.readouterr().err == (f"error: {skill}: phase 'move' translational[0] "
+                                       f"PosAlign: binding 'bowl.centre_pos' is none of "
+                                       f"the grounded keypoints\n")
     assert sorted(p.name for p in out.iterdir()) == []
+
+
+def test_grasp_of_an_undeclared_role_raises_before_any_render(monkeypatch):
+    def render(*args, **kwargs):
+        raise AssertionError("rendered before the grasp steps were checked")
+
+    monkeypatch.setattr(simulator, "render_synthetic_features", render)
+    skill = _binding_skill("PosAlign", _GOOD_BINDINGS["PosAlign"])
+    skill = LiftedSkill(skill.name, skill.uses, skill.steps + (GraspStep("cup", "pos"),))
+    with pytest.raises(ConfigError, match="grasp role 'cup' is not declared with 'uses'"):
+        SkillRunner(skill, Scene(objects=[], intrinsics=INTR), {"o": _SPEC})
+
+
+# (file, text, replacement, occurrences replaced, message)
+GRASP_CASES = [
+    ("pour.skill", "grasp mug at", "grasp gripper at", -1,
+     "role 'gripper' is the robot, it cannot be grasped"),
+    ("mug.json", '"object": "mug"', '"object": "bowl"', 1,
+     "role 'mug' spans objects ['bowl', 'mug'], expected one"),
+    ("mug.json", '"object": "mug"', '"object": "cup"', -1, "no object named 'cup' in scene"),
+    ("pour.skill", "grasp mug at handle_pos", "grasp bowl at center_pos", -1,
+     "object 'bowl' is not graspable"),
+    ("pour.skill", "at handle_pos", "at handel_pos", -1,
+     "object 'mug' has no keypoint 'handel_pos'"),
+]
+
+
+@pytest.mark.parametrize("name, text, replacement, count, message", GRASP_CASES,
+                         ids=["robot", "two objects", "not in scene", "not graspable",
+                              "no keypoint"])
+def test_bad_grasp_step_exits_2_before_anything_is_written(pour_bundle, tmp_path, capsys,
+                                                           name, text, replacement, count,
+                                                           message):
+    work = tmp_path / "bundle"
+    shutil.copytree(pour_bundle, work)
+    path = work / name
+    assert text in path.read_text()
+    path.write_text(path.read_text().replace(text, replacement, count))
+    out = tmp_path / "out"
+    assert main(["run", "--skill", str(work / "pour.skill"),
+                 "--scene", str(work / "scene.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {work / 'pour.skill'}: {message}\n"
+    assert list(out.iterdir()) == []
 
 
 # ------------------------------------------------------------------- seeds
@@ -656,10 +704,67 @@ def test_negative_seed_exits_2_naming_it(bundle, pour_bundle, tmp_path, capsys):
     code, path, out = _run_edited(bundle, tmp_path, "scene.json",
                                   lambda s: s["features"].update(seed=-1), "NaN")
     assert code == 2
-    err = capsys.readouterr().err
-    assert f"error: {path}: " in err and "features.seed" in err
-    assert "seed must be >= 0, got -1" in err
+    # every gen scene sets all four feature keys; only the rejected one is named
+    assert capsys.readouterr().err == (f"error: {path}: features.seed: "
+                                       f"seed must be >= 0, got -1\n")
     assert list(out.iterdir()) == []
+
+
+# --------------------------------------------------------- config values
+
+_NOT_POSITIVE = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))
+
+# values each config field rejects, by field name
+_REJECTED = {
+    **dict.fromkeys(("dt", "grasp_tol", "v_max", "w_max", "kp", "kr", "kf",
+                     "normal_radius", "temperature", "length_scale"), _NOT_POSITIVE),
+    "min_score": st.sampled_from([math.nan, math.inf, -math.inf]),
+    "min_neighbors": st.integers(max_value=0),
+    "mode": st.text().filter(lambda mode: mode not in ("hard", "soft")),
+    "window_radius": st.integers(max_value=-1),
+    "dim": st.integers(max_value=3),
+    "noise_sigma": st.one_of(st.floats(max_value=-5e-324), st.just(math.nan)),
+    "seed": st.integers(max_value=-1),
+}
+
+
+def _config_json(config):
+    """JSON object of every value of `config`, MatchConfig's keys beside
+    the keys of the config holding it, as config_from_json reads them."""
+    data = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, MatchConfig):
+            data.update(_config_json(value))
+        elif dataclasses.is_dataclass(value):
+            data[f.name] = _config_json(value)
+        else:
+            data[f.name] = value
+    return data
+
+
+def _key_paths(data, path=()):
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _key_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_rejected_config_value_names_only_its_key(data):
+    cls = data.draw(st.sampled_from([RunConfig, FeatureRenderConfig, GroundingConfig,
+                                     MatchConfig, Gains, Limits]))
+    doc = _config_json(cls())
+    path = data.draw(st.sampled_from(sorted(_key_paths(doc))))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_REJECTED[path[-1]])
+    with pytest.raises(ConfigError) as err:
+        config_from_json(cls(), doc)
+    assert str(err.value).startswith(".".join(path) + ": ")
 
 
 def test_run_has_no_log_flag_and_old_manifests_still_parse(bundle, tmp_path, capsys):

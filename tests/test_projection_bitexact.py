@@ -309,7 +309,7 @@ def _logged_run_phase(phase, env, limits, on_tick):
     """run_phase with its ticks in the runner's tick log (the scripted env
     has no gripper pose: the log's is fixed); on_tick gets the phase,
     controllers and twist of each logged record."""
-    log, state = SimLog(), SimState(ee=Frame.identity())
+    log, state = SimLog(), SimState(ee=Frame(np.zeros(3), np.eye(3)))
     log.begin_phase(phase, 0, state.ee, GroundedAnchors().layout())
     result = run_phase(phase, env, limits,
                        on_tick=lambda *tick: log.record(state, [], *tick))

@@ -102,7 +102,7 @@ def test_zero_twist_is_fixed_point():
 
 def test_euler_step_translation():
     scene = slab_scene()
-    state = SimState(ee=Frame.identity(), dt=0.005)
+    state = SimState(ee=Frame(np.zeros(3), np.eye(3)), dt=0.005)
     nxt = step_sim(state, Twist(v=np.array([0.0, 0.0, -0.1]), w=np.zeros(3)), scene)
     assert abs(nxt.ee.origin[2] + 0.0005) < 1e-15  # 0.5 mm down
 
@@ -130,7 +130,7 @@ def test_contact_force_is_continuous_per_tick():
 
 def test_rotation_integration_composes_world_frame():
     scene = slab_scene()
-    state = SimState(ee=Frame.identity(), dt=0.5)
+    state = SimState(ee=Frame(np.zeros(3), np.eye(3)), dt=0.5)
     w = np.array([0.0, 0.0, 1.0])
     nxt = step_sim(state, Twist(v=np.zeros(3), w=w), scene)
     np.testing.assert_allclose(nxt.ee.rotation, rotvec_to_matrix(w * 0.5), atol=1e-12)
@@ -229,7 +229,7 @@ def test_simlog_jsonl_roundtrip(tmp_path):
     assert path.read_text().count("\n") == 2
 
 
-def test_run_twice_identical_logs():
+def test_run_twice_identical_logs(tmp_path):
     bundle = build_task("pour")
     skill = parse_skill(bundle["skill_text"])
 
@@ -241,7 +241,9 @@ def test_run_twice_identical_logs():
 
     r1, r2 = one_run(), one_run()
     assert r1.success and r2.success
-    assert r1.log.to_jsonl() == r2.log.to_jsonl()
+    for name, result in (("1", r1), ("2", r2)):
+        result.log.write(tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv")
+    assert (tmp_path / "1.jsonl").read_bytes() == (tmp_path / "2.jsonl").read_bytes()
 
 
 def test_force_align_steady_state_against_static_plane():

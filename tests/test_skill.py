@@ -174,7 +174,7 @@ skill scraping_alignment {
 def test_parse_three_controller_alignment_listing():
     skill = parse_skill(SCRAPE_ALIGN_LISTING)
     assert skill.name == "scraping_alignment"
-    assert skill.roles == {"spatula": "specs/spatula.json",
+    assert dict(skill.uses) == {"spatula": "specs/spatula.json",
                            "pan": "specs/pan.json", "gripper": "robot"}
     (phase,) = skill.phases
     assert phase.step_budget == 2000
@@ -255,7 +255,7 @@ skill demo {
     skill = parse_skill(text)
     assert isinstance(skill.steps[1], GraspStep)
     assert skill.steps[1] == GraspStep(role="tool", keypoint="grip")
-    assert skill.roles["tool"] == "tool.json"
+    assert dict(skill.uses)["tool"] == "tool.json"
     assert skill.phases[1].translational[0].theta == 2.5
 
 
@@ -442,7 +442,7 @@ def test_run_phase_records_ticks():
                        step_budget=500)
     env = PointEnv([0.0, 0.0, 0.0], [0.02, 0.0, 0.0])
     # the runner's tick log, with the point env's fixed state
-    log, state = SimLog(), SimState(ee=Frame.identity())
+    log, state = SimLog(), SimState(ee=Frame(np.zeros(3), np.eye(3)))
     log.begin_phase(phase, 0, state.ee, GroundedAnchors().layout())
     run_phase(phase, env, Limits(), on_tick=lambda *tick: log.record(state, [], *tick))
     records = log.records

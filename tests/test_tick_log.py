@@ -174,7 +174,6 @@ def test_lines_and_csv_rows_equal_the_old_records(tmp_path_factory, drawn):
     log.write(out / "log.jsonl", out / "trajectory.csv")
     assert (out / "log.jsonl").read_text(encoding="utf-8") == "".join(ref_lines)
     assert (out / "trajectory.csv").read_text(encoding="utf-8") == "\n".join(ref_rows) + "\n"
-    assert log.to_jsonl() == "".join(ref_lines)
     assert len(log.records) == len(ref_lines)
     assert all(_same(r, json.loads(line)) for r, line in zip(log.records, ref_lines))
 
@@ -183,14 +182,14 @@ def test_records_are_decoded_once_and_kept():
     phase = SkillPhase(name="p", translational=(POOL[TRANSLATIONAL][0],), rotational=(),
                        step_budget=3)
     log = SimLog()
-    log.begin_phase(phase, 0, Frame.identity(), ({"keypoints": {}, "axes": {}}, [], []))
+    log.begin_phase(phase, 0, Frame(np.zeros(3), np.eye(3)), ({"keypoints": {}, "axes": {}}, [], []))
     axis = np.array([1.0, 0.0, 0.0])
     tick = ([ControllerOutput(axis, 0.5, False, False)], [(axis, 0.5)],
             Twist(axis, np.zeros(3)))
-    log.record(SimState(ee=Frame.identity()), [], *tick)
+    log.record(SimState(ee=Frame(np.zeros(3), np.eye(3))), [], *tick)
     first = log.records
     assert log.records is first and len(first) == 1
-    log.record(SimState(ee=Frame.identity()), [], *tick)
+    log.record(SimState(ee=Frame(np.zeros(3), np.eye(3))), [], *tick)
     assert [r["t"] for r in log.records] == [1, 2]
 
 
