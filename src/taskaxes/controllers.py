@@ -14,8 +14,8 @@ observations and emits a single action magnitude along its primary axis:
                force to a scalar setpoint (newtons); never reports done.
 
 All control laws are saturated proportional laws; gains and limits are
-configuration. Stepping is a pure function of (config, observation,
-per-controller state).
+configuration. A step reads (config, observation) and updates its
+controller's state in place.
 """
 
 from __future__ import annotations
@@ -150,24 +150,19 @@ def _normalize_theta(kind, theta):
     return tuple(_components(wp, "each waypoint") for wp in theta)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControllerState:
-    """Mutable-per-tick controller memory, threaded through the steps of
-    one controller.
-
-    memo caches the value derived from the controller's bound axis (the
-    AxisAlign target, the PosWaypoint completion matrix); memo_key is
-    that axis's float64 bytes, so a world-fixed axis is derived once per
-    phase and a moving one on every tick, bit-identically either way.
-    """
+    """One controller's memory over a phase, updated in place by its steps.
+    target is the AxisAlign target or PosWaypoint completion frame of a
+    world-fixed bound axis, derived on the phase's first tick; that of a
+    held or built-in axis is derived every tick, and target stays None."""
 
     waypoint_index: int = 0
-    last_axis: tuple = None
-    memo_key: bytes = None
-    memo: np.ndarray = field(default=None, compare=False, repr=False)
+    last_axis: np.ndarray = None
+    target: np.ndarray = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControllerOutput:
     """Pre-projection command: unit primary axis and action magnitude."""
 
@@ -177,16 +172,18 @@ class ControllerOutput:
     inactive: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class ObservationBundle:
     """Per-tick sensor view handed to every controller.
 
     measured_force is the float64 force the tool applies on the
     environment at the tool tip (the negated contact reaction), in newtons.
-    """
+    fixed_axes holds the labels of the world-fixed axes, which stay put
+    for the phase. A bundle may be live, valid until the next observe()."""
 
     grounded: GroundedParams
     measured_force: np.ndarray
+    fixed_axes: object = frozenset()
 
 
 def _fallback_axis(state):
@@ -195,14 +192,14 @@ def _fallback_axis(state):
     return WORLD_Z.copy()
 
 
-def _memoized(state, axis, derive, *args):
-    """(derive(axis, *args), state carrying it), reusing the state's memo
-    when axis has the same bytes as the one it was derived from."""
-    key = np.asarray(axis, dtype=np.float64).tobytes()
-    if key == state.memo_key:
-        return state.memo, state
-    value = derive(axis, *args)
-    return value, ControllerState(state.waypoint_index, state.last_axis, key, value)
+def _derived(state, obs, label, derive, *args):
+    """derive(axis `label`, *args), kept as the state's target if the axis is world-fixed."""
+    if state.target is not None:
+        return state.target
+    value = derive(obs.grounded.axes[label], *args)
+    if label in obs.fixed_axes:
+        state.target = value
+    return value
 
 
 def _servo_toward(cfg, state, current, target, at_last_waypoint=True):
@@ -210,15 +207,13 @@ def _servo_toward(cfg, state, current, target, at_last_waypoint=True):
     error = target - current
     dist = norm3(error)
     if dist < _INACTIVE_POS:
-        out = ControllerOutput(_fallback_axis(state), 0.0, done=at_last_waypoint,
-                               inactive=True)
-        return out, dist, state
+        out = ControllerOutput(_fallback_axis(state), 0.0, at_last_waypoint, True)
+        return out, dist
     axis = error / dist
     action = min(cfg.gains.kp * dist, cfg.limits.v_max)
-    done = at_last_waypoint and dist <= cfg.done_tol
-    new_state = ControllerState(state.waypoint_index, tuple(axis),
-                                state.memo_key, state.memo)
-    return ControllerOutput(axis, action, done, False), dist, new_state
+    state.last_axis = axis
+    return ControllerOutput(axis, action, at_last_waypoint and dist <= cfg.done_tol,
+                            False), dist
 
 
 def step_pos_align(cfg: ControllerConfig, obs: ObservationBundle,
@@ -226,43 +221,36 @@ def step_pos_align(cfg: ControllerConfig, obs: ObservationBundle,
     keypoints = obs.grounded.keypoints
     g1, g2 = keypoints[cfg.bindings[0]], keypoints[cfg.bindings[1]]
     target = g2 + np.asarray(cfg.theta, dtype=np.float64)
-    out, _, new_state = _servo_toward(cfg, state, g1, target)
-    return out, new_state
+    return _servo_toward(cfg, state, g1, target)[0], state
 
 
 def step_pos_waypoint(cfg: ControllerConfig, obs: ObservationBundle,
                       state: ControllerState):
     keypoints = obs.grounded.keypoints
     g1, g2 = keypoints[cfg.bindings[0]], keypoints[cfg.bindings[1]]
-    a2 = obs.grounded.axes[cfg.bindings[2]]
     waypoints = cfg.theta
     k = min(state.waypoint_index, len(waypoints) - 1)
-    frame, state = _memoized(state, a2, completion_matrix)
+    frame = _derived(state, obs, cfg.bindings[2], completion_matrix)
     target = g2 + frame @ np.asarray(waypoints[k], dtype=np.float64)
     at_last = k == len(waypoints) - 1
-    out, dist, new_state = _servo_toward(cfg, state, g1, target, at_last_waypoint=at_last)
+    out, dist = _servo_toward(cfg, state, g1, target, at_last_waypoint=at_last)
     if dist <= cfg.done_tol and not at_last:
-        new_state = ControllerState(k + 1, new_state.last_axis,
-                                    new_state.memo_key, new_state.memo)
-    return out, new_state
+        state.waypoint_index = k + 1
+    return out, state
 
 
 def step_axis_align(cfg: ControllerConfig, obs: ObservationBundle,
                     state: ControllerState):
-    axes = obs.grounded.axes
-    a1, a2 = axes[cfg.bindings[0]], axes[cfg.bindings[1]]
-    target, state = _memoized(state, a2, axis_align_target, cfg.theta)
+    a1 = obs.grounded.axes[cfg.bindings[0]]
+    target = _derived(state, obs, cfg.bindings[1], axis_align_target, cfg.theta)
     w = rotation_between_axes(a1, target)
     ang = norm3(w)
     if ang < _INACTIVE_ANG:
-        return ControllerOutput(_fallback_axis(state), 0.0, done=True,
-                                inactive=True), state
+        return ControllerOutput(_fallback_axis(state), 0.0, True, True), state
     axis = w / ang
     action = min(cfg.gains.kr * ang, cfg.limits.w_max)
-    done = ang <= math.radians(cfg.done_tol)
-    new_state = ControllerState(state.waypoint_index, tuple(axis),
-                                state.memo_key, state.memo)
-    return ControllerOutput(axis, action, done, False), new_state
+    state.last_axis = axis
+    return ControllerOutput(axis, action, ang <= math.radians(cfg.done_tol), False), state
 
 
 def axis_align_target(a2, theta_deg) -> np.ndarray:

@@ -259,7 +259,7 @@ class RunConfig:
         positive("grasp_tol", self.grasp_tol)
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     """Trusted state of one run: dt comes from a checked RunConfig."""
 
@@ -283,9 +283,8 @@ def _contact_force(scene: Scene, state: SimState, probe_world) -> np.ndarray:
 
 def step_sim(state: SimState, twist: Twist, scene: Scene) -> SimState:
     """One forward-Euler tick: integrate the twist, re-evaluate contact."""
-    rot = rotvec_to_matrix(np.asarray(twist.w, dtype=np.float64) * state.dt)
-    ee = Frame._trusted(state.ee.origin + np.asarray(twist.v, dtype=np.float64) * state.dt,
-                        rot @ state.ee.rotation)
+    rot = rotvec_to_matrix(twist.w * state.dt)
+    ee = Frame._trusted(state.ee.origin + twist.v * state.dt, rot @ state.ee.rotation)
     probe_world = ee.apply(state.probe_local)
     return SimState(ee, state.attached, state.probe_local,
                     _contact_force(scene, state, probe_world), state.t + 1, state.dt)
@@ -323,18 +322,20 @@ def grasp(state: SimState, scene: Scene, object_name: str, keypoint: str,
 
 
 class GroundedAnchors:
-    """Tracks where each grounded value lives: world-fixed, gripper-fixed,
-    or a robot built-in. Attached entries follow the end effector.
+    """Each grounded value's slot, and one live view of every value.
 
-    Each table maps a kind ("keypoints" or "axes") to qualified labels.
-    A grasp moves a role's entries from the world table to the held
-    table, re-expressed in the gripper frame.
-    """
+    A label is world-fixed (its value stays until a grasp), held (kept in
+    the gripper frame, re-expressed at each gripper pose) or a robot
+    built-in (the gripper pose). `view` gets the world-fixed values when
+    a role is added and the others at each current(); `fixed_axes` is a
+    live view of the world-fixed axis labels."""
 
     def __init__(self):
+        self.view = GroundedParams()
         self._world = {"keypoints": {}, "axes": {}}   # value in the world frame
         self._held = {"keypoints": {}, "axes": {}}    # value in the gripper frame
         self._robot_labels = []    # (keypoint label, ((axis label, column), ...))
+        self.fixed_axes = self._world["axes"].keys()
 
     def add_robot_role(self, role):
         self._robot_labels.append(
@@ -343,11 +344,14 @@ class GroundedAnchors:
 
     def add_role(self, role, grounded: GroundedParams):
         for kind, values in (("keypoints", grounded.keypoints), ("axes", grounded.axes)):
+            view = getattr(self.view, kind)
             for label, value in values.items():
-                self._world[kind][f"{role}.{label}"] = np.asarray(value, dtype=np.float64)
+                q = f"{role}.{label}"
+                view[q] = self._world[kind][q] = np.asarray(value, dtype=np.float64)
 
     def attach_role(self, role, ee: Frame):
-        """Re-express a role's world-fixed groundings in the gripper frame."""
+        """Move a role's world-fixed groundings to the held slot,
+        re-expressed in the gripper frame."""
         inv = ee.inverse()
         # roles are skill names, which hold no '.'
         prefix = f"{role}."
@@ -357,19 +361,20 @@ class GroundedAnchors:
                 self._held[kind][q] = move(world.pop(q))
 
     def current(self, ee: Frame):
-        """(GroundedParams at gripper pose `ee`, its held values in the
-        order of layout()'s held labels)."""
-        values, held = {}, []
-        for kind, move in (("keypoints", ee.apply), ("axes", ee.apply_dir)):
-            values[kind] = dict(self._world[kind])
-            for q, local in self._held[kind].items():
-                values[kind][q] = value = move(local)
+        """Set the live view's held and built-in values for gripper pose
+        `ee`, valid until the next call; world-fixed values stay as they
+        are. Returns the held values in the order of layout()'s labels."""
+        keypoints, axes, held = self.view.keypoints, self.view.axes, []
+        for view, move, table in ((keypoints, ee.apply, self._held["keypoints"]),
+                                  (axes, ee.apply_dir, self._held["axes"])):
+            for q, local in table.items():
+                view[q] = value = move(local)
                 held.append(value)
         for keypoint, builtin_axes in self._robot_labels:
-            values["keypoints"][keypoint] = ee.origin
+            keypoints[keypoint] = ee.origin
             for q, i in builtin_axes:
-                values["axes"][q] = ee.rotation[:, i]
-        return GroundedParams(**values), held
+                axes[q] = ee.rotation[:, i]
+        return held
 
     def layout(self):
         """(world, held, robot) of the tick log until the next grasp: the
@@ -388,6 +393,7 @@ class GroundedAnchors:
 _POSE_COLS = 12          # ee origin, then its rotation row-major
 _STATE_COLS = 21         # the pose, the contact force, twist v and w
 _CONTROLLER_COLS = 10    # axis, axis_hat, u, u_hat, active, done
+_FIRST_ROWS = 1023       # tick rows a phase table starts with; it doubles when full
 _NAN3 = np.full(3, np.nan)
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _TRAJECTORY_COLS = operator.itemgetter(0, 1, 2, 15, 16, 17, 18, 19, 20, 12, 13, 14)
@@ -406,7 +412,7 @@ class _PhaseTable:
         first = _STATE_COLS + 3 * len(self.held)
         self.cols = [first + _CONTROLLER_COLS * c   # each controller's first column
                      for c in range(len(self.controllers))]
-        self.rows = np.empty((phase.step_budget + 1,
+        self.rows = np.empty((min(phase.step_budget, _FIRST_ROWS) + 1,
                               first + _CONTROLLER_COLS * len(self.controllers)))
         np.concatenate((ee.origin, ee.rotation.reshape(9)), out=self.rows[0, :_POSE_COLS])
         self.ticks = 0
@@ -518,6 +524,8 @@ class SimLog:
         them) and twist."""
         table = self._tables[-1]
         table.ticks += 1
+        if table.ticks == len(table.rows):
+            table.rows = np.concatenate((table.rows, np.empty_like(table.rows)))
         parts = [state.ee.origin, state.ee.rotation.reshape(9), state.contact_force,
                  twist.v, twist.w, *held]
         for out, cmd in zip(outputs, commands):
@@ -646,6 +654,7 @@ class SkillRunner:
         self.log = SimLog()
         self.state = SimState(ee=scene.ee_start, dt=self.config.dt)
         self._grounded = False
+        self._obs = ObservationBundle(self.anchors.view, None, self.anchors.fixed_axes)
         self._held = None   # held values of the last observe(), for its tick's row
 
     # -- grounding
@@ -685,14 +694,14 @@ class SkillRunner:
     # -- environment protocol for run_phase
 
     def observe(self) -> ObservationBundle:
-        grounded, self._held = self.anchors.current(self.state.ee)
-        return ObservationBundle(grounded=grounded, measured_force=-self.state.contact_force)
+        """The one live observation, valid until the next observe(): the
+        held and built-in values and the force are set for this tick."""
+        self._held = self.anchors.current(self.state.ee)
+        self._obs.measured_force = -self.state.contact_force
+        return self._obs
 
     def apply(self, twist: Twist):
         self.state = step_sim(self.state, twist, self.scene)
-
-    def _log_tick(self, outputs, commands, twist):
-        self.log.record(self.state, self._held, outputs, commands, twist)
 
     # -- execution
 
@@ -711,8 +720,8 @@ class SkillRunner:
                     continue
                 self.log.begin_phase(step, self.state.t, self.state.ee,
                                      self.anchors.layout())
-                result = run_phase(step, self, self.config.limits,
-                                   on_tick=self._log_tick)
+                result = run_phase(step, self, self.config.limits, on_tick=lambda *tick:
+                                   self.log.record(self.state, self._held, *tick))
                 self.log.end_phase()
                 phases.append((step.name, result))
                 if result.outcome != "done":

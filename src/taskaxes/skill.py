@@ -106,10 +106,12 @@ def project_axes(axes):
     basis = []
     out = []
     for axis in axes:
-        r = np.asarray(axis, dtype=np.float64).copy()
-        for _ in range(2):
-            for b in basis:
-                r -= float(b @ r) * b
+        r = np.asarray(axis, dtype=np.float64)
+        if basis:
+            r = r.copy()
+            for _ in range(2):
+                for b in basis:
+                    r -= float(b @ r) * b
         n = norm3(r)
         if n < _PROJ_TOL:
             out.append(None)
@@ -136,10 +138,10 @@ def project_actions(outputs):
     return commands
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Twist:
-    v: np.ndarray
-    w: np.ndarray
+    v: np.ndarray           # float64 (3,), m/s
+    w: np.ndarray           # float64 (3,), rad/s
 
 
 def _clamped_sum(commands, limit):
@@ -184,7 +186,7 @@ def run_phase(phase: SkillPhase, env, limits: Limits, on_tick=None) -> PhaseResu
     """
     controllers = phase.translational + phase.rotational
     n_trans = len(phase.translational)
-    states = [ControllerState()] * len(controllers)
+    states = [ControllerState() for _ in controllers]
     done_idx = [k for k, cfg in enumerate(controllers) if done_capable(cfg)]
     ticks = 0
     while ticks < phase.step_budget:

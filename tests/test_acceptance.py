@@ -271,10 +271,10 @@ def test_criterion_6_controller_reductions():
         if rng.random() < 0.1:
             grounded.keypoints["o.g2"] = grounded.keypoints["r.g1"].copy()
         obs = ObservationBundle(grounded=grounded, measured_force=np.zeros(3))
-        state = ControllerState(last_axis=tuple(_unit(rng))
-                                if rng.random() < 0.5 else None)
-        out_wp, _ = step_controller(wp_cfg, obs, state)
-        out_pa, _ = step_controller(pa_cfg, obs, state)
+        last_axis = tuple(_unit(rng)) if rng.random() < 0.5 else None
+        # a step updates its state in place: each controller gets its own
+        out_wp, _ = step_controller(wp_cfg, obs, ControllerState(last_axis=last_axis))
+        out_pa, _ = step_controller(pa_cfg, obs, ControllerState(last_axis=last_axis))
         assert np.array_equal(out_wp.primary_axis, out_pa.primary_axis)
         assert out_wp.action == out_pa.action
         assert out_wp.done == out_pa.done

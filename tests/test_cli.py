@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 
 import numpy as np
@@ -224,6 +225,21 @@ def test_cmd_run_zero_budget_exits_3(scrape_dir, tmp_path):
     assert code == 3
     result = read_json(out / "result.json")
     assert result["phases"][0]["outcome"] == "budget_exhausted"
+
+
+def test_cmd_run_huge_budget_writes_the_same_outputs(tmp_path):
+    # a phase's tick table grows as the phase runs: a budget far beyond the
+    # ticks the phase takes is never allocated
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--task", "pour", "--out", str(bundle)]) == 0
+    text = (bundle / "pour.skill").read_text()
+    (bundle / "huge.skill").write_text(re.sub(r"budget=\d+", "budget=1e12", text))
+    for name in ("pour", "huge"):
+        assert main(["run", "--skill", str(bundle / f"{name}.skill"),
+                     "--scene", str(bundle / "scene.json"),
+                     "--out", str(tmp_path / name)]) == 0
+    for name in ("log.jsonl", "result.json", "trajectory.csv"):
+        assert (tmp_path / "huge" / name).read_bytes() == (tmp_path / "pour" / name).read_bytes()
 
 
 def test_cmd_validate_small_and_empty(tmp_path):

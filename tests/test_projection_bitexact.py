@@ -6,9 +6,13 @@ record in separate structures. The reference copies below are that
 version, verbatim in behaviour; the folded code must give the same
 bits on random stacks (inactive outputs, parallel and antiparallel
 axes) and the same tick records (as the tick log writes them),
-outcome and twists on a scripted environment. The last property is
-the priority contract itself: a lower-priority controller never moves
-the twist along a higher one's projected axis.
+outcome and twists on a scripted environment. The reference run steps
+its controllers with copies of the steppers as they were before targets
+were resolved at phase start: a new frozen state each tick and a memo
+keyed on the bytes of the bound axis, so world-fixed and held (moving)
+bindings are both checked against per-tick derivation. The last
+property is the priority contract itself: a lower-priority controller
+never moves the twist along a higher one's projected axis.
 """
 
 import math
@@ -23,14 +27,20 @@ from taskaxes.controllers import (
     TRANSLATIONAL,
     ControllerConfig,
     ControllerOutput,
-    ControllerState,
     Limits,
     ObservationBundle,
+    axis_align_target,
     done_capable,
-    step_controller,
 )
 from taskaxes.errors import TaskAxesError
-from taskaxes.geometry import Frame
+from taskaxes.geometry import (
+    WORLD_Z,
+    Frame,
+    completion_matrix,
+    euler_xyz_to_matrix,
+    norm3,
+    rotation_between_axes,
+)
 from taskaxes.grounding import GroundedParams
 from taskaxes.simulator import GroundedAnchors, SimLog, SimState
 from taskaxes.skill import (
@@ -44,6 +54,98 @@ from taskaxes.skill import (
 )
 
 # ---------------------------------------------------------------- reference
+
+
+@dataclass(frozen=True)
+class RefState:
+    waypoint_index: int = 0
+    last_axis: tuple = None
+    memo_key: bytes = None
+    memo: np.ndarray = None
+
+
+def ref_fallback_axis(state):
+    if state.last_axis is not None:
+        return np.asarray(state.last_axis, dtype=np.float64)
+    return WORLD_Z.copy()
+
+
+def ref_memoized(state, axis, derive, *args):
+    key = np.asarray(axis, dtype=np.float64).tobytes()
+    if key == state.memo_key:
+        return state.memo, state
+    value = derive(axis, *args)
+    return value, RefState(state.waypoint_index, state.last_axis, key, value)
+
+
+def ref_servo_toward(cfg, state, current, target, at_last_waypoint=True):
+    error = target - current
+    dist = norm3(error)
+    if dist < 1e-6:
+        out = ControllerOutput(ref_fallback_axis(state), 0.0, done=at_last_waypoint,
+                               inactive=True)
+        return out, dist, state
+    axis = error / dist
+    action = min(cfg.gains.kp * dist, cfg.limits.v_max)
+    done = at_last_waypoint and dist <= cfg.done_tol
+    new_state = RefState(state.waypoint_index, tuple(axis), state.memo_key, state.memo)
+    return ControllerOutput(axis, action, done, False), dist, new_state
+
+
+def ref_step_pos_align(cfg, obs, state):
+    keypoints = obs.grounded.keypoints
+    g1, g2 = keypoints[cfg.bindings[0]], keypoints[cfg.bindings[1]]
+    target = g2 + np.asarray(cfg.theta, dtype=np.float64)
+    out, _, new_state = ref_servo_toward(cfg, state, g1, target)
+    return out, new_state
+
+
+def ref_step_pos_waypoint(cfg, obs, state):
+    keypoints = obs.grounded.keypoints
+    g1, g2 = keypoints[cfg.bindings[0]], keypoints[cfg.bindings[1]]
+    a2 = obs.grounded.axes[cfg.bindings[2]]
+    waypoints = cfg.theta
+    k = min(state.waypoint_index, len(waypoints) - 1)
+    frame, state = ref_memoized(state, a2, completion_matrix)
+    target = g2 + frame @ np.asarray(waypoints[k], dtype=np.float64)
+    at_last = k == len(waypoints) - 1
+    out, dist, new_state = ref_servo_toward(cfg, state, g1, target, at_last_waypoint=at_last)
+    if dist <= cfg.done_tol and not at_last:
+        new_state = RefState(k + 1, new_state.last_axis, new_state.memo_key, new_state.memo)
+    return out, new_state
+
+
+def ref_step_axis_align(cfg, obs, state):
+    axes = obs.grounded.axes
+    a1, a2 = axes[cfg.bindings[0]], axes[cfg.bindings[1]]
+    target, state = ref_memoized(state, a2, axis_align_target, cfg.theta)
+    w = rotation_between_axes(a1, target)
+    ang = norm3(w)
+    if ang < 1e-6:
+        return ControllerOutput(ref_fallback_axis(state), 0.0, done=True,
+                                inactive=True), state
+    axis = w / ang
+    action = min(cfg.gains.kr * ang, cfg.limits.w_max)
+    done = ang <= math.radians(cfg.done_tol)
+    new_state = RefState(state.waypoint_index, tuple(axis), state.memo_key, state.memo)
+    return ControllerOutput(axis, action, done, False), new_state
+
+
+def ref_step_force_align(cfg, obs, state):
+    a1 = obs.grounded.axes[cfg.bindings[0]]
+    f_meas = float(obs.measured_force @ a1)
+    raw = cfg.gains.kf * (cfg.theta - f_meas)
+    action = min(max(raw, -cfg.limits.v_max), cfg.limits.v_max)
+    return ControllerOutput(np.asarray(a1, dtype=np.float64), action,
+                            done=False, inactive=False), state
+
+
+REF_STEPPERS = {"PosAlign": ref_step_pos_align, "PosWaypoint": ref_step_pos_waypoint,
+                "AxisAlign": ref_step_axis_align, "ForceAlign": ref_step_force_align}
+
+
+def ref_step_controller(cfg, obs, state):
+    return REF_STEPPERS[cfg.kind](cfg, obs, state)
 
 
 @dataclass(frozen=True)
@@ -110,7 +212,7 @@ def ref_tick_record(phase, stacks, outputs, commands, twist):
 
 def ref_run_phase(phase, env, limits, on_tick=None):
     stacks = ((TRANSLATIONAL, phase.translational), (ROTATIONAL, phase.rotational))
-    states = {(cls, i): ControllerState()
+    states = {(cls, i): RefState()
               for cls, cfgs in stacks for i in range(len(cfgs))}
     has_done_capable = any(done_capable(c) for _, cfgs in stacks for c in cfgs)
     ticks = 0
@@ -121,7 +223,8 @@ def ref_run_phase(phase, env, limits, on_tick=None):
             outs = []
             for i, cfg in enumerate(cfgs):
                 try:
-                    out, states[(cls, i)] = step_controller(cfg, obs, states[(cls, i)])
+                    out, states[(cls, i)] = ref_step_controller(cfg, obs,
+                                                                states[(cls, i)])
                 except TaskAxesError as err:
                     raise err.annotate(
                         f"phase {phase.name!r} tick {ticks} {cls}[{i}] {cfg.kind}")
@@ -258,11 +361,16 @@ def test_lower_priority_never_moves_higher_projected_axes(outs, data):
 # ---------------------------------------------------------------- run_phase
 
 
+_TILT = euler_xyz_to_matrix(0.3, -0.5, 0.7)
+
+
 class ScriptedEnv:
     """A kinematic point and tool axis integrating the applied twist,
     with a goal keypoint and a contact force that follow a fixed script
     per tick. "o.here" sits on the point and "r.x_copy" equals the tool
-    axis, so controllers bound to them are inactive."""
+    axis, so controllers bound to them are inactive. "h.tilt" turns with
+    the tool axis, as a grasped role's held axis does; "o.y" and "o.z"
+    never move and are the observation's world-fixed axes."""
 
     def __init__(self, start, goal, tool_x, target_y, dt=0.01):
         self.pos = np.asarray(start, float)
@@ -278,9 +386,10 @@ class ScriptedEnv:
         keypoints = {"r.pos": self.pos.copy(), "o.here": self.pos.copy(),
                      "o.goal": self.goal + np.array([wobble, 0.0, 0.0])}
         axes = {"r.x": self.x.copy(), "r.x_copy": self.x.copy(), "o.y": self.y.copy(),
-                "o.z": np.array([0.0, 0.0, 1.0])}
+                "o.z": np.array([0.0, 0.0, 1.0]), "h.tilt": _TILT @ self.x}
         force = np.array([0.0, 0.0, 2.0 + math.cos(0.2 * self.t)])
-        return ObservationBundle(GroundedParams(keypoints=keypoints, axes=axes), force)
+        return ObservationBundle(GroundedParams(keypoints=keypoints, axes=axes), force,
+                                 fixed_axes=frozenset({"o.y", "o.z"}))
 
     def apply(self, twist):
         self.twists.append((twist.v.copy(), twist.w.copy()))
@@ -302,6 +411,13 @@ ROTATIONAL_POOL = (
     ControllerConfig(kind="AxisAlign", bindings=("r.x", "o.y")),
     ControllerConfig(kind="AxisAlign", bindings=("r.x", "o.y"), theta=(0.0, 0.0, 30.0)),
     ControllerConfig(kind="AxisAlign", bindings=("r.x", "r.x_copy")),
+)
+# controllers that derive their target or waypoint frame from the held axis
+HELD_POOL = (
+    ControllerConfig(kind="PosWaypoint", bindings=("r.pos", "o.goal", "h.tilt"),
+                     theta=((0.0, 0.0, 0.0), (0.01, 0.0, 0.0))),
+    ControllerConfig(kind="AxisAlign", bindings=("r.x", "h.tilt"), theta=(0.0, 0.0, 20.0)),
+    ControllerConfig(kind="AxisAlign", bindings=("h.tilt", "o.y"), theta=(10.0, 0.0, 0.0)),
 )
 
 
@@ -335,13 +451,24 @@ def _run_both(phase, start, goal, tool_x, target_y, limits):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from(TRANSLATIONAL_POOL), max_size=3),
-       st.lists(st.sampled_from(ROTATIONAL_POOL), max_size=3),
+@given(st.lists(st.sampled_from(TRANSLATIONAL_POOL + HELD_POOL[:1]), max_size=3),
+       st.lists(st.sampled_from(ROTATIONAL_POOL + HELD_POOL[1:]), max_size=3),
        st.integers(0, 60), unit_vectors(), unit_vectors(),
        st.tuples(*[st.floats(-0.05, 0.05)] * 3))
 def test_run_phase_records_equal_reference(trans, rot, budget, tool_x, target_y, goal):
     phase = SkillPhase(name="p", translational=tuple(trans), rotational=tuple(rot),
                        step_budget=budget)
+    _run_both(phase, np.zeros(3), goal, tool_x, target_y, Limits())
+
+
+@settings(max_examples=30, deadline=None)
+@given(unit_vectors(), unit_vectors(), st.tuples(*[st.floats(-0.05, 0.05)] * 3))
+def test_run_phase_held_bindings_equal_reference(tool_x, target_y, goal):
+    # every held-axis controller at once, under a world-fixed one of each kind
+    phase = SkillPhase(name="held",
+                       translational=(TRANSLATIONAL_POOL[4], HELD_POOL[0]),
+                       rotational=(ROTATIONAL_POOL[1],) + HELD_POOL[1:],
+                       step_budget=150)
     _run_both(phase, np.zeros(3), goal, tool_x, target_y, Limits())
 
 

@@ -287,8 +287,12 @@ def test_anchors_match_reference(script):
         if grasped is not None:
             new.attach_role(grasped, ee)
             ref.attach_role(grasped, ee)
-        values, held = new.current(ee)
+        held = new.current(ee)
+        values = new.view
         ref_values = ref.current(ee)
+        # the axes a controller derives from once per phase are exactly
+        # the world-fixed ones
+        assert set(new.fixed_axes) == set(ref._axis_lists)
         for kind in ("keypoints", "axes"):
             got, want = getattr(values, kind), getattr(ref_values, kind)
             assert got.keys() == want.keys()

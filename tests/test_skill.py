@@ -452,6 +452,40 @@ def test_run_phase_records_ticks():
     assert set(ctl) >= {"axis", "axis_hat", "u", "u_hat", "active", "done"}
 
 
+class StaticEnv:
+    """One observation that never changes: applied twists are dropped."""
+
+    def __init__(self, keypoints, axes):
+        self.obs = ObservationBundle(GroundedParams(keypoints=keypoints, axes=axes),
+                                     np.zeros(3))
+
+    def observe(self):
+        return self.obs
+
+    def apply(self, twist):
+        pass
+
+
+def test_run_phase_steps_each_controller_with_its_own_state():
+    # `a` starts on its first waypoint, so it moves on to its second at
+    # tick 0; `b` is far from its first and must keep aiming at it
+    a = ControllerConfig(kind="PosWaypoint", bindings=("r.pos", "o.a", "o.z"),
+                         theta=((0.0, 0.0, 0.0), (0.01, 0.0, 0.0)))
+    b = ControllerConfig(kind="PosWaypoint", bindings=("r.tip", "o.b", "o.z"),
+                         theta=((0.0, 0.0, 0.0), (0.0, 0.05, 0.0)))
+    env = StaticEnv({"r.pos": np.zeros(3), "o.a": np.zeros(3),
+                     "r.tip": np.array([0.1, 0.0, 0.0]), "o.b": np.array([0.1, 0.0, 0.2])},
+                    {"o.z": np.array([0.0, 0.0, 1.0])})
+    axes = []
+    result = run_phase(SkillPhase(name="p", translational=(a, b), rotational=(),
+                                  step_budget=4), env, Limits(),
+                       on_tick=lambda outputs, *_: axes.append(
+                           [o.primary_axis.tolist() for o in outputs]))
+    assert result.outcome == "budget_exhausted"
+    assert [axis_b for _, axis_b in axes] == [[0.0, 0.0, 1.0]] * 4
+    assert [axis_a for axis_a, _ in axes[1:]] == [[1.0, 0.0, 0.0]] * 3
+
+
 # ------------------------------------------------------ skill-text fuzzing
 
 _WORDS = ("skill", "uses", "phase", "grasp", "at", "budget", "robot", "r", "o", "x",

@@ -1,12 +1,19 @@
 """Bit-exactness of the control tick's fast paths.
 
-cross3, completion_matrix, norm3, the world-fixed contact planes, the
-read-only identity of rotvec_to_matrix and the per-state memo of
-AxisAlign targets and PosWaypoint completion frames exist only for
-speed; each must give the same bits as the generic computation it
-replaces, on random unit vectors, near the |z . X| = 0.9 seed switch, on
-the world axes and on antiparallel pairs, and norm3 also on signed
-zeros, subnormals, huge and tiny magnitudes, infinities and NaN.
+cross3, completion_matrix, norm3, the world-fixed contact planes and the
+read-only identity of rotvec_to_matrix exist only for speed; each must
+give the same bits as the generic computation it replaces, on random
+unit vectors, near the |z . X| = 0.9 seed switch, on the world axes and
+on antiparallel pairs, and norm3 also on signed zeros, subnormals, huge
+and tiny magnitudes, infinities and NaN.
+
+World-fixed values are resolved once per phase: the AxisAlign target and
+PosWaypoint completion frame of an axis the observation lists in
+fixed_axes are derived on the phase's first tick and kept in the
+controller's state, and must equal axis_align_target / completion_matrix
+bit for bit; those of a held axis (one that moves with the gripper) are
+derived again on every tick. An observation may be one live view, valid
+until the next observe().
 """
 
 import dataclasses
@@ -129,9 +136,9 @@ def test_rotation_between_axes_matches_reference(pair):
     assert np.array_equal(rotation_between_axes(a, b), _reference_rotation_between(a, b))
 
 
-def _obs(keypoints, axes):
+def _obs(keypoints, axes, fixed_axes=frozenset()):
     return ObservationBundle(grounded=GroundedParams(keypoints=keypoints, axes=axes),
-                             measured_force=np.zeros(3))
+                             measured_force=np.zeros(3), fixed_axes=fixed_axes)
 
 
 def _same_output(x, y):
@@ -139,41 +146,80 @@ def _same_output(x, y):
             and x.done == y.done and x.inactive == y.inactive)
 
 
+def _fresh(state):
+    """A copy of `state` with nothing derived: its step derives from scratch."""
+    return ControllerState(state.waypoint_index, state.last_axis)
+
+
 @settings(max_examples=100, deadline=None)
 @given(unit_vectors, unit_vectors, unit_vectors,
        st.tuples(*[st.floats(-180.0, 180.0)] * 3))
-def test_axis_align_memo_is_bitwise_uncached(a1, a2, a2_moved, theta):
+def test_axis_align_world_fixed_target_is_derived_once(a1, a2, a1_start, theta):
     cfg = ControllerConfig(kind=AXIS_ALIGN, bindings=("r.a1", "o.a2"), theta=theta)
     state = ControllerState()
+    want = axis_align_target(a2, cfg.theta)
     for tick in range(6):
-        target_axis = a2 if tick < 4 else a2_moved  # the bound axis moves once
-        obs = _obs({}, {"r.a1": a1, "o.a2": target_axis})
-        uncached = ControllerState(state.waypoint_index, state.last_axis)
+        obs = _obs({}, {"r.a1": a1, "o.a2": a2}, fixed_axes={"o.a2"})
+        fresh = _fresh(state)
         out, state = step_controller(cfg, obs, state)
-        out_uncached, _ = step_controller(cfg, obs, uncached)
-        assert _same_output(out, out_uncached)
-        assert np.array_equal(state.memo, axis_align_target(target_axis, cfg.theta))
+        out_fresh, _ = step_controller(cfg, _obs({}, {"r.a1": a1, "o.a2": a2}), fresh)
+        assert _same_output(out, out_fresh)
+        assert state.target.tobytes() == want.tobytes()
+        if tick == 0:
+            derived = state.target
+        assert state.target is derived     # kept, not derived again
         a1 = a1 + 0.1 * out.action * out.primary_axis
         a1 = a1 / np.linalg.norm(a1)
 
 
 @settings(max_examples=100, deadline=None)
-@given(unit_vectors, unit_vectors,
-       st.lists(st.tuples(*[st.floats(-0.1, 0.1)] * 3), min_size=1, max_size=3))
-def test_pos_waypoint_memo_is_bitwise_uncached(a2, a2_moved, waypoints):
+@given(unit_vectors, st.lists(unit_vectors, min_size=2, max_size=6),
+       st.tuples(*[st.floats(-180.0, 180.0)] * 3))
+def test_axis_align_held_target_is_derived_every_tick(a1, held_axes, theta):
+    cfg = ControllerConfig(kind=AXIS_ALIGN, bindings=("r.a1", "h.a2"), theta=theta)
+    state = ControllerState()
+    for axis in held_axes:   # the held axis moves with the gripper each tick
+        obs = _obs({}, {"r.a1": a1, "h.a2": axis}, fixed_axes={"r.a1"})
+        fresh = _fresh(state)
+        out, state = step_controller(cfg, obs, state)
+        out_fresh, _ = step_controller(cfg, obs, fresh)
+        assert _same_output(out, out_fresh)
+        assert state.target is None
+        target = axis_align_target(axis, cfg.theta)
+        w = rotation_between_axes(a1, target)
+        if not out.inactive:
+            assert out.primary_axis.tobytes() == (w / norm3(w)).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_vectors, st.lists(unit_vectors, min_size=2, max_size=6),
+       st.lists(st.tuples(*[st.floats(-0.1, 0.1)] * 3), min_size=1, max_size=3),
+       st.booleans())
+def test_pos_waypoint_frame_is_derived_once_if_world_fixed(a2, held_axes, waypoints,
+                                                            fixed):
+    """A world-fixed axis keeps its phase-start frame; a held one (a new
+    value each tick) gets a frame derived from that tick's value."""
     cfg = ControllerConfig(kind=POS_WAYPOINT, bindings=("r.g1", "o.g2", "o.a2"),
                            theta=tuple(waypoints))
     g1, g2 = np.zeros(3), np.array([0.01, -0.02, 0.03])
     state = ControllerState()
-    for tick in range(6):
-        axis = a2 if tick < 4 else a2_moved
-        obs = _obs({"r.g1": g1, "o.g2": g2}, {"o.a2": axis})
-        uncached = ControllerState(state.waypoint_index, state.last_axis)
+    for tick, moved in enumerate(held_axes):
+        axis = a2 if fixed else moved
+        obs = _obs({"r.g1": g1, "o.g2": g2}, {"o.a2": axis},
+                   fixed_axes={"o.a2"} if fixed else frozenset())
+        fresh = _fresh(state)
         out, state = step_controller(cfg, obs, state)
-        out_uncached, state_uncached = step_controller(cfg, obs, uncached)
-        assert _same_output(out, out_uncached)
-        assert state.waypoint_index == state_uncached.waypoint_index
-        assert np.array_equal(state.memo, completion_matrix(axis))
+        out_fresh, state_fresh = step_controller(cfg, _obs(obs.grounded.keypoints,
+                                                           obs.grounded.axes), fresh)
+        assert _same_output(out, out_fresh)
+        assert state.waypoint_index == state_fresh.waypoint_index
+        if fixed:
+            assert state.target.tobytes() == completion_matrix(a2).tobytes()
+            if tick == 0:
+                derived = state.target
+            assert state.target is derived
+        else:
+            assert state.target is None
         g1 = g1 + 0.05 * out.action * out.primary_axis
 
 
