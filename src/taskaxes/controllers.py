@@ -93,7 +93,8 @@ class ControllerConfig:
     theta keeps the units it is authored in: meters for PosAlign offsets
     and PosWaypoint waypoints, newtons for ForceAlign, degrees for the
     AxisAlign Euler offset. done_tol follows the same rule (meters or
-    degrees). Everything is converted to SI internally when stepped.
+    degrees). The steppers read `offsets`, the PosAlign offset or each
+    waypoint as a read-only float64 array, and `tol`, done_tol in SI.
     """
 
     kind: str
@@ -102,6 +103,8 @@ class ControllerConfig:
     gains: Gains = field(default_factory=Gains)
     limits: Limits = field(default_factory=Limits)
     done_tol: float = None
+    offsets: tuple = field(init=False, repr=False, compare=False)
+    tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KIND_CLASS:
@@ -115,6 +118,12 @@ class ControllerConfig:
             object.__setattr__(self, "done_tol", DEFAULT_DONE_TOL.get(self.kind))
         else:
             positive("done_tol", self.done_tol)
+        offsets = {POS_ALIGN: (self.theta,), POS_WAYPOINT: self.theta}.get(self.kind, ())
+        object.__setattr__(self, "offsets", tuple(np.array(o, dtype=np.float64) for o in offsets))
+        for offset in self.offsets:
+            offset.flags.writeable = False
+        object.__setattr__(self, "tol", math.radians(self.done_tol)
+                           if self.kind == AXIS_ALIGN else self.done_tol)
 
     @property
     def control_class(self) -> str:
@@ -187,15 +196,11 @@ class ObservationBundle:
 
 
 def _fallback_axis(state):
-    if state.last_axis is not None:
-        return np.asarray(state.last_axis, dtype=np.float64)
-    return WORLD_Z.copy()
+    return WORLD_Z.copy() if state.last_axis is None else state.last_axis
 
 
 def _derived(state, obs, label, derive, *args):
     """derive(axis `label`, *args), kept as the state's target if the axis is world-fixed."""
-    if state.target is not None:
-        return state.target
     value = derive(obs.grounded.axes[label], *args)
     if label in obs.fixed_axes:
         state.target = value
@@ -207,34 +212,31 @@ def _servo_toward(cfg, state, current, target, at_last_waypoint=True):
     error = target - current
     dist = norm3(error)
     if dist < _INACTIVE_POS:
-        out = ControllerOutput(_fallback_axis(state), 0.0, at_last_waypoint, True)
-        return out, dist
+        return ControllerOutput(_fallback_axis(state), 0.0, at_last_waypoint, True), dist
     axis = error / dist
     action = min(cfg.gains.kp * dist, cfg.limits.v_max)
     state.last_axis = axis
-    return ControllerOutput(axis, action, at_last_waypoint and dist <= cfg.done_tol,
-                            False), dist
+    return ControllerOutput(axis, action, at_last_waypoint and dist <= cfg.tol, False), dist
 
 
 def step_pos_align(cfg: ControllerConfig, obs: ObservationBundle,
                    state: ControllerState):
     keypoints = obs.grounded.keypoints
     g1, g2 = keypoints[cfg.bindings[0]], keypoints[cfg.bindings[1]]
-    target = g2 + np.asarray(cfg.theta, dtype=np.float64)
-    return _servo_toward(cfg, state, g1, target)[0], state
+    return _servo_toward(cfg, state, g1, g2 + cfg.offsets[0])[0], state
 
 
 def step_pos_waypoint(cfg: ControllerConfig, obs: ObservationBundle,
                       state: ControllerState):
     keypoints = obs.grounded.keypoints
     g1, g2 = keypoints[cfg.bindings[0]], keypoints[cfg.bindings[1]]
-    waypoints = cfg.theta
-    k = min(state.waypoint_index, len(waypoints) - 1)
-    frame = _derived(state, obs, cfg.bindings[2], completion_matrix)
-    target = g2 + frame @ np.asarray(waypoints[k], dtype=np.float64)
-    at_last = k == len(waypoints) - 1
-    out, dist = _servo_toward(cfg, state, g1, target, at_last_waypoint=at_last)
-    if dist <= cfg.done_tol and not at_last:
+    last = len(cfg.offsets) - 1
+    k = min(state.waypoint_index, last)
+    frame = (state.target if state.target is not None
+             else _derived(state, obs, cfg.bindings[2], completion_matrix))
+    target = g2 + frame @ cfg.offsets[k]
+    out, dist = _servo_toward(cfg, state, g1, target, at_last_waypoint=k == last)
+    if dist <= cfg.tol and k < last:
         state.waypoint_index = k + 1
     return out, state
 
@@ -242,7 +244,8 @@ def step_pos_waypoint(cfg: ControllerConfig, obs: ObservationBundle,
 def step_axis_align(cfg: ControllerConfig, obs: ObservationBundle,
                     state: ControllerState):
     a1 = obs.grounded.axes[cfg.bindings[0]]
-    target = _derived(state, obs, cfg.bindings[1], axis_align_target, cfg.theta)
+    target = (state.target if state.target is not None
+              else _derived(state, obs, cfg.bindings[1], axis_align_target, cfg.theta))
     w = rotation_between_axes(a1, target)
     ang = norm3(w)
     if ang < _INACTIVE_ANG:
@@ -250,7 +253,7 @@ def step_axis_align(cfg: ControllerConfig, obs: ObservationBundle,
     axis = w / ang
     action = min(cfg.gains.kr * ang, cfg.limits.w_max)
     state.last_axis = axis
-    return ControllerOutput(axis, action, ang <= math.radians(cfg.done_tol), False), state
+    return ControllerOutput(axis, action, ang <= cfg.tol, False), state
 
 
 def axis_align_target(a2, theta_deg) -> np.ndarray:
@@ -261,7 +264,6 @@ def axis_align_target(a2, theta_deg) -> np.ndarray:
     the target direction relative to a2. A zero theta returns a2 itself;
     (0, 0, deg) tilts the target by deg away from a2.
     """
-    a2 = np.asarray(a2, dtype=np.float64)
     comp = completion_matrix(a2)
     frame_x = np.column_stack([a2, comp[:, 0], comp[:, 1]])
     euler = euler_xyz_to_matrix(*(math.radians(t) for t in theta_deg))
@@ -274,8 +276,7 @@ def step_force_align(cfg: ControllerConfig, obs: ObservationBundle,
     f_meas = float(obs.measured_force @ a1)
     raw = cfg.gains.kf * (cfg.theta - f_meas)
     action = min(max(raw, -cfg.limits.v_max), cfg.limits.v_max)
-    return ControllerOutput(np.asarray(a1, dtype=np.float64), action,
-                            done=False, inactive=False), state
+    return ControllerOutput(a1, action, False, False), state
 
 
 _STEPPERS = {

@@ -43,7 +43,7 @@ def angle_between(a, b) -> float:
 
 
 def skew(v) -> np.ndarray:
-    x, y, z = np.asarray(v, dtype=np.float64)
+    x, y, z = np.asarray(v, dtype=np.float64).tolist()
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -283,10 +284,10 @@ def _contact_force(scene: Scene, state: SimState, probe_world) -> np.ndarray:
 
 def step_sim(state: SimState, twist: Twist, scene: Scene) -> SimState:
     """One forward-Euler tick: integrate the twist, re-evaluate contact."""
-    rot = rotvec_to_matrix(twist.w * state.dt)
-    ee = Frame._trusted(state.ee.origin + twist.v * state.dt, rot @ state.ee.rotation)
-    probe_world = ee.apply(state.probe_local)
-    return SimState(ee, state.attached, state.probe_local,
+    origin = state.ee.origin + twist.v * state.dt
+    rot = rotvec_to_matrix(twist.w * state.dt) @ state.ee.rotation
+    probe_world = rot @ state.probe_local + origin
+    return SimState(Frame._trusted(origin, rot), state.attached, state.probe_local,
                     _contact_force(scene, state, probe_world), state.t + 1, state.dt)
 
 
@@ -365,11 +366,13 @@ class GroundedAnchors:
         `ee`, valid until the next call; world-fixed values stay as they
         are. Returns the held values in the order of layout()'s labels."""
         keypoints, axes, held = self.view.keypoints, self.view.axes, []
-        for view, move, table in ((keypoints, ee.apply, self._held["keypoints"]),
-                                  (axes, ee.apply_dir, self._held["axes"])):
-            for q, local in table.items():
-                view[q] = value = move(local)
-                held.append(value)
+        rot, origin = ee.rotation, ee.origin
+        for q, local in self._held["keypoints"].items():
+            keypoints[q] = value = rot @ local + origin
+            held.append(value)
+        for q, local in self._held["axes"].items():
+            axes[q] = value = rot @ local
+            held.append(value)
         for keypoint, builtin_axes in self._robot_labels:
             keypoints[keypoint] = ee.origin
             for q, i in builtin_axes:
@@ -392,9 +395,8 @@ class GroundedAnchors:
 
 _POSE_COLS = 12          # ee origin, then its rotation row-major
 _STATE_COLS = 21         # the pose, the contact force, twist v and w
-_CONTROLLER_COLS = 10    # axis, axis_hat, u, u_hat, active, done
 _FIRST_ROWS = 1023       # tick rows a phase table starts with; it doubles when full
-_NAN3 = np.full(3, np.nan)
+_INACTIVE = (np.full(3, np.nan), 0.0)   # the (axis_hat, u_hat) logged for no command
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _TRAJECTORY_COLS = operator.itemgetter(0, 1, 2, 15, 16, 17, 18, 19, 20, 12, 13, 14)
 
@@ -409,23 +411,22 @@ class _PhaseTable:
                             for cls, cfgs in ((TRANSLATIONAL, phase.translational),
                                               (ROTATIONAL, phase.rotational))
                             for i, cfg in enumerate(cfgs)]
-        first = _STATE_COLS + 3 * len(self.held)
-        self.cols = [first + _CONTROLLER_COLS * c   # each controller's first column
-                     for c in range(len(self.controllers))]
-        self.rows = np.empty((min(phase.step_budget, _FIRST_ROWS) + 1,
-                              first + _CONTROLLER_COLS * len(self.controllers)))
+        n, first = len(self.controllers), _STATE_COLS + 3 * len(self.held)
+        self.scalars = first + 6 * n     # the first scalar column
+        # each controller's first array column (axis) and first scalar column (u)
+        self.cols = [(first + 6 * c, self.scalars + 4 * c) for c in range(n)]
+        self.rows = np.empty((min(phase.step_budget, _FIRST_ROWS) + 1, self.scalars + 4 * n))
         np.concatenate((ee.origin, ee.rotation.reshape(9)), out=self.rows[0, :_POSE_COLS])
         self.ticks = 0
         self._templates = {}
 
     def _template(self, flags):
-        """Format string of the lines whose controllers have the (active,
-        done, active, done, ...) flags `flags`. Its arguments are t, the
-        row's strings, then the previous row's pose strings."""
-        names = [self.name, *self.world["keypoints"], *self.world["axes"],
-                 *(q for _, q in self.held),
-                 *(q for kp, axes in self.robot for q in (kp, *(a for a, _ in axes)))]
-        mark = "\x00" * (1 + max(s.count("\x00") for s in names))   # in no name or label
+        """(%-template, argument getter) of the lines whose controllers have
+        the (active, done, active, done, ...) flags `flags`; the getter picks
+        the arguments from (t, *the row's strings, *the previous pose's)."""
+        # in no name or label: more NULs than all of them hold together
+        mark = "\x00" * (1 + json.dumps([self.name, self.world, self.held, self.robot])
+                          .count("\\u0000"))
         width = self.rows.shape[1]
 
         def vec(*cols):
@@ -439,13 +440,13 @@ class _PhaseTable:
             for q, i in builtin_axes:
                 grounded["axes"][q] = vec(width + 3 + i, width + 6 + i, width + 9 + i)
         controllers = []
-        for (cls, priority, kind), col, active, done in zip(
+        for (cls, priority, kind), (col, u), active, done in zip(
                 self.controllers, self.cols, flags[::2], flags[1::2]):
             controllers.append({
                 "class": cls, "priority": priority, "kind": kind,
                 "axis": vec(col, col + 1, col + 2),
                 "axis_hat": vec(col + 3, col + 4, col + 5) if active else None,
-                "u": vec(col + 6)[0], "u_hat": vec(col + 7)[0],
+                "u": vec(u)[0], "u_hat": vec(u + 1)[0],
                 "active": active, "done": done,
             })
         skeleton = {
@@ -458,16 +459,16 @@ class _PhaseTable:
             "controllers": controllers,
             "grounded": grounded,
         }
-        text = json.dumps(skeleton, sort_keys=True).replace("{", "{{").replace("}", "}}")
-        for k in range(width + _POSE_COLS + 1):
-            text = text.replace(json.dumps(f"{mark}{k}"), f"{{{k}}}")
-        template = self._templates[flags] = text + "\n"
+        pieces = re.split(re.escape(json.dumps(mark)[:-1]) + r'(\d+)"',
+                          json.dumps(skeleton, sort_keys=True).replace("%", "%%"))
+        template = self._templates[flags] = (
+            "%s".join(pieces[::2]) + "\n", operator.itemgetter(*map(int, pieces[1::2])))
         return template
 
     def lines(self, csv):
         """(JSON line, CSV row or None) of each tick."""
         rows = self.rows[:self.ticks + 1]
-        flag_cols = [col + k for col in self.cols for k in (8, 9)]
+        flag_cols = [u + k for _, u in self.cols for k in (2, 3)]
         # JSON spells a non-finite value its own way; an inactive controller's
         # NaN axis_hat, which is not printed, takes that path too
         plain = np.isfinite(rows).all(axis=1)
@@ -477,9 +478,9 @@ class _PhaseTable:
             text = list(map(repr, values))
             js = text if plain[k] else [_JSON_SPELLING.get(s, s) for s in text]
             flags = tuple(values[j] == 1.0 for j in flag_cols)
-            template = self._templates.get(flags) or self._template(flags)
+            template, args = self._templates.get(flags) or self._template(flags)
             t = str(self.t0 + k)
-            yield (template.format(t, *js, *prev),
+            yield (template % args((t, *js, *prev)),
                    ",".join((t, *_TRAJECTORY_COLS(text))) if csv else None)
             prev = js[:_POSE_COLS]
 
@@ -489,19 +490,20 @@ class SimLog:
     JSON lines and trajectory CSV rows in one pass.
 
     Row k >= 1 of a phase's table is tick k of the phase, whose t is the
-    phase's start tick plus k. It holds the gripper pose after the tick
-    (origin, then rotation row-major), the contact force, the twist v
-    and w, each held grounded value as observed at the start of the
-    tick, then per controller (translational then rotational, each by
-    priority) its axis, axis_hat (NaN when inactive), u, u_hat, active
-    and done. Row 0 holds only the pose the phase starts from. The
-    phase's name, each controller's class, priority and kind, and the
-    world-fixed grounded values are fixed for the phase and written into
-    one format template per combination of active and done flags. The
-    robot built-ins (role.pos, .x, .y, .z) of tick k are the pose of row
-    k - 1, so they reuse that row's strings. Each float is formatted once
-    with repr, non-finite ones as json.dumps spells them, so every line
-    equals json.dumps(record, sort_keys=True) of the tick's record.
+    phase's start tick plus k. Its arrays come first: the gripper pose
+    after the tick (origin, then rotation row-major), the contact force,
+    the twist v and w, each held grounded value as observed at the start
+    of the tick, then per controller (translational then rotational, each
+    by priority) its axis and axis_hat (NaN when inactive); then its
+    scalars, u, u_hat, active and done per controller in the same order.
+    Row 0 holds only the pose the phase starts from. The phase's name,
+    each controller's class, priority and kind, and the world-fixed
+    grounded values are fixed for the phase and written into one
+    %-template per combination of active and done flags. The robot
+    built-ins (role.pos, .x, .y, .z) of tick k are the pose of row k - 1,
+    so they reuse that row's strings. Each float is formatted once with
+    repr, non-finite ones as json.dumps spells them, so every line equals
+    json.dumps(record, sort_keys=True) of the tick's record.
 
     `records` is json.loads of every line, which restores each float
     bit for bit; it is built on first read and kept until a tick is
@@ -526,14 +528,15 @@ class SimLog:
         table.ticks += 1
         if table.ticks == len(table.rows):
             table.rows = np.concatenate((table.rows, np.empty_like(table.rows)))
-        parts = [state.ee.origin, state.ee.rotation.reshape(9), state.contact_force,
-                 twist.v, twist.w, *held]
+        arrays = [state.ee.origin, state.ee.rotation.ravel(), state.contact_force,
+                  twist.v, twist.w, *held]
+        scalars = []
         for out, cmd in zip(outputs, commands):
-            if cmd is None:
-                parts += (out.primary_axis, _NAN3, (out.action, 0.0, 0.0, out.done))
-            else:
-                parts += (out.primary_axis, cmd[0], (out.action, cmd[1], 1.0, out.done))
-        np.concatenate(parts, out=table.rows[table.ticks])
+            axis_hat, u_hat = cmd or _INACTIVE
+            arrays += (out.primary_axis, axis_hat)
+            scalars += (out.action, u_hat, cmd is not None, out.done)
+        np.concatenate(arrays, out=table.rows[table.ticks, :table.scalars])
+        table.rows[table.ticks, table.scalars:] = scalars
         self._records = None
 
     def end_phase(self):

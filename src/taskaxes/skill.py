@@ -108,10 +108,9 @@ def project_axes(axes):
     for axis in axes:
         r = np.asarray(axis, dtype=np.float64)
         if basis:
-            r = r.copy()
             for _ in range(2):
                 for b in basis:
-                    r -= float(b @ r) * b
+                    r = r - float(b @ r) * b
         n = norm3(r)
         if n < _PROJ_TOL:
             out.append(None)
@@ -129,10 +128,11 @@ def project_actions(outputs):
     gets (axis_hat, u_hat) with u_hat = u * (axis . axis_hat), or None
     when it is inactive or its axis collapses.
     """
-    projected = iter(project_axes([o.primary_axis for o in outputs if not o.inactive]))
-    commands = []
+    projected = project_axes([o.primary_axis for o in outputs if not o.inactive])
+    commands, k = [], 0
     for out in outputs:
-        ahat = None if out.inactive else next(projected)
+        ahat = None if out.inactive else projected[k]
+        k += not out.inactive
         commands.append(None if ahat is None
                         else (ahat, out.action * float(out.primary_axis @ ahat)))
     return commands
@@ -158,8 +158,8 @@ def _clamped_sum(commands, limit):
 
 def compose_twist(trans_commands, rot_commands, limits: Limits) -> Twist:
     """Sum projected commands into one twist, norm-clamped per class."""
-    return Twist(v=_clamped_sum(trans_commands, limits.v_max),
-                 w=_clamped_sum(rot_commands, limits.w_max))
+    return Twist(_clamped_sum(trans_commands, limits.v_max),
+                 _clamped_sum(rot_commands, limits.w_max))
 
 
 # ----------------------------------------------------------------------
@@ -184,24 +184,20 @@ def run_phase(phase: SkillPhase, env, limits: Limits, on_tick=None) -> PhaseResu
     whole budget and counts as done. Every binding must name a grounded
     value of the observation (SkillRunner checks them before the run).
     """
-    controllers = phase.translational + phase.rotational
+    controllers = [(cfg, ControllerState()) for cfg in phase.translational + phase.rotational]
     n_trans = len(phase.translational)
-    states = [ControllerState() for _ in controllers]
-    done_idx = [k for k, cfg in enumerate(controllers) if done_capable(cfg)]
+    done_idx = [k for k, (cfg, _) in enumerate(controllers) if done_capable(cfg)]
     ticks = 0
     while ticks < phase.step_budget:
         obs = env.observe()
-        outputs = []
-        for k, cfg in enumerate(controllers):
-            out, states[k] = step_controller(cfg, obs, states[k])
-            outputs.append(out)
-        commands = project_actions(outputs[:n_trans]) + project_actions(outputs[n_trans:])
-        twist = compose_twist(commands[:n_trans], commands[n_trans:], limits)
+        outputs = [step_controller(cfg, obs, state)[0] for cfg, state in controllers]
+        trans, rot = project_actions(outputs[:n_trans]), project_actions(outputs[n_trans:])
+        twist = compose_twist(trans, rot, limits)
         env.apply(twist)
         ticks += 1
         if on_tick is not None:
-            on_tick(outputs, commands, twist)
-        if done_idx and all(outputs[k].done for k in done_idx):
+            on_tick(outputs, trans + rot, twist)
+        if done_idx and all([outputs[k].done for k in done_idx]):
             return PhaseResult("done", ticks)
     if phase.step_budget > 0 and not done_idx:
         return PhaseResult("done", ticks)

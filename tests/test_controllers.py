@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -290,3 +291,34 @@ def test_outputs_bounded_unit_and_finite_under_fuzz():
         assert abs(np.linalg.norm(out.primary_axis) - 1.0) < 1e-9
         if out.inactive:
             assert out.action == 0.0
+
+
+# ---------------------------------------------------------------- conversions
+
+
+@pytest.mark.parametrize("kind, bindings, theta, done_tol", [
+    (POS_ALIGN, ("r.g1", "o.g2"), (0.01, -0.02, 0.03), None),
+    (POS_WAYPOINT, ("r.g1", "o.g2", "o.a2"), ((0.0, 0.0, 0.0), (0.0, 0.0, 0.04)), 0.003),
+    (AXIS_ALIGN, ("r.a1", "o.a2"), (0.0, 0.0, 135.0), 0.5),
+])
+def test_config_conversions_leave_comparison_hashing_and_freezing_alone(
+        kind, bindings, theta, done_tol):
+    """offsets and tol are converted once per config; they are not fields
+    of its identity, and they cannot be changed after construction."""
+    cfg = ControllerConfig(kind=kind, bindings=bindings, theta=theta, done_tol=done_tol)
+    as_lists = ControllerConfig(kind=kind, bindings=bindings, done_tol=done_tol,
+                                theta=[list(t) if isinstance(t, tuple) else t for t in theta])
+    assert cfg == as_lists and hash(cfg) == hash(as_lists)
+    assert hash(cfg) == hash((kind, bindings, theta, Gains(), Limits(), cfg.done_tol))
+    assert cfg != dataclasses.replace(cfg, done_tol=2 * cfg.done_tol)
+    assert cfg.tol == (math.radians(cfg.done_tol) if kind == AXIS_ALIGN else cfg.done_tol)
+    expected = {POS_ALIGN: (theta,), POS_WAYPOINT: theta}.get(kind, ())
+    assert [o.tolist() for o in cfg.offsets] == [list(t) for t in expected]
+    for offset in cfg.offsets:
+        assert offset.dtype == np.float64 and offset.shape == (3,)
+        with pytest.raises(ValueError):
+            offset[0] = 1.0
+    with pytest.raises(AttributeError):
+        cfg.offsets = ()
+    with pytest.raises(AttributeError):
+        cfg.tol = 1.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskaxes.errors import NonPositiveDepth, OutOfBounds
 from taskaxes.geometry import (
@@ -14,8 +16,10 @@ from taskaxes.geometry import (
     project_point,
     rotation_between_axes,
     rotvec_to_matrix,
+    skew,
     unit,
 )
+from taskaxes.skill import project_axes
 
 INTR = CameraIntrinsics(fx=430.0, fy=430.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -143,3 +147,42 @@ def test_frame_compose_inverse():
 def test_angle_between_is_clipped():
     a = unit([1.0, 1e-13, 0.0])
     assert angle_between(a, a) == 0.0
+
+
+# ------------------------------------------------- public boundary conversions
+
+COMPONENT = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+TRIPLE = st.tuples(COMPONENT, COMPONENT, COMPONENT)
+
+
+def _bytes(value):
+    if isinstance(value, list):
+        return [None if v is None else _bytes(v) for v in value]
+    assert value.dtype == np.float64
+    return value.tobytes()
+
+
+def _as_given(triple, form):
+    return {"tuple": tuple(triple), "list": list(triple),
+            "array": np.array(triple, dtype=np.float64)}[form]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TRIPLE, min_size=3, max_size=3), st.sampled_from(["tuple", "list"]),
+       st.floats(-math.pi, math.pi), TRIPLE)
+def test_public_helpers_take_tuples_and_lists_as_float64_arrays(triples, form, turn, axis):
+    """The tick hands these helpers float64 arrays and skips conversions of
+    its own; the helpers still take any 3-sequence, with the same bytes."""
+    frame = Frame._trusted(np.array(triples[2], dtype=np.float64),
+                           rotvec_to_matrix(turn * unit(np.array(axis, float) + 4.0)))
+    calls = {
+        "rotation_between_axes": lambda x, y, z: rotation_between_axes(x, y),
+        "rotvec_to_matrix": lambda x, y, z: rotvec_to_matrix(x),
+        "skew": lambda x, y, z: skew(x),
+        "project_axes": lambda x, y, z: project_axes([x, y, z]),
+        "Frame.apply": lambda x, y, z: frame.apply(x),
+        "Frame.apply_dir": lambda x, y, z: frame.apply_dir(x),
+    }
+    for name, call in calls.items():
+        want = _bytes(call(*(_as_given(t, "array") for t in triples)))
+        assert _bytes(call(*(_as_given(t, form) for t in triples))) == want, name

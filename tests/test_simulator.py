@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from taskaxes.simulator import (
     render_synthetic_features,
     step_sim,
 )
-from taskaxes.skill import SkillPhase, Twist, parse_skill
+from taskaxes.skill import SkillPhase, Twist, parse_skill, project_axes
 
 from taskaxes.geometry import CameraIntrinsics
 
@@ -293,3 +294,39 @@ def test_ee_start_default_is_the_same_in_code_and_json():
     assert np.array_equal(loaded.ee_start.origin, built.ee_start.origin)
     assert np.array_equal(loaded.ee_start.rotation, built.ee_start.rotation)
     assert np.array_equal(built.ee_start.origin, [0.0, 0.0, 0.25])
+
+
+def test_tick_makes_no_asarray_conversions_of_its_own(monkeypatch):
+    """The tick holds float64 arrays and converts none of them again: over
+    a run with a held role (the grasped spatula) and a world-fixed one (the
+    pan), no np.asarray call comes from the controllers, the skill or the
+    simulator, bar the boundary conversion of the public project_axes. The
+    last phase gives AxisAlign a held target and PosWaypoint a held frame."""
+    bundle = build_task("scrape")
+    text = bundle["skill_text"].rstrip()[:-1] + (
+        "  phase held budget=20 {\n"
+        "    AxisAlign(gripper.x, spatula.tip_dir);\n"
+        "    PosWaypoint(spatula.tip_pos, pan.scrape_pos, spatula.tip_dir, "
+        "theta=[[0, 0, 0], [0, 0, 0.01]])\n"
+        "  }\n}\n")
+    scene, _ = scene_from_json(bundle["scene"])
+    ref_scene, _ = scene_from_json(bundle["ref_scene"])
+    runner = SkillRunner(parse_skill(text), scene, bundle["specs"], ref_scene=ref_scene)
+    runner.ground_all()
+    asarray, callers = np.asarray, []
+
+    def counting(*args, **kwargs):
+        caller = sys._getframe(1)
+        callers.append((caller.f_globals["__name__"], caller.f_code))
+        return asarray(*args, **kwargs)
+
+    monkeypatch.setattr(np, "asarray", counting)
+    result = runner.run()
+    monkeypatch.undo()
+    assert [name for name, _ in result.phases] == ["reach", "align", "scrape", "held"]
+    assert result.log.records[-1]["phase"] == "held"
+    boundary = project_axes.__code__
+    assert any(code is boundary for _, code in callers)   # the wrapper sees the tick
+    tick_modules = {"taskaxes.controllers", "taskaxes.skill", "taskaxes.simulator"}
+    assert [(module, code.co_name) for module, code in callers
+            if module in tick_modules and code is not boundary] == []

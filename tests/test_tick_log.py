@@ -93,7 +93,8 @@ SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 1e16, 999999999999
            float("-inf"))
 NUMBER = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
 VEC = st.lists(NUMBER, min_size=3, max_size=3).map(np.array)
-LABEL = st.text(alphabet="ab.\x00", min_size=1, max_size=4)
+# a spec label comes from JSON: it may hold a format template's special characters
+LABEL = st.text(alphabet="ab.\x00%{}", min_size=1, max_size=4)
 POOL = {
     TRANSLATIONAL: (ControllerConfig(kind="PosAlign", bindings=("r.pos", "o.goal")),
                     ControllerConfig(kind="ForceAlign", bindings=("o.z",), theta=3.0)),
@@ -110,7 +111,8 @@ def phase_tables(draw):
         trans = draw(st.lists(st.sampled_from(POOL[TRANSLATIONAL]), max_size=3))
         rot = draw(st.lists(st.sampled_from(POOL[ROTATIONAL]), max_size=3))
         ticks = draw(st.integers(0, 5))
-        phase = SkillPhase(name=draw(st.sampled_from(["p", "\x00", "\x001", "ph"])) + str(n),
+        name = draw(st.sampled_from(["p", "\x00", "\x001", "ph", "%s", "%%", "{0}", "}{"]))
+        phase = SkillPhase(name=name + str(n),
                            translational=tuple(trans), rotational=tuple(rot),
                            step_budget=ticks + draw(st.integers(0, 2)))
         world = {"keypoints": {}, "axes": {}}
