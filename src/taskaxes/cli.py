@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FileFormatError, TaskAxesError, entry, finite
+from .errors import ConfigError, FileFormatError, TaskAxesError, entry, finite, typed
 from .evaluation import run_validation
 from .features import (
     MatchConfig,
@@ -63,7 +63,7 @@ def _sha256(path) -> str:
 
 # input file flags; a manifest records them and its inputs relative to itself
 _PATH_FLAGS = ("skill", "scene", "config", "ref", "target", "depth", "keypoints",
-               "spec", "intr", "cloud")
+               "spec", "intr")
 
 
 def _write_manifest(out_dir, command, flags, inputs):
@@ -103,22 +103,10 @@ def _match_config(flags) -> MatchConfig:
 # commands: each returns (exit_code, input_paths)
 
 
-def _from_file(path, build):
-    """build(JSON value of the file at `path`); an error in the value's
-    layout or settings names the file."""
-    data = read_json(path)
-    try:
-        return build(data)
-    except (FileFormatError, ConfigError) as err:
-        raise err.annotate(path) from None
-
-
 def _keypoint_pixels(data):
     """(keypoint, (u, v) pixel) of each keypoint object of a JSON list."""
-    if not isinstance(data, list):
-        raise FileFormatError("keypoints must be a JSON list")
     pairs = []
-    for i, kp in enumerate(data):
+    for i, kp in enumerate(typed(data, list, "keypoints")):
         entry(kp, "label", f"[{i}].label")
         u, v = finite(f"[{i}].pixel", entry(kp, "pixel", f"[{i}].pixel"), (2,))
         pairs.append((kp, (int(u), int(v))))
@@ -129,7 +117,7 @@ def cmd_match(flags, out_dir):
     ref = read_feature_grid(flags["ref"])
     target = read_feature_grid(flags["target"])
     depth = read_depth_mask(flags["depth"])
-    keypoints = _from_file(flags["keypoints"], _keypoint_pixels)
+    keypoints = read_json(flags["keypoints"], _keypoint_pixels)
     cfg = _match_config(flags)
     results = []
     for kp, px in keypoints:
@@ -149,38 +137,31 @@ def cmd_match(flags, out_dir):
 
 
 def cmd_ground(flags, out_dir):
-    spec = _from_file(flags["spec"], spec_from_json)
+    spec = read_json(flags["spec"], spec_from_json)
     ref = read_feature_grid(flags["ref"])
     target = read_feature_grid(flags["target"])
     depth = read_depth_mask(flags["depth"])
-    intr = _from_file(flags["intr"], CameraIntrinsics.from_json)
-    inputs = [flags["spec"], flags["ref"], flags["target"], flags["depth"],
-              flags["intr"]]
-    cloud = None
-    if flags.get("cloud"):
-        cloud = _from_file(flags["cloud"], lambda data: finite("cloud", data, (-1, 3)))
-        inputs.append(flags["cloud"])
+    intr = read_json(flags["intr"], CameraIntrinsics.from_json)
     cfg = GroundingConfig(match=_match_config(flags),
                           min_score=flags["min_score"])
-    grounded = ground_spec(spec, ref, target, depth, cloud, intr, cfg)
+    grounded = ground_spec(spec, ref, target, depth, intr, cfg)
     write_json(os.path.join(out_dir, "grounded.json"), grounded.to_json())
-    return 0, inputs
+    return 0, [flags[k] for k in ("spec", "ref", "target", "depth", "intr")]
 
 
 def _run_config(flags, inputs):
     """RunConfig and default controller gains: the class defaults, with
     the --config JSON overlaid when one is given."""
     def build(data):
-        if not isinstance(data, dict):
-            raise FileFormatError("config must be a JSON object")
-        gains = config_from_json(Gains(), data.get("gains", {}), "gains.")
+        gains = config_from_json(Gains(), typed(data, dict, "config").get("gains", {}),
+                                 "gains.")
         return config_from_json(RunConfig(), {k: v for k, v in data.items() if k != "gains"}), gains
 
     path = flags.get("config")
     if not path:
         return build({})
     inputs.append(path)
-    return _from_file(path, build)
+    return read_json(path, build)
 
 
 def cmd_run(flags, out_dir):
@@ -204,7 +185,7 @@ def cmd_run(flags, out_dir):
         if source == ROBOT_ROLE_SOURCE:
             continue
         spec_path = os.path.join(skill_dir, source)
-        specs[role] = _from_file(spec_path, spec_from_json)
+        specs[role] = read_json(spec_path, spec_from_json)
         inputs.append(spec_path)
 
     try:
@@ -256,10 +237,16 @@ _COMMANDS = {"match": cmd_match, "ground": cmd_ground, "run": cmd_run,
 def _recorded_flags(command, flags, out_dir):
     """A manifest's `flags` of `command`, parsed as its command line would
     be: each recorded value goes back through the command's own argparse
-    action, so a value of the wrong type or choice names its flag."""
+    action, so a value of the wrong type or choice names its flag. A flag
+    the command does not take (one since removed) must be unset."""
     parser = _build_parser()
+    actions = parser.commands[command]._actions
+    for name in sorted(set(flags) - {action.dest for action in actions}):
+        if flags[name] is not None and flags[name] is not False:
+            raise FileFormatError(f"manifest flags: {name!r} is set, but {command} "
+                                  f"takes no such flag")
     argv = [command]
-    for action in parser.commands[command]._actions:
+    for action in actions:
         if action.dest in ("help", "out"):
             continue
         if action.dest not in flags:
@@ -340,8 +327,6 @@ def _build_parser():
     p.add_argument("--target", required=True)
     p.add_argument("--depth", required=True)
     p.add_argument("--intr", required=True, help="camera intrinsics JSON")
-    p.add_argument("--cloud", help="optional [[x,y,z],...] JSON; defaults to the "
-                                   "depth file's points near each axis anchor")
     add_match_flags(p)
     p.add_argument("--min-score", type=float, default=GroundingConfig.min_score,
                    dest="min_score")

@@ -223,7 +223,7 @@ def step_pos_align(cfg: ControllerConfig, obs: ObservationBundle,
                    state: ControllerState):
     keypoints = obs.grounded.keypoints
     g1, g2 = keypoints[cfg.bindings[0]], keypoints[cfg.bindings[1]]
-    return _servo_toward(cfg, state, g1, g2 + cfg.offsets[0])[0], state
+    return _servo_toward(cfg, state, g1, g2 + cfg.offsets[0])[0]
 
 
 def step_pos_waypoint(cfg: ControllerConfig, obs: ObservationBundle,
@@ -238,7 +238,7 @@ def step_pos_waypoint(cfg: ControllerConfig, obs: ObservationBundle,
     out, dist = _servo_toward(cfg, state, g1, target, at_last_waypoint=k == last)
     if dist <= cfg.tol and k < last:
         state.waypoint_index = k + 1
-    return out, state
+    return out
 
 
 def step_axis_align(cfg: ControllerConfig, obs: ObservationBundle,
@@ -249,11 +249,11 @@ def step_axis_align(cfg: ControllerConfig, obs: ObservationBundle,
     w = rotation_between_axes(a1, target)
     ang = norm3(w)
     if ang < _INACTIVE_ANG:
-        return ControllerOutput(_fallback_axis(state), 0.0, True, True), state
+        return ControllerOutput(_fallback_axis(state), 0.0, True, True)
     axis = w / ang
     action = min(cfg.gains.kr * ang, cfg.limits.w_max)
     state.last_axis = axis
-    return ControllerOutput(axis, action, ang <= cfg.tol, False), state
+    return ControllerOutput(axis, action, ang <= cfg.tol, False)
 
 
 def axis_align_target(a2, theta_deg) -> np.ndarray:
@@ -276,7 +276,7 @@ def step_force_align(cfg: ControllerConfig, obs: ObservationBundle,
     f_meas = float(obs.measured_force @ a1)
     raw = cfg.gains.kf * (cfg.theta - f_meas)
     action = min(max(raw, -cfg.limits.v_max), cfg.limits.v_max)
-    return ControllerOutput(a1, action, False, False), state
+    return ControllerOutput(a1, action, False, False)
 
 
 _STEPPERS = {
@@ -288,8 +288,8 @@ _STEPPERS = {
 
 
 def step_controller(cfg: ControllerConfig, obs: ObservationBundle,
-                    state: ControllerState):
-    """Dispatch one control tick; returns (output, next_state)."""
+                    state: ControllerState) -> ControllerOutput:
+    """Dispatch one control tick: the output, with `state` updated in place."""
     return _STEPPERS[cfg.kind](cfg, obs, state)
 
 

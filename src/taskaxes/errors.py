@@ -43,7 +43,7 @@ def finite(name, value, shape=None) -> np.ndarray:
     other dimensions' product."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{name} must be numbers ({err})") from None
     if not np.isfinite(arr).all():
         raise ConfigError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
@@ -67,8 +67,24 @@ def entry(data, key, path, cast=lambda value: value):
         raise FileFormatError(f"{path} is missing") from None
     try:
         return cast(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FileFormatError(f"{path}: expected {cast.__name__}, got {value!r}") from None
+
+
+_JSON_TYPES = {dict: "object", list: "list", str: "string"}
+
+
+def typed(value, kind, path):
+    """`value` if it is a JSON `kind` (dict, list or str), else FileFormatError
+    naming `path`: the one check of each container or name, where it is decoded."""
+    if not isinstance(value, kind):
+        raise FileFormatError(f"{path} must be a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def name_entry(data, key, path):
+    """The string data[key], checked as entry and typed check it."""
+    return typed(entry(data, key, path), str, path)
 
 
 # geometry -------------------------------------------------------------

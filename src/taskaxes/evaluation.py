@@ -179,8 +179,7 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
                                np.random.default_rng(
                                    np.random.SeedSequence([seed, trial, 5])))
         try:
-            grounded = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, None,
-                                   _INTR, cfg)
+            grounded = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, _INTR, cfg)
         except TaskAxesError:
             failures += 1
             continue

@@ -21,7 +21,9 @@ from .errors import (
     TaskAxesError,
     entry,
     finite,
+    name_entry,
     positive,
+    typed,
 )
 from .features import DepthMask, FeatureGrid, MatchConfig, match_keypoint
 from .geometry import CameraIntrinsics, deproject_pixel, unit
@@ -64,7 +66,7 @@ class AxisSpec:
         if self.kind == AXIS_GLOBAL and self.dir is None:
             raise ConfigError(f"axis {self.label!r}: global axis needs a direction")
         if self.dir is not None:
-            finite(f"axis {self.label!r} dir", self.dir)
+            self.dir = tuple(finite(f"axis {self.label!r} dir", self.dir, (3,)).tolist())
         if self.kind == AXIS_FROM_KEYPOINTS and (self.a is None or self.b is None):
             raise ConfigError(f"axis {self.label!r}: needs two keypoint labels")
         if self.kind in (AXIS_SURFACE_NORMAL, AXIS_EDGE_DIRECTION) and self.at is None:
@@ -150,18 +152,25 @@ def spec_to_json(spec: GroundingSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> GroundingSpec:
-    """Spec of a JSON object; a missing key is named by its path, such as
-    keypoints[0].label."""
-    keypoints = [KeypointRef(*(entry(k, key, f"keypoints[{i}].{key}")
-                               for key in ("object", "label", "pixel")))
-                 for i, k in enumerate(data.get("keypoints", []))]
+    """Spec of a JSON object; a missing key, or a value of the wrong JSON
+    type, is named by its path, such as keypoints[0].label."""
+    typed(data, dict, "spec")
+    keypoints = []
+    for i, k in enumerate(typed(data.get("keypoints", []), list, "keypoints")):
+        path = f"keypoints[{i}]"
+        typed(k, dict, path)
+        keypoints.append(KeypointRef(
+            name_entry(k, "object", f"{path}.object"), name_entry(k, "label", f"{path}.label"),
+            finite(f"{path}.pixel", entry(k, "pixel", f"{path}.pixel"), (2,))))
     axes = []
-    for i, ax in enumerate(data.get("axes", [])):
-        args = ax.get("args", {})
+    for i, ax in enumerate(typed(data.get("axes", []), list, "axes")):
+        path = f"axes[{i}]"
+        args = typed(typed(ax, dict, path).get("args", {}), dict, f"{path}.args")
         axes.append(AxisSpec(
-            *(entry(ax, key, f"axes[{i}].{key}") for key in ("label", "kind")),
-            dir=tuple(args["dir"]) if "dir" in args else None,
-            a=args.get("a"), b=args.get("b"), at=args.get("at")))
+            name_entry(ax, "label", f"{path}.label"), entry(ax, "kind", f"{path}.kind"),
+            dir=args.get("dir"),
+            **{key: name_entry(args, key, f"{path}.args.{key}") for key in ("a", "b", "at")
+               if key in args}))
     return GroundingSpec(reference_image_id=data.get("reference_image", ""),
                          keypoints=keypoints, axes=axes)
 
@@ -299,12 +308,12 @@ def edge_direction(points, at, radius: float = GroundingConfig.normal_radius,
 
 
 def ground_spec(spec: GroundingSpec, ref: FeatureGrid, target: FeatureGrid,
-                target_depth: DepthMask, cloud, intr: CameraIntrinsics,
+                target_depth: DepthMask, intr: CameraIntrinsics,
                 cfg: GroundingConfig = None) -> GroundedParams:
     """Ground every keypoint, then resolve every axis in two phases.
 
-    A surface-normal or edge axis scans `cloud` when one is given, and
-    otherwise back-projects only the depth window around its anchor.
+    A surface-normal or edge axis back-projects only the depth window
+    around its anchor.
     Component failures propagate with the failing label prepended so a
     bad grounding can be traced back to the symbol that caused it.
     """
@@ -326,10 +335,9 @@ def ground_spec(spec: GroundingSpec, ref: FeatureGrid, target: FeatureGrid,
                                                 grounded.keypoints[ax.b])
             else:
                 at = grounded.keypoints[ax.at]
-                points = (cloud if cloud is not None else
-                          _depth_window(target_depth, intr, at, cfg.normal_radius))
                 pca = surface_normal if ax.kind == AXIS_SURFACE_NORMAL else edge_direction
-                direction = pca(points, at, cfg.normal_radius, cfg.min_neighbors)
+                direction = pca(_depth_window(target_depth, intr, at, cfg.normal_radius),
+                                at, cfg.normal_radius, cfg.min_neighbors)
         except TaskAxesError as err:
             raise err.annotate(f"axis {ax.label!r}")
         grounded.axes[ax.label] = direction

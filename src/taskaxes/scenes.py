@@ -25,13 +25,14 @@ on the rendered surface.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
 
 import numpy as np
 
-from .errors import ConfigError, FileFormatError, entry, finite, positive
+from .errors import ConfigError, FileFormatError, entry, finite, name_entry, positive, typed
 from .features import MatchConfig, read_depth_mask, read_feature_grid
 from .geometry import CameraIntrinsics, Frame, project_point
 from .grounding import AxisSpec, GroundingSpec, KeypointRef, spec_to_json
@@ -46,20 +47,30 @@ from .simulator import (
 
 DESK_Z = 0.45
 TASK_SEED = 7    # feature seed of the demo task scenes unless one is given
+MAX_PRIMITIVE_POINTS = 2_000_000
 
 
 # ----------------------------------------------------------------------
 # primitive sampling
 
 
+def _budget(points):
+    """ConfigError, before sampling, unless `points` fit MAX_PRIMITIVE_POINTS."""
+    if not points <= MAX_PRIMITIVE_POINTS:
+        raise ConfigError(f"primitive would sample {points:.3g} points, more than "
+                          f"{MAX_PRIMITIVE_POINTS}; raise its spacing")
+
+
 def _cover(lo, hi, spacing):
-    n = max(2, int(round((hi - lo) / spacing)) + 1)
-    return np.linspace(lo, hi, n)
+    n = (hi - lo) / spacing
+    _budget(n)
+    return np.linspace(lo, hi, max(2, int(round(n)) + 1))
 
 
 def sample_plane(size_x, size_y, spacing):
     xs = _cover(-size_x / 2, size_x / 2, spacing)
     ys = _cover(-size_y / 2, size_y / 2, spacing)
+    _budget(xs.size * ys.size)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
 
@@ -67,6 +78,7 @@ def sample_plane(size_x, size_y, spacing):
 def sample_box(size_x, size_y, size_z, spacing):
     hx, hy, hz = size_x / 2, size_y / 2, size_z / 2
     xs, ys, zs = (_cover(-h, h, spacing) for h in (hx, hy, hz))
+    _budget(2 * (xs.size * ys.size + xs.size * zs.size + ys.size * zs.size))
     faces = []
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     for z in (-hz, hz):
@@ -85,13 +97,14 @@ def sample_box(size_x, size_y, size_z, spacing):
 
 def sample_cylinder(radius, height, spacing):
     h = height / 2
-    n_theta = max(12, int(round(2 * np.pi * radius / spacing)))
-    thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
+    xs = _cover(-radius, radius, spacing)
     zs = _cover(-h, h, spacing)
+    n_theta = max(12, int(round(2 * np.pi * radius / spacing)))
+    _budget(n_theta * zs.size + 2 * xs.size ** 2)
+    thetas = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     gt, gz = np.meshgrid(thetas, zs, indexing="ij")
     side = np.column_stack([radius * np.cos(gt).ravel(),
                             radius * np.sin(gt).ravel(), gz.ravel()])
-    xs = _cover(-radius, radius, spacing)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     inside = gx ** 2 + gy ** 2 <= radius ** 2
     disk = np.column_stack([gx[inside], gy[inside]])
@@ -99,19 +112,23 @@ def sample_cylinder(radius, height, spacing):
     return np.concatenate([side] + caps)
 
 
+def _extent(spec, key, shape, default=None):
+    """The positive number, or numbers of `shape`, of primitive key `key`."""
+    value = finite(key, spec.get(key, default) if default else entry(spec, key, key), shape)
+    for x in value.flat:
+        positive(key, x)
+    return value.tolist()
+
+
 def sample_primitive(spec: dict) -> np.ndarray:
     kind = spec.get("type")
-    spacing = float(spec.get("spacing", 0.0015))
-    positive("spacing", spacing)
+    spacing = _extent(spec, "spacing", (), 0.0015)
     if kind == "plane":
-        sx, sy = finite("size", spec["size"])
-        return sample_plane(float(sx), float(sy), spacing)
+        return sample_plane(*_extent(spec, "size", (2,)), spacing)
     if kind == "box":
-        sx, sy, sz = finite("size", spec["size"])
-        return sample_box(float(sx), float(sy), float(sz), spacing)
+        return sample_box(*_extent(spec, "size", (3,)), spacing)
     if kind == "cylinder":
-        return sample_cylinder(float(finite("radius", spec["radius"])),
-                               float(finite("height", spec["height"])), spacing)
+        return sample_cylinder(*(_extent(spec, key, ()) for key in ("radius", "height")), spacing)
     raise ConfigError(f"unknown primitive type {kind!r}")
 
 
@@ -121,9 +138,10 @@ def snap_to_cloud(point, cloud) -> np.ndarray:
     `np.sum(d ** 2, axis=1)` it replaces, without its slow short-axis
     reduction."""
     d = cloud - np.asarray(point, dtype=np.float64)
-    d *= d
-    d2 = d[:, 0] + d[:, 1]
-    d2 += d[:, 2]
+    with np.errstate(over="ignore"):    # a far point's distances may all be inf
+        d *= d
+        d2 = d[:, 0] + d[:, 1]
+        d2 += d[:, 2]
     return cloud[int(np.argmin(d2))].copy()
 
 
@@ -141,13 +159,18 @@ def read_text(path) -> str:
                                   f"{err.start})") from None
 
 
-def read_json(path):
-    """JSON value of the file at `path`; a decode error names the file."""
+def read_json(path, build=lambda data: data):
+    """build(JSON value of the file at `path`); a decode error, or an error
+    in the value's layout or settings, names the file."""
     try:
-        return json.loads(read_text(path))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as err:
         raise FileFormatError(f"{path}: malformed JSON at line {err.lineno}, "
                               f"column {err.colno}: {err.msg}") from None
+    try:
+        return build(data)
+    except (FileFormatError, ConfigError) as err:
+        raise err.annotate(path) from None
 
 
 def write_json(path, payload):
@@ -174,31 +197,31 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
     coordinates, and shared read-only by every object the memo serves."""
     source = None   # the primitive JSON, when the memo may share its cloud
     if "primitive" in data:
+        primitive = typed(data["primitive"], dict, "primitive")
         if memo is not None:
-            source = json.dumps(data["primitive"], sort_keys=True)
-        cloud = _shared(memo, source, lambda: sample_primitive(data["primitive"]))
+            source = json.dumps(primitive, sort_keys=True)
+        cloud = _shared(memo, source, lambda: sample_primitive(primitive))
     elif "cloud" in data:
         cloud = data["cloud"]   # SceneObject checks it
     elif "cloud_file" in data:
-        cloud = finite(f"cloud_file {data['cloud_file']}",
-                       read_json(os.path.join(base_dir, data["cloud_file"])), (-1, 3))
+        name = typed(data["cloud_file"], str, "cloud_file")
+        cloud = finite(f"cloud_file {name}", read_json(os.path.join(base_dir, name)), (-1, 3))
     else:
         raise ConfigError("no cloud source")
-    pose = data.get("pose", {})
-    if not isinstance(pose, dict):
-        raise FileFormatError("pose must be a JSON object")
+    pose = typed(data.get("pose", {}), dict, "pose")
     frame = Frame.from_rpy_deg(pose.get("origin", (0, 0, 0)),
                                pose.get("rpy_deg", (0, 0, 0)))
     surfaces = [ContactSurface(entry(s, "point", f"surfaces[{i}].point"),
                                entry(s, "normal", f"surfaces[{i}].normal"),
                                entry(s, "stiffness", f"surfaces[{i}].stiffness", float))
-                for i, s in enumerate(data.get("surfaces", []))]
+                for i, s in enumerate(typed(data.get("surfaces", []), list, "surfaces"))]
     keypoints = {label: finite(f"keypoints.{label}", p, (3,))
-                 for label, p in data.get("keypoints", {}).items()}
-    obj = SceneObject(name=entry(data, "name", "name"), pose=frame, cloud=cloud,
+                 for label, p in typed(data.get("keypoints", {}), dict, "keypoints").items()}
+    probe = data.get("contact_probe")
+    obj = SceneObject(name=name_entry(data, "name", "name"), pose=frame, cloud=cloud,
                       truth_keypoints=keypoints, surfaces=surfaces,
                       graspable=bool(data.get("graspable", False)),
-                      contact_probe=data.get("contact_probe"))
+                      contact_probe=None if probe is None else typed(probe, str, "contact_probe"))
     # each keypoint snaps to the nearest point of the cloud the constructor checked
     for label, point in keypoints.items():
         key = None if source is None else (source, point.tobytes())
@@ -215,9 +238,7 @@ def config_from_json(base, data, prefix=""):
     cast and values the class rejects raise an error naming the dotted
     key; the caller prefixes the file.
     """
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{prefix[:-1] or 'config'} must be a JSON object")
-    data = dict(data)
+    data = dict(typed(data, dict, prefix[:-1] or "config"))
     changes = {}
     for f in dataclasses.fields(base):
         old = getattr(base, f.name)
@@ -232,7 +253,7 @@ def config_from_json(base, data, prefix=""):
             value = data.pop(f.name)
             try:
                 changes[f.name] = type(old)(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise FileFormatError(f"{prefix}{f.name}: expected "
                                       f"{type(old).__name__}, got {value!r}") from None
     if data:
@@ -250,8 +271,8 @@ def config_from_json(base, data, prefix=""):
 def scene_from_json(data: dict, base_dir=".", memo=None):
     """Build a Scene; returns (scene, reference_path_or_None). `memo` is
     passed to object_from_json."""
-    intr = CameraIntrinsics.from_json(entry(data, "intrinsics", "intrinsics"),
-                                      "intrinsics.")
+    intr = CameraIntrinsics.from_json(entry(typed(data, dict, "scene"), "intrinsics",
+                                            "intrinsics"), "intrinsics.")
     ee = data.get("ee_start", {})
     try:
         if not isinstance(ee, dict):
@@ -263,25 +284,16 @@ def scene_from_json(data: dict, base_dir=".", memo=None):
     features = config_from_json(FeatureRenderConfig(), data.get("features", {}),
                                 "features.")
     objects = []
-    for o in data.get("objects", []):
+    for i, o in enumerate(typed(data.get("objects", []), list, "objects")):
+        typed(o, dict, f"objects[{i}]")
         try:
             objects.append(object_from_json(o, base_dir, memo))
         except (ConfigError, FileFormatError) as err:
             raise err.annotate(f"object {o.get('name')!r}") from None
     scene = Scene(objects=objects, intrinsics=intr, ee_start=ee_start,
                   features=features)
-    return scene, data.get("reference")
-
-
-def _read_scene(path, base_dir, memo):
-    """(JSON data, scene, reference name) of one scene file; a layout
-    error names the file."""
-    data = read_json(path)
-    try:
-        scene, ref_name = scene_from_json(data, base_dir, memo)
-    except (FileFormatError, ConfigError) as err:
-        raise err.annotate(path) from None
-    return data, scene, ref_name
+    reference = data.get("reference")
+    return scene, None if reference is None else typed(reference, str, "reference")
 
 
 def load_scene(path):
@@ -300,17 +312,22 @@ def load_scene(path):
     """
     base_dir = os.path.dirname(os.path.abspath(path))
     memo = {}
-    data, scene, ref_name = _read_scene(path, base_dir, memo)
+
+    def build(data):
+        scene, ref_name = scene_from_json(data, base_dir, memo)
+        keys = () if data.get("feature_files") is None else ("ref", "target", "target_depth")
+        return scene, ref_name, [os.path.join(base_dir, name_entry(
+            data["feature_files"], k, f"feature_files.{k}")) for k in keys]
+
+    scene, ref_name, grids = read_json(path, build)
     paths = []
     ref_scene = None
     if ref_name:
         ref_path = os.path.join(base_dir, ref_name)
-        _, ref_scene, _ = _read_scene(ref_path, base_dir, memo)
+        ref_scene, _ = read_json(ref_path, lambda data: scene_from_json(data, base_dir, memo))
         paths.append(ref_path)
     feature_files = None
-    if "feature_files" in data:
-        ff = data["feature_files"]
-        grids = [os.path.join(base_dir, ff[k]) for k in ("ref", "target", "target_depth")]
+    if grids:
         feature_files = (read_feature_grid(grids[0]), read_feature_grid(grids[1]),
                          read_depth_mask(grids[2]))
         paths.extend(grids)
@@ -342,11 +359,52 @@ def make_grounding_spec(ref_scene: Scene, object_name: str, keypoint_labels,
 # demo task scenes
 
 
-def _desk_json():
-    return {"name": "desk",
-            "pose": {"origin": [0.0, 0.0, DESK_Z], "rpy_deg": [0.0, 0.0, 0.0]},
-            "primitive": {"type": "plane", "size": [0.5, 0.38], "spacing": 0.0012},
-            "keypoints": {}, "surfaces": [], "graspable": False}
+# each demo object: the depth of its pose origin below the desk top, the
+# pitch of its pose (degrees), and the rest of its JSON
+_DEMO_OBJECTS = {
+    "desk": (0.0, 0.0, {
+        "primitive": {"type": "plane", "size": [0.5, 0.38], "spacing": 0.0012},
+        "keypoints": {}, "surfaces": [], "graspable": False}),
+    "spatula": (0.005, 0.0, {
+        "primitive": {"type": "box", "size": [0.22, 0.045, 0.01], "spacing": 0.0007},
+        "keypoints": {"tip_pos": [0.1, 0.0, -0.005], "handle_pos": [-0.105, 0.0, -0.005],
+                      "grasp_pos": [-0.075, 0.0, -0.005]},
+        "surfaces": [], "graspable": True, "contact_probe": "tip_pos"}),
+    "pan": (0.006, 0.0, {
+        "primitive": {"type": "cylinder", "radius": 0.12, "height": 0.012, "spacing": 0.0007},
+        "keypoints": {"center_pos": [0.0, 0.0, -0.006], "rim_pos": [-0.095, 0.0, -0.006],
+                      "scrape_pos": [-0.05, 0.0, -0.006]},
+        "surfaces": [{"point": [0.0, 0.0, -0.006], "normal": [0.0, 0.0, -1.0],
+                      "stiffness": 15000.0}],
+        "graspable": False}),
+    "mug": (0.05, 0.0, {
+        "primitive": {"type": "cylinder", "radius": 0.035, "height": 0.10, "spacing": 0.00045},
+        "keypoints": {"center_pos": [0.0, 0.0, -0.05], "edge_pos": [0.0325, 0.0, -0.05],
+                      "handle_pos": [0.028, 0.0, -0.05]},
+        "surfaces": [], "graspable": True}),
+    "bowl": (0.02, 0.0, {
+        "primitive": {"type": "cylinder", "radius": 0.075, "height": 0.04, "spacing": 0.00055},
+        "keypoints": {"center_pos": [0.0, 0.0, -0.02]}, "surfaces": [], "graspable": False}),
+    # lying flat: local z (shaft axis) pitched onto the desk plane
+    "screw": (0.004, 90.0, {
+        "primitive": {"type": "cylinder", "radius": 0.004, "height": 0.07, "spacing": 0.0005},
+        "keypoints": {"head_pos": [0.004, 0.0, -0.031], "tip_pos": [0.004, 0.0, 0.031],
+                      "grasp_pos": [0.004, 0.0, 0.005]},
+        "surfaces": [], "graspable": True, "contact_probe": "tip_pos"}),
+    "block": (0.015, 0.0, {
+        "primitive": {"type": "box", "size": [0.12, 0.12, 0.03], "spacing": 0.00065},
+        "keypoints": {"hole_pos": [0.0, 0.0, -0.015]},
+        "surfaces": [{"point": [0.0, 0.0, 0.005], "normal": [0.0, 0.0, -1.0],
+                      "stiffness": 5000.0}],
+        "graspable": False}),
+}
+
+
+def _place(name, x=0.0, y=0.0, yaw_deg=0.0):
+    """A fresh JSON of demo object `name` at desk position (x, y), turned by yaw_deg."""
+    depth, pitch, rest = _DEMO_OBJECTS[name]
+    return {"name": name, "pose": {"origin": [x, y, DESK_Z - depth],
+                                   "rpy_deg": [0.0, pitch, yaw_deg]}, **copy.deepcopy(rest)}
 
 
 def _base_scene_json(objects, seed):
@@ -357,79 +415,6 @@ def _base_scene_json(objects, seed):
         "features": dataclasses.asdict(FeatureRenderConfig(seed=seed)),
         "objects": objects,
     }
-
-
-def _spatula_json(origin_xy, yaw_deg):
-    return {"name": "spatula",
-            "pose": {"origin": [origin_xy[0], origin_xy[1], DESK_Z - 0.005],
-                     "rpy_deg": [0.0, 0.0, yaw_deg]},
-            "primitive": {"type": "box", "size": [0.22, 0.045, 0.01],
-                          "spacing": 0.0007},
-            "keypoints": {"tip_pos": [0.1, 0.0, -0.005],
-                          "handle_pos": [-0.105, 0.0, -0.005],
-                          "grasp_pos": [-0.075, 0.0, -0.005]},
-            "surfaces": [], "graspable": True, "contact_probe": "tip_pos"}
-
-
-def _pan_json(origin_xy, yaw_deg):
-    return {"name": "pan",
-            "pose": {"origin": [origin_xy[0], origin_xy[1], DESK_Z - 0.006],
-                     "rpy_deg": [0.0, 0.0, yaw_deg]},
-            "primitive": {"type": "cylinder", "radius": 0.12, "height": 0.012,
-                          "spacing": 0.0007},
-            "keypoints": {"center_pos": [0.0, 0.0, -0.006],
-                          "rim_pos": [-0.095, 0.0, -0.006],
-                          "scrape_pos": [-0.05, 0.0, -0.006]},
-            "surfaces": [{"point": [0.0, 0.0, -0.006], "normal": [0.0, 0.0, -1.0],
-                          "stiffness": 15000.0}],
-            "graspable": False}
-
-
-def _mug_json(origin_xy):
-    return {"name": "mug",
-            "pose": {"origin": [origin_xy[0], origin_xy[1], DESK_Z - 0.05],
-                     "rpy_deg": [0.0, 0.0, 0.0]},
-            "primitive": {"type": "cylinder", "radius": 0.035, "height": 0.10,
-                          "spacing": 0.00045},
-            "keypoints": {"center_pos": [0.0, 0.0, -0.05],
-                          "edge_pos": [0.0325, 0.0, -0.05],
-                          "handle_pos": [0.028, 0.0, -0.05]},
-            "surfaces": [], "graspable": True}
-
-
-def _bowl_json(origin_xy):
-    return {"name": "bowl",
-            "pose": {"origin": [origin_xy[0], origin_xy[1], DESK_Z - 0.02],
-                     "rpy_deg": [0.0, 0.0, 0.0]},
-            "primitive": {"type": "cylinder", "radius": 0.075, "height": 0.04,
-                          "spacing": 0.00055},
-            "keypoints": {"center_pos": [0.0, 0.0, -0.02]},
-            "surfaces": [], "graspable": False}
-
-
-def _screw_json(origin_xy, yaw_deg=0.0):
-    # lying flat: local z (shaft axis) pitched onto the desk plane
-    return {"name": "screw",
-            "pose": {"origin": [origin_xy[0], origin_xy[1], DESK_Z - 0.004],
-                     "rpy_deg": [0.0, 90.0, yaw_deg]},
-            "primitive": {"type": "cylinder", "radius": 0.004, "height": 0.07,
-                          "spacing": 0.0005},
-            "keypoints": {"head_pos": [0.004, 0.0, -0.031],
-                          "tip_pos": [0.004, 0.0, 0.031],
-                          "grasp_pos": [0.004, 0.0, 0.005]},
-            "surfaces": [], "graspable": True, "contact_probe": "tip_pos"}
-
-
-def _block_json(origin_xy):
-    return {"name": "block",
-            "pose": {"origin": [origin_xy[0], origin_xy[1], DESK_Z - 0.015],
-                     "rpy_deg": [0.0, 0.0, 0.0]},
-            "primitive": {"type": "box", "size": [0.12, 0.12, 0.03],
-                          "spacing": 0.00065},
-            "keypoints": {"hole_pos": [0.0, 0.0, -0.015]},
-            "surfaces": [{"point": [0.0, 0.0, 0.005], "normal": [0.0, 0.0, -1.0],
-                          "stiffness": 5000.0}],
-            "graspable": False}
 
 
 _SPEC_AXES = {
@@ -459,18 +444,18 @@ def build_task(task: str, seed: int = TASK_SEED):
     the skill source text.
     """
     if task == "scrape":
-        ref_objs = [_desk_json(), _spatula_json((-0.115, 0.09), 0.0),
-                    _pan_json((0.10, -0.02), 85.0)]
-        run_objs = [_desk_json(), _spatula_json((-0.12, 0.10), 20.0),
-                    _pan_json((0.09, -0.03), 90.0)]
+        ref_objs = [_place("desk"), _place("spatula", -0.115, 0.09),
+                    _place("pan", 0.10, -0.02, 85.0)]
+        run_objs = [_place("desk"), _place("spatula", -0.12, 0.10, 20.0),
+                    _place("pan", 0.09, -0.03, 90.0)]
         roles = {"spatula": "spatula", "pan": "pan"}
     elif task == "pour":
-        ref_objs = [_desk_json(), _mug_json((-0.08, -0.04)), _bowl_json((0.07, 0.05))]
-        run_objs = [_desk_json(), _mug_json((-0.09, -0.05)), _bowl_json((0.08, 0.06))]
+        ref_objs = [_place("desk"), _place("mug", -0.08, -0.04), _place("bowl", 0.07, 0.05)]
+        run_objs = [_place("desk"), _place("mug", -0.09, -0.05), _place("bowl", 0.08, 0.06)]
         roles = {"mug": "mug", "bowl": "bowl"}
     elif task == "screw":
-        ref_objs = [_desk_json(), _screw_json((-0.06, 0.04)), _block_json((0.07, -0.03))]
-        run_objs = [_desk_json(), _screw_json((-0.07, 0.05)), _block_json((0.08, -0.04))]
+        ref_objs = [_place("desk"), _place("screw", -0.06, 0.04), _place("block", 0.07, -0.03)]
+        run_objs = [_place("desk"), _place("screw", -0.07, 0.05), _place("block", 0.08, -0.04)]
         roles = {"screw": "screw", "block": "block"}
     else:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")

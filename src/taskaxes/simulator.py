@@ -102,9 +102,9 @@ class FeatureRenderConfig:
         if self.dim < 4:
             raise ConfigError("descriptor dimension must be >= 4")
         positive("length_scale", self.length_scale)
-        # +inf passes here and is caught by the render's check of its rows
-        if not self.noise_sigma >= 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # a finite sigma can still overflow float32; the render checks its rows
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -688,7 +688,7 @@ class SkillRunner:
                 continue
             spec = self.specs[role]
             try:
-                grounded = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, None,
+                grounded = ground_spec(spec, ref_grid, tgt_grid, tgt_depth,
                                        self.scene.intrinsics, self.config.grounding)
             except TaskAxesError as err:
                 raise err.annotate(f"role {role!r}")

@@ -190,7 +190,7 @@ def run_phase(phase: SkillPhase, env, limits: Limits, on_tick=None) -> PhaseResu
     ticks = 0
     while ticks < phase.step_budget:
         obs = env.observe()
-        outputs = [step_controller(cfg, obs, state)[0] for cfg, state in controllers]
+        outputs = [step_controller(cfg, obs, state) for cfg, state in controllers]
         trans, rot = project_actions(outputs[:n_trans]), project_actions(outputs[n_trans:])
         twist = compose_twist(trans, rot, limits)
         env.apply(twist)

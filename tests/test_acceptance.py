@@ -273,8 +273,8 @@ def test_criterion_6_controller_reductions():
         obs = ObservationBundle(grounded=grounded, measured_force=np.zeros(3))
         last_axis = tuple(_unit(rng)) if rng.random() < 0.5 else None
         # a step updates its state in place: each controller gets its own
-        out_wp, _ = step_controller(wp_cfg, obs, ControllerState(last_axis=last_axis))
-        out_pa, _ = step_controller(pa_cfg, obs, ControllerState(last_axis=last_axis))
+        out_wp = step_controller(wp_cfg, obs, ControllerState(last_axis=last_axis))
+        out_pa = step_controller(pa_cfg, obs, ControllerState(last_axis=last_axis))
         assert np.array_equal(out_wp.primary_axis, out_pa.primary_axis)
         assert out_wp.action == out_pa.action
         assert out_wp.done == out_pa.done
@@ -291,7 +291,7 @@ def test_criterion_6_controller_reductions():
         for _ in range(400):
             grounded = GroundedParams(axes={"r.a1": a1, "o.a2": a2})
             obs = ObservationBundle(grounded=grounded, measured_force=np.zeros(3))
-            out, state = step_controller(cfg, obs, state)
+            out = step_controller(cfg, obs, state)
             if out.inactive:
                 break
             a1 = rotvec_to_matrix(out.action * out.primary_axis * dt) @ a1

@@ -257,6 +257,7 @@ def test_cmd_validate_small_and_empty(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["--trials", "0", "--temp", "0"], "temperature must be positive"),
     (["--trials", "0", "--noise", "-1"], "noise_sigma must be >= 0"),
+    (["--trials", "0", "--noise", "inf"], "noise_sigma must be >= 0 and finite, got inf"),
     (["--trials", "-3"], "trials must be >= 0, got -3"),
 ])
 def test_cmd_validate_checks_settings_without_trials(tmp_path, capsys, argv, message):

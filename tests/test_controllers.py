@@ -42,7 +42,7 @@ def unit(rng):
 def test_pos_align_at_target_is_done_and_inactive():
     cfg = ControllerConfig(kind=POS_ALIGN, bindings=("r.g1", "o.g2"))
     obs = obs_with({"r.g1": (0.1, 0.2, 0.3), "o.g2": (0.1, 0.2, 0.3)})
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     assert out.done and out.inactive and out.action == 0.0
 
 
@@ -50,7 +50,7 @@ def test_pos_align_hand_law():
     cfg = ControllerConfig(kind=POS_ALIGN, bindings=("r.g1", "o.g2"),
                            gains=Gains(kp=1.0), limits=Limits(v_max=1.0))
     obs = obs_with({"r.g1": (0.0, 0.0, 0.0), "o.g2": (0.0, 0.0, 0.1)})
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     np.testing.assert_allclose(out.primary_axis, [0.0, 0.0, 1.0], atol=1e-12)
     assert abs(out.action - 0.1) < 1e-12
     assert not out.done and not out.inactive
@@ -60,7 +60,7 @@ def test_pos_align_saturates_at_v_max():
     cfg = ControllerConfig(kind=POS_ALIGN, bindings=("r.g1", "o.g2"),
                            gains=Gains(kp=10.0), limits=Limits(v_max=0.2))
     obs = obs_with({"r.g1": (0.0, 0.0, 0.0), "o.g2": (1.0, 0.0, 0.0)})
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     assert out.action == 0.2
 
 
@@ -68,7 +68,7 @@ def test_pos_align_theta_offset():
     cfg = ControllerConfig(kind=POS_ALIGN, bindings=("r.g1", "o.g2"),
                            theta=(0.0, 0.0, -0.05))
     obs = obs_with({"r.g1": (0.0, 0.0, 0.45), "o.g2": (0.0, 0.0, 0.5)})
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     assert out.done  # g2 + theta equals g1
 
 
@@ -85,7 +85,7 @@ def test_pos_align_error_norm_non_increasing_kinematic():
         prev = np.linalg.norm(g2 - g1)
         for _ in range(200):
             obs = obs_with({"r.g1": g1, "o.g2": g2}, dt=dt)
-            out, state = step_controller(cfg, obs, state)
+            out = step_controller(cfg, obs, state)
             g1 = g1 + out.action * out.primary_axis * dt
             err = np.linalg.norm(g2 - g1)
             assert err <= prev + 1e-12
@@ -103,8 +103,8 @@ def test_pos_waypoint_single_zero_offset_equals_pos_align():
     for _ in range(200):
         obs = obs_with({"r.g1": rng.normal(size=3), "o.g2": rng.normal(size=3)},
                        axes={"o.a2": unit(rng)})
-        out_wp, _ = step_controller(wp_cfg, obs, ControllerState())
-        out_pa, _ = step_controller(pa_cfg, obs, ControllerState())
+        out_wp = step_controller(wp_cfg, obs, ControllerState())
+        out_pa = step_controller(pa_cfg, obs, ControllerState())
         assert np.array_equal(out_wp.primary_axis, out_pa.primary_axis)
         assert out_wp.action == out_pa.action
         assert out_wp.done == out_pa.done and out_wp.inactive == out_pa.inactive
@@ -117,7 +117,7 @@ def test_pos_waypoint_frame_mapping():
                            theta=((0.0, 0.0, 0.1),), gains=Gains(kp=1.0))
     obs = obs_with({"r.g1": (0.0, 0.0, 0.0), "o.g2": (0.0, 0.0, 0.0)},
                    axes={"o.a2": a2})
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     np.testing.assert_allclose(out.primary_axis, [0.0, 0.0, 1.0], atol=1e-12)
     assert abs(out.action - 0.1) < 1e-12
 
@@ -135,7 +135,7 @@ def test_pos_waypoint_advances_and_finishes():
     visited = []
     for t in range(2000):
         obs = obs_with({"r.g1": g1, "o.g2": g2}, axes={"o.a2": a2}, dt=0.005)
-        out, state = step_controller(cfg, obs, state)
+        out = step_controller(cfg, obs, state)
         visited.append(state.waypoint_index)
         if out.done:
             break
@@ -157,8 +157,8 @@ def test_pos_waypoint_empty_list_rejected():
 def test_axis_align_done_when_aligned():
     a = np.array([0.0, 0.0, 1.0])
     cfg = ControllerConfig(kind=AXIS_ALIGN, bindings=("r.a1", "o.a2"))
-    out, _ = step_controller(cfg, obs_with(axes={"r.a1": a, "o.a2": a}),
-                             ControllerState())
+    out = step_controller(cfg, obs_with(axes={"r.a1": a, "o.a2": a}),
+                          ControllerState())
     assert out.done and out.inactive
 
 
@@ -166,7 +166,7 @@ def test_axis_align_hand_quarter_turn():
     cfg = ControllerConfig(kind=AXIS_ALIGN, bindings=("r.a1", "o.a2"),
                            gains=Gains(kr=1.0), limits=Limits(w_max=10.0))
     obs = obs_with(axes={"r.a1": (1.0, 0.0, 0.0), "o.a2": (0.0, 1.0, 0.0)})
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     np.testing.assert_allclose(out.primary_axis, [0.0, 0.0, 1.0], atol=1e-12)
     assert abs(out.action - math.pi / 2) < 1e-12
 
@@ -175,7 +175,7 @@ def test_axis_align_caps_at_w_max():
     cfg = ControllerConfig(kind=AXIS_ALIGN, bindings=("r.a1", "o.a2"),
                            gains=Gains(kr=1.0), limits=Limits(w_max=1.5))
     obs = obs_with(axes={"r.a1": (1.0, 0.0, 0.0), "o.a2": (0.0, 1.0, 0.0)})
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     assert out.action == 1.5
 
 
@@ -206,7 +206,7 @@ def test_axis_align_angle_non_increasing_kinematic():
         prev = math.acos(np.clip(a1 @ a2, -1, 1))
         for _ in range(300):
             obs = obs_with(axes={"r.a1": a1, "o.a2": a2}, dt=dt)
-            out, state = step_controller(cfg, obs, state)
+            out = step_controller(cfg, obs, state)
             if out.inactive:
                 break
             rot = rotvec_to_matrix(out.action * out.primary_axis * dt)
@@ -223,7 +223,7 @@ def test_force_align_at_setpoint():
     cfg = ControllerConfig(kind=FORCE_ALIGN, bindings=("r.a1",), theta=5.0,
                            gains=Gains(kf=0.01))
     obs = obs_with(axes={"r.a1": (0.0, 0.0, 1.0)}, force=(0.0, 0.0, 5.0))
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     assert out.action == 0.0 and not out.done
 
 
@@ -231,7 +231,7 @@ def test_force_align_hand_law():
     cfg = ControllerConfig(kind=FORCE_ALIGN, bindings=("r.a1",), theta=5.0,
                            gains=Gains(kf=0.01), limits=Limits(v_max=1.0))
     obs = obs_with(axes={"r.a1": (0.0, 0.0, 1.0)}, force=(0.0, 0.0, 0.0))
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     assert abs(out.action - 0.05) < 1e-12
     np.testing.assert_allclose(out.primary_axis, [0.0, 0.0, 1.0], atol=1e-12)
 
@@ -240,7 +240,7 @@ def test_force_align_clamps_and_never_done():
     cfg = ControllerConfig(kind=FORCE_ALIGN, bindings=("r.a1",), theta=1000.0,
                            gains=Gains(kf=1.0), limits=Limits(v_max=0.25))
     obs = obs_with(axes={"r.a1": (1.0, 0.0, 0.0)})
-    out, _ = step_controller(cfg, obs, ControllerState())
+    out = step_controller(cfg, obs, ControllerState())
     assert out.action == 0.25 and not out.done
     assert not done_capable(cfg)
     assert done_capable(ControllerConfig(kind=POS_ALIGN, bindings=("a.b", "c.d")))
@@ -284,7 +284,7 @@ def test_outputs_bounded_unit_and_finite_under_fuzz():
                                    theta=float(rng.normal() * 20),
                                    gains=gains, limits=limits)
         state = ControllerState(waypoint_index=int(rng.integers(0, 3)))
-        out, _ = step_controller(cfg, obs, state)
+        out = step_controller(cfg, obs, state)
         limit = limits.w_max if kind == AXIS_ALIGN else limits.v_max
         assert np.isfinite(out.action) and abs(out.action) <= limit + 1e-12
         assert np.all(np.isfinite(out.primary_axis))

@@ -196,7 +196,7 @@ def test_ground_spec_global_axis_passthrough():
     grid, depth = render_synthetic_features(scene)
     spec = _spec_for(scene, ["tip"],
                      [AxisSpec(label="down", kind="global", dir=(0.0, 0.0, 2.0))])
-    grounded = ground_spec(spec, grid, grid, depth, None, INTR,
+    grounded = ground_spec(spec, grid, grid, depth, INTR,
                            GroundingConfig(match=MatchConfig(mode="hard")))
     np.testing.assert_allclose(grounded.axes["down"], [0.0, 0.0, 1.0], atol=1e-12)
 
@@ -210,8 +210,7 @@ def test_ground_spec_error_is_annotated_with_label():
     # name the failing axis label
     cfg = GroundingConfig(match=MatchConfig(mode="hard"), normal_radius=1e-6)
     with pytest.raises(InsufficientNeighbors, match="edge"):
-        cloud = cloud_from_depth(depth, INTR)
-        ground_spec(spec, grid, grid, depth, cloud, INTR, cfg)
+        ground_spec(spec, grid, grid, depth, INTR, cfg)
 
 
 def test_ground_spec_deterministic():
@@ -221,9 +220,8 @@ def test_ground_spec_deterministic():
                      [AxisSpec(label="dir", kind="from_keypoints", a="tip", b="tail"),
                       AxisSpec(label="n", kind="surface_normal", at="side")])
     cfg = GroundingConfig(match=MatchConfig(mode="hard"))
-    cloud = cloud_from_depth(depth, INTR)
-    a = ground_spec(spec, grid, grid, depth, cloud, INTR, cfg)
-    b = ground_spec(spec, grid, grid, depth, cloud, INTR, cfg)
+    a = ground_spec(spec, grid, grid, depth, INTR, cfg)
+    b = ground_spec(spec, grid, grid, depth, INTR, cfg)
     for label in a.keypoints:
         assert np.array_equal(a.keypoints[label], b.keypoints[label])
     for label in a.axes:
@@ -259,10 +257,8 @@ def test_pixel_aligned_translation_is_exactly_equivariant():
                       AxisSpec(label="n", kind="surface_normal", at="side"),
                       AxisSpec(label="e", kind="edge_direction", at="tip")])
     cfg = GroundingConfig(match=MatchConfig(mode="hard"))
-    ref_g = ground_spec(spec, ref_grid, ref_grid, ref_depth,
-                        cloud_from_depth(ref_depth, INTR), INTR, cfg)
-    tgt_g = ground_spec(spec, ref_grid, tgt_grid, tgt_depth,
-                        cloud_from_depth(tgt_depth, INTR), INTR, cfg)
+    ref_g = ground_spec(spec, ref_grid, ref_grid, ref_depth, INTR, cfg)
+    tgt_g = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, INTR, cfg)
     for label in ref_g.keypoints:
         np.testing.assert_allclose(tgt_g.keypoints[label],
                                    ref_g.keypoints[label] + t, atol=1e-9)
@@ -290,8 +286,7 @@ def test_general_rigid_transform_equivariance():
         tgt_scene = _flat_scene()
         tgt_scene.objects[0].pose = pose
         tgt_grid, tgt_depth = render_synthetic_features(tgt_scene)
-        tgt_g = ground_spec(spec, ref_grid, tgt_grid, tgt_depth,
-                            cloud_from_depth(tgt_depth, INTR), INTR, cfg)
+        tgt_g = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, INTR, cfg)
         obj = tgt_scene.objects[0]
         for label in ("tip", "tail"):
             truth = obj.world_keypoint(label)

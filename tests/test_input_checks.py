@@ -31,7 +31,14 @@ from taskaxes.controllers import (
     Gains,
     Limits,
 )
-from taskaxes.errors import ConfigError, SkillSyntaxError, UnresolvedBinding, finite, positive
+from taskaxes.errors import (
+    ConfigError,
+    FileFormatError,
+    SkillSyntaxError,
+    UnresolvedBinding,
+    finite,
+    positive,
+)
 from taskaxes.features import (
     DepthMask,
     FeatureGrid,
@@ -40,8 +47,15 @@ from taskaxes.features import (
     write_feature_grid,
 )
 from taskaxes.geometry import CameraIntrinsics, Frame, unit
-from taskaxes.grounding import AxisSpec, GroundingConfig, GroundingSpec, KeypointRef
-from taskaxes.scenes import config_from_json, sample_box
+from taskaxes.grounding import (
+    AxisSpec,
+    GroundingConfig,
+    GroundingSpec,
+    KeypointRef,
+    spec_from_json,
+    spec_to_json,
+)
+from taskaxes.scenes import build_task, config_from_json, sample_box, scene_from_json
 from taskaxes.simulator import (
     ContactSurface,
     FeatureRenderConfig,
@@ -104,6 +118,7 @@ JSON_CASES = [
     ("scene.json", "object 'pan': normal", _normal),
     ("scene.json", "object 'desk': cloud", _cloud),
     ("spatula.json", "axis 'up' dir", _global_dir),
+    ("scene.json", "features.noise_sigma", lambda s: s["features"].update(noise_sigma=BAD)),
     ("config", "grounding.min_score", lambda c: c.update(grounding={"min_score": BAD})),
     ("config", "grounding.normal_radius", lambda c: c.update(grounding={"normal_radius": BAD})),
     ("config", "grounding.temperature", lambda c: c.update(grounding={"temperature": BAD})),
@@ -479,20 +494,15 @@ def test_match_keypoint_file_error_names_file_and_key(small_files, tmp_path, cap
     assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cloud, message", [
-    ([0.0, 0.0, 0.0, 1.0], "cloud must hold a multiple of 3 numbers, got 4"),
-    ("abc", "cloud must be numbers ("),
-], ids=["length", "not numbers"])
-def test_ground_cloud_file_error_names_file(bundle, small_files, tmp_path, capsys,
-                                           cloud, message):
+def test_ground_takes_no_cloud_flag(bundle, small_files, tmp_path, capsys):
     path = tmp_path / "cloud.json"
-    path.write_text(json.dumps(cloud))
+    path.write_text(json.dumps([[0.0, 0.0, 0.5]]))
     grid = str(small_files / "grid.fgrd")
     assert main(["ground", "--spec", str(bundle / "spatula.json"), "--ref", grid,
                  "--target", grid, "--depth", str(small_files / "grid.dpth"),
                  "--intr", str(small_files / "intr.json"), "--cloud", str(path),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert f"error: {path}: {message}" in capsys.readouterr().err
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "unrecognized arguments: --cloud" in capsys.readouterr().err
 
 
 def test_validate_noise_sweep_that_is_not_numbers_exits_2_naming_it(tmp_path, capsys):
@@ -530,6 +540,11 @@ def test_replay_of_a_manifest_without_a_flag_exits_2_naming_it(tmp_path, capsys)
 @pytest.mark.parametrize("flag, value, message", [
     ("trials", "abc", "argument --trials: invalid int value: 'abc'"),
     ("mode", "bogus", "argument --mode: invalid choice: 'bogus'"),
+    # a flag the command does not take, or no longer takes, set to a value
+    ("trails", 5, "'trails' is set, but validate takes no such flag"),
+    ("log", "x.jsonl", "'log' is set, but validate takes no such flag"),
+    ("cloud", "pts.json", "'cloud' is set, but validate takes no such flag"),
+    ("cloud", 0, "'cloud' is set, but validate takes no such flag"),
 ])
 def test_replay_of_a_manifest_flag_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys,
                                                                       flag, value, message):
@@ -775,3 +790,136 @@ def test_run_has_no_log_flag_and_old_manifests_still_parse(bundle, tmp_path, cap
              "config": None}
     recorded = cli._recorded_flags("run", flags, str(tmp_path / "r"))
     assert "log" not in recorded and recorded["skill"] == "s.skill"
+    # as does one whose removed switch reads false
+    recorded = cli._recorded_flags("run", {**flags, "log": False}, str(tmp_path / "r"))
+    assert "log" not in recorded
+
+
+def test_every_path_flag_is_a_flag_of_some_command():
+    dests = {action.dest for parser in cli._build_parser().commands.values()
+             for action in parser._actions}
+    assert set(cli._PATH_FLAGS) <= dests
+
+
+def _set(*keys, value):
+    """Edit setting the node at key path `keys` to `value`."""
+    def edit(data):
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return data
+    return edit
+
+
+def _drop(*keys):
+    """Edit deleting the node at key path `keys`."""
+    def edit(data):
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return data
+    return edit
+
+
+# (file, what its error names, edit returning the new JSON root) for
+# containers of the wrong JSON type, names that are not strings, keypoint
+# pixels that are not two numbers, and primitive keys that are missing,
+# malformed, out of range or would sample too many points
+MALFORMED_CASES = [
+    ("spatula.json", "spec must be a JSON object", lambda s: [s]),
+    ("spatula.json", "keypoints must be a JSON list", _set("keypoints", value={"a": 1})),
+    ("spatula.json", "keypoints[0].pixel must be numbers (",
+     _set("keypoints", 0, "pixel", value="ab")),
+    ("spatula.json", "keypoints[0].pixel must be finite, got nan",
+     _set("keypoints", 0, "pixel", value=[1, math.nan])),
+    ("spatula.json", "keypoints[0].pixel must hold 2 numbers, got 1",
+     _set("keypoints", 0, "pixel", value=[3])),
+    ("spatula.json", "keypoints[0].pixel must be finite, got nan",
+     _set("keypoints", 0, "pixel", value=None)),
+    ("spatula.json", "keypoints[0].label must be a JSON string",
+     _set("keypoints", 0, "label", value=["tip_pos"])),
+    ("spatula.json", "axes[0] must be a JSON object", _set("axes", 0, value="tip_dir")),
+    ("spatula.json", "axes[0].args must be a JSON object",
+     _set("axes", 0, "args", value=["tip_pos", "handle_pos"])),
+    ("spatula.json", "axes[0].args.a must be a JSON string",
+     _set("axes", 0, "args", "a", value=["tip_pos"])),
+    ("scene.json", "objects must be a JSON list", _set("objects", value={})),
+    ("scene.json", "objects[1] must be a JSON object", _set("objects", 1, value="spatula")),
+    ("scene.json", "object 'spatula': primitive must be a JSON object",
+     _set("objects", 1, "primitive", value="box")),
+    ("scene.json", "object 'spatula': keypoints must be a JSON object",
+     _set("objects", 1, "keypoints", value=[])),
+    ("scene.json", "object 'spatula': size is missing", _drop("objects", 1, "primitive", "size")),
+    ("scene.json", "object 'spatula': size must hold 3 numbers, got 2",
+     _set("objects", 1, "primitive", "size", value=[0.2, 0.04])),
+    ("scene.json", "object 'pan': radius is missing", _drop("objects", 2, "primitive", "radius")),
+    ("scene.json", "object 'pan': height is missing", _drop("objects", 2, "primitive", "height")),
+    ("scene.json", "object 'pan': radius must be positive and finite, got -0.12",
+     _set("objects", 2, "primitive", "radius", value=-0.12)),
+    ("scene.json", "object 'desk': primitive would sample 1.9e+11 points, more than "
+                   "2000000; raise its spacing",
+     _set("objects", 0, "primitive", "spacing", value=1e-6)),
+    ("scene.json", "object 'spatula': contact_probe must be a JSON string",
+     _set("objects", 1, "contact_probe", value=["tip_pos"])),
+    ("scene.json", "reference must be a JSON string", _set("reference", value=1)),
+    ("scene.json", "feature_files.ref is missing", _set("feature_files", value={})),
+]
+
+
+@pytest.mark.parametrize("target, message, edit", MALFORMED_CASES,
+                         ids=[f"{target}: {message}" for target, message, _ in MALFORMED_CASES])
+def test_malformed_spec_or_scene_exits_2_naming_file_and_key(bundle, tmp_path, capsys,
+                                                             target, message, edit):
+    work = tmp_path / "bundle"
+    shutil.copytree(bundle, work)
+    path = work / target
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    out = tmp_path / "out"
+    assert _run(work, out) == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=6)
+
+
+def _node_paths(value, path=()):
+    """Key path of every node of a JSON value, the root's () included."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+def _with_node(doc, path, value):
+    """Deep copy of JSON value `doc` with the node at `path` replaced."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    return _set(*path, value=value)(doc)
+
+
+# the pan spec names anchors (a, b, at), the block spec a global dir
+_SCRAPE = build_task("scrape")
+_DECODERS = [(spec_from_json, spec_to_json(_SCRAPE["specs"]["pan"])),
+             (spec_from_json, spec_to_json(build_task("screw")["specs"]["block"])),
+             (scene_from_json, _SCRAPE["scene"])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_decoder_returns_or_raises_a_data_error_for_any_one_node(data):
+    decode, doc = data.draw(st.sampled_from(_DECODERS))
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    edited = _with_node(doc, path, data.draw(_JSON_VALUES))
+    try:
+        decode(edited)
+    except (FileFormatError, ConfigError):
+        pass

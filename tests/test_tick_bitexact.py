@@ -161,8 +161,8 @@ def test_axis_align_world_fixed_target_is_derived_once(a1, a2, a1_start, theta):
     for tick in range(6):
         obs = _obs({}, {"r.a1": a1, "o.a2": a2}, fixed_axes={"o.a2"})
         fresh = _fresh(state)
-        out, state = step_controller(cfg, obs, state)
-        out_fresh, _ = step_controller(cfg, _obs({}, {"r.a1": a1, "o.a2": a2}), fresh)
+        out = step_controller(cfg, obs, state)
+        out_fresh = step_controller(cfg, _obs({}, {"r.a1": a1, "o.a2": a2}), fresh)
         assert _same_output(out, out_fresh)
         assert state.target.tobytes() == want.tobytes()
         if tick == 0:
@@ -181,8 +181,8 @@ def test_axis_align_held_target_is_derived_every_tick(a1, held_axes, theta):
     for axis in held_axes:   # the held axis moves with the gripper each tick
         obs = _obs({}, {"r.a1": a1, "h.a2": axis}, fixed_axes={"r.a1"})
         fresh = _fresh(state)
-        out, state = step_controller(cfg, obs, state)
-        out_fresh, _ = step_controller(cfg, obs, fresh)
+        out = step_controller(cfg, obs, state)
+        out_fresh = step_controller(cfg, obs, fresh)
         assert _same_output(out, out_fresh)
         assert state.target is None
         target = axis_align_target(axis, cfg.theta)
@@ -208,11 +208,11 @@ def test_pos_waypoint_frame_is_derived_once_if_world_fixed(a2, held_axes, waypoi
         obs = _obs({"r.g1": g1, "o.g2": g2}, {"o.a2": axis},
                    fixed_axes={"o.a2"} if fixed else frozenset())
         fresh = _fresh(state)
-        out, state = step_controller(cfg, obs, state)
-        out_fresh, state_fresh = step_controller(cfg, _obs(obs.grounded.keypoints,
-                                                           obs.grounded.axes), fresh)
+        out = step_controller(cfg, obs, state)
+        out_fresh = step_controller(cfg, _obs(obs.grounded.keypoints, obs.grounded.axes),
+                                    fresh)
         assert _same_output(out, out_fresh)
-        assert state.waypoint_index == state_fresh.waypoint_index
+        assert state.waypoint_index == fresh.waypoint_index
         if fixed:
             assert state.target.tobytes() == completion_matrix(a2).tobytes()
             if tick == 0:

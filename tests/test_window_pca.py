@@ -1,7 +1,7 @@
 """Axis PCA scans the depth window around its anchor, with the same bits.
 
-Without a cloud, ground_spec back-projects only the pixel box whose
-points can lie within normal_radius of the anchor. The box's rows within
+ground_spec back-projects only the pixel box whose points can lie
+within normal_radius of the anchor. The box's rows within
 the radius must be the whole cloud's rows within it, in the same order,
 so each surface normal and edge direction has the same bits, or fails
 with the same error, as a scan of cloud_from_depth: on random depth maps
