@@ -65,6 +65,7 @@ from .simulator import (
     SimState,
     SkillRunner,
     grasp,
+    render_reference,
     render_synthetic_features,
     step_sim,
 )

@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     handler = cmd_replay if args.command == "replay" else _COMMANDS[args.command]
     try:
         code, inputs = handler(flags, out_dir)
-    except (TaskAxesError, FileNotFoundError) as err:
+    except (TaskAxesError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.command != "replay":

@@ -46,6 +46,9 @@ def finite(name, value, shape=None) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{name} must be numbers ({err})") from None
     if not np.isfinite(arr).all():
+        # numpy reads a JSON null as NaN
+        if _holds_null(value):
+            raise ConfigError(f"{name} must be numbers, got null")
         raise ConfigError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
     if shape is None:
         return arr
@@ -55,6 +58,11 @@ def finite(name, value, shape=None) -> np.ndarray:
     if -1 not in shape and arr.size != count:
         raise ConfigError(f"{name} must hold {count} numbers, got {arr.size}")
     return arr.reshape(shape)
+
+
+def _holds_null(value) -> bool:
+    return value is None or (isinstance(value, (list, tuple))
+                             and any(_holds_null(v) for v in value))
 
 
 def entry(data, key, path, cast=lambda value: value):

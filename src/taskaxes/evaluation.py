@@ -19,12 +19,13 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigError, TaskAxesError
-from .features import DepthMask, FeatureGrid, MatchConfig, add_noise, window_pixels
+from .features import DepthMask, FeatureGrid, MatchConfig, add_noise
 from .geometry import CameraIntrinsics, angle_between
 from .grounding import (
     AXIS_EDGE_DIRECTION,
     AXIS_FROM_KEYPOINTS,
     AXIS_GLOBAL,
+    AXIS_KINDS,
     AXIS_SURFACE_NORMAL,
     AxisSpec,
     GroundingConfig,
@@ -33,7 +34,7 @@ from .grounding import (
     ground_spec,
 )
 from .scenes import make_grounding_spec, object_from_json
-from .simulator import FeatureRenderConfig, Scene, render_synthetic_features
+from .simulator import FeatureRenderConfig, Scene, render_reference, render_synthetic_features
 
 _INTR = CameraIntrinsics(fx=680.0, fy=680.0, cx=320.0, cy=240.0, width=640, height=480)
 _FEATURES = FeatureRenderConfig(seed=11)
@@ -55,12 +56,11 @@ _MEMO = {}
 _REF_POSES = {"paddle": ((-0.07, 0.0, 0.44), (0.0, 0.0, 0.0)),
               "dish": ((0.085, 0.0, 0.44), (0.0, 0.0, 0.0))}
 
-# local axes the grounded ones are judged against, per axis label
+# (object, local direction) of each PCA axis, whose truth is the
+# direction turned with its object
 _TRUE_LOCAL = {
-    "main_dir": ("paddle", np.array([1.0, 0.0, 0.0]), "signed_from_keypoints"),
-    "edge_dir": ("paddle", np.array([1.0, 0.0, 0.0]), "line"),
-    "surface_dir": ("dish", np.array([0.0, 0.0, -1.0]), "signed"),
-    "up_ref": (None, np.array([0.0, 0.0, -1.0]), "signed"),
+    "edge_dir": ("paddle", np.array([1.0, 0.0, 0.0])),
+    "surface_dir": ("dish", np.array([0.0, 0.0, -1.0])),
 }
 
 
@@ -130,7 +130,7 @@ def quantization_bound_m(max_depth=0.46) -> float:
     return 2.0 * max_depth / min(_INTR.fx, _INTR.fy)
 
 
-def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
+def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = MatchConfig.mode,
                    temperature: float = MatchConfig.temperature, seed: int = 0,
                    min_score: float = 0.2) -> dict:
     """Ground the validation spec on `trials` transformed scenes.
@@ -138,7 +138,8 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
     Returns summary statistics of keypoint position error (meters) and
     axis angle error (degrees), overall and per axis kind, plus a view
     keyed by the controller kind that would consume each error type.
-    Every setting is checked, also when there are no trials.
+    Every setting is checked before any render; with no trials, every
+    summary is {"count": 0}.
     """
     for name, value in (("trials", trials), ("seed", seed)):
         if value < 0:
@@ -146,30 +147,13 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
     cfg = GroundingConfig(match=MatchConfig(mode=mode, temperature=temperature),
                           min_score=min_score)
     features = replace(_FEATURES, noise_sigma=noise_sigma)
-    stats = {
-        "trials": int(trials),
-        "noise_sigma": float(noise_sigma),
-        "mode": mode,
-        "temperature": float(temperature),
-        "seed": int(seed),
-        "quantization_bound_m": quantization_bound_m(),
-    }
-    if trials == 0:
-        stats.update({"keypoints": {"count": 0}, "axes": {"count": 0},
-                      "per_axis_kind": {}, "per_controller_kind": {},
-                      "failures": 0})
-        return stats
-
     spec = validation_spec()
-    # grounding reads the reference only through its keypoint windows
-    read = window_pixels([kp.pixel for kp in spec.keypoints], _INTR.width,
-                         _INTR.height, cfg.match.window_radius)
-    ref_grid_clean, ref_depth = render_synthetic_features(reference_scene(),
-                                                          pixels=read)
+    ref_grid_clean, ref_depth = render_reference(reference_scene(), spec.keypoints,
+                                                 cfg.match.window_radius)
 
     owner = {kp.label: kp.object for kp in spec.keypoints}
     kp_errors = []
-    axis_errors = {label: [] for label in _TRUE_LOCAL}
+    axis_errors = {ax.label: [] for ax in spec.axes}
     failures = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
@@ -188,17 +172,17 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
                     for label in grounded.keypoints}
         for label, pos in grounded.keypoints.items():
             kp_errors.append(float(np.linalg.norm(pos - truth_kp[label])))
-        for label, direction in grounded.axes.items():
-            obj, local, metric = _TRUE_LOCAL[label]
-            if metric == "signed_from_keypoints":
-                truth = axis_from_keypoints(truth_kp["tip_pos"], truth_kp["tail_pos"])
-                metric = "signed"
-            elif obj is None:
-                truth = local
+        for ax in spec.axes:
+            if ax.kind == AXIS_FROM_KEYPOINTS:
+                truth = axis_from_keypoints(truth_kp[ax.a], truth_kp[ax.b])
+            elif ax.kind == AXIS_GLOBAL:
+                truth = ax.dir
             else:
+                obj, local = _TRUE_LOCAL[ax.label]
                 truth = scene.find(obj).pose.apply_dir(local)
-            ang = math.degrees(angle_between(direction, truth))
-            axis_errors[label].append(min(ang, 180.0 - ang) if metric == "line" else ang)
+            ang = math.degrees(angle_between(grounded.axes[ax.label], truth))
+            axis_errors[ax.label].append(
+                min(ang, 180.0 - ang) if ax.kind == AXIS_EDGE_DIRECTION else ang)
 
     def summarize(values):
         if not values:
@@ -208,28 +192,27 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = "hard",
                 "mean": float(arr.mean()), "p90": float(np.percentile(arr, 90)),
                 "max": float(arr.max())}
 
-    axis_kind = {ax.label: ax.kind for ax in spec.axes}
-    per_kind = {}
-    for kind in (AXIS_FROM_KEYPOINTS, AXIS_SURFACE_NORMAL, AXIS_EDGE_DIRECTION,
-                 AXIS_GLOBAL):
-        values = [e for label, errs in axis_errors.items()
-                  for e in errs if axis_kind[label] == kind]
-        per_kind[kind] = summarize(values)
-    nonglobal = [e for label, errs in axis_errors.items()
-                 for e in errs if axis_kind[label] != AXIS_GLOBAL]
+    def summarize_axes(kinds):
+        return summarize([e for ax in spec.axes if ax.kind in kinds
+                          for e in axis_errors[ax.label]])
 
     kp_stats = summarize(kp_errors)
-    axis_stats = summarize(nonglobal)
-    stats.update({
+    axis_stats = summarize_axes(set(AXIS_KINDS) - {AXIS_GLOBAL})
+    return {
+        "trials": int(trials),
+        "noise_sigma": float(noise_sigma),
+        "mode": mode,
+        "temperature": float(temperature),
+        "seed": int(seed),
+        "quantization_bound_m": quantization_bound_m(),
         "failures": failures,
         "keypoints": kp_stats,
         "axes": axis_stats,
-        "per_axis_kind": per_kind,
+        "per_axis_kind": {kind: summarize_axes((kind,)) for kind in AXIS_KINDS},
         "per_controller_kind": {
             "PosAlign": kp_stats,
             "PosWaypoint": kp_stats,
             "AxisAlign": axis_stats,
             "ForceAlign": axis_stats,
         },
-    })
-    return stats
+    }

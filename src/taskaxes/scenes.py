@@ -432,7 +432,18 @@ _SPEC_AXES = {
               AxisSpec(label="turn_ref", kind="global", dir=(-1.0, 0.0, 0.0))],
 }
 
-TASKS = ("scrape", "pour", "screw")
+# each demo task's objects besides the desk, name -> their (x, y, yaw_deg)
+# on the desk in the reference scene, then in the run scene
+_PLACEMENTS = {
+    "scrape": {"spatula": ((-0.115, 0.09, 0.0), (-0.12, 0.10, 20.0)),
+               "pan": ((0.10, -0.02, 85.0), (0.09, -0.03, 90.0))},
+    "pour": {"mug": ((-0.08, -0.04, 0.0), (-0.09, -0.05, 0.0)),
+             "bowl": ((0.07, 0.05, 0.0), (0.08, 0.06, 0.0))},
+    "screw": {"screw": ((-0.06, 0.04, 0.0), (-0.07, 0.05, 0.0)),
+              "block": ((0.07, -0.03, 0.0), (0.08, -0.04, 0.0))},
+}
+
+TASKS = tuple(_PLACEMENTS)
 
 
 def build_task(task: str, seed: int = TASK_SEED):
@@ -440,37 +451,22 @@ def build_task(task: str, seed: int = TASK_SEED):
 
     Returns a dict with the run scene / reference scene JSON (the run
     scene's objects sit at different poses than the reference ones, so
-    grounding performs a real transfer), per-role grounding specs, and
-    the skill source text.
+    grounding performs a real transfer), a grounding spec per placed
+    object, under its name as the skill's role, and the skill source text.
     """
-    if task == "scrape":
-        ref_objs = [_place("desk"), _place("spatula", -0.115, 0.09),
-                    _place("pan", 0.10, -0.02, 85.0)]
-        run_objs = [_place("desk"), _place("spatula", -0.12, 0.10, 20.0),
-                    _place("pan", 0.09, -0.03, 90.0)]
-        roles = {"spatula": "spatula", "pan": "pan"}
-    elif task == "pour":
-        ref_objs = [_place("desk"), _place("mug", -0.08, -0.04), _place("bowl", 0.07, 0.05)]
-        run_objs = [_place("desk"), _place("mug", -0.09, -0.05), _place("bowl", 0.08, 0.06)]
-        roles = {"mug": "mug", "bowl": "bowl"}
-    elif task == "screw":
-        ref_objs = [_place("desk"), _place("screw", -0.06, 0.04), _place("block", 0.07, -0.03)]
-        run_objs = [_place("desk"), _place("screw", -0.07, 0.05), _place("block", 0.08, -0.04)]
-        roles = {"screw": "screw", "block": "block"}
-    else:
+    if task not in _PLACEMENTS:
         raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-
-    ref_json = _base_scene_json(ref_objs, seed)
-    run_json = _base_scene_json(run_objs, seed)
+    placed = _PLACEMENTS[task]
+    ref_json, run_json = (
+        _base_scene_json([_place("desk")] + [_place(name, *where[i])
+                                             for name, where in placed.items()], seed)
+        for i in (0, 1))
     run_json["reference"] = "ref_scene.json"
     ref_scene, _ = scene_from_json(ref_json)
-    specs = {}
-    for role, obj_name in roles.items():
-        obj = next(o for o in ref_json["objects"] if o["name"] == obj_name)
-        specs[role] = make_grounding_spec(ref_scene, obj_name,
-                                          sorted(obj["keypoints"].keys()),
-                                          _SPEC_AXES[obj_name],
-                                          reference_image_id=f"{task}_reference")
+    specs = {name: make_grounding_spec(ref_scene, name,
+                                       sorted(ref_scene.find(name).truth_keypoints),
+                                       _SPEC_AXES[name], reference_image_id=f"{task}_reference")
+             for name in placed}
     return {"task": task, "scene": run_json, "ref_scene": ref_json,
             "specs": specs, "skill_text": load_skill_text(task)}
 

@@ -240,6 +240,16 @@ def render_synthetic_features(scene: Scene, noise_tag: int = 0, pixels=None):
     return grid, DepthMask(depth=depth.reshape(intr.height, intr.width))
 
 
+def render_reference(scene: Scene, keypoints, radius: int):
+    """The (FeatureGrid, DepthMask) of reference `scene` as grounding reads
+    it: descriptors only in the `radius` windows around the pixels of the
+    KeypointRefs `keypoints`, which is all that matching reads of a
+    reference, and the depth of the whole image."""
+    intr = scene.intrinsics
+    read = window_pixels([kp.pixel for kp in keypoints], intr.width, intr.height, radius)
+    return render_synthetic_features(scene, pixels=read)
+
+
 # ----------------------------------------------------------------------
 # simulation state
 
@@ -651,9 +661,11 @@ class SkillRunner:
         self.config = config or RunConfig()
         self.specs = specs
         self.feature_files = feature_files
-        self.robot_roles = {role for role, src in skill.uses if src == ROBOT_ROLE_SOURCE}
         _check_skill(skill, scene, specs, self.config)
         self.anchors = GroundedAnchors()
+        for role, src in skill.uses:
+            if src == ROBOT_ROLE_SOURCE:
+                self.anchors.add_robot_role(role)
         self.log = SimLog()
         self.state = SimState(ee=scene.ee_start, dt=self.config.dt)
         self._grounded = False
@@ -662,31 +674,20 @@ class SkillRunner:
 
     # -- grounding
 
-    def _render_inputs(self):
-        if self.feature_files is not None:
-            return self.feature_files
-        # grounding reads the reference only through its keypoint windows
-        ref_scene = self.ref_scene or self.scene
-        intr = ref_scene.intrinsics
-        read = window_pixels([kp.pixel for role, _ in self.skill.uses
-                              if role not in self.robot_roles
-                              for kp in self.specs[role].keypoints],
-                             intr.width, intr.height,
-                             self.config.grounding.match.window_radius)
-        ref_grid, _ = render_synthetic_features(ref_scene, noise_tag=0, pixels=read)
-        tgt_grid, tgt_depth = render_synthetic_features(self.scene, noise_tag=1)
-        return ref_grid, tgt_grid, tgt_depth
-
     def ground_all(self):
         if self._grounded:
             return
         self._grounded = True
-        ref_grid, tgt_grid, tgt_depth = self._render_inputs()
-        for role, src in self.skill.uses:
-            if role in self.robot_roles:
-                self.anchors.add_robot_role(role)
-                continue
-            spec = self.specs[role]
+        roles = [(role, self.specs[role]) for role, src in self.skill.uses
+                 if src != ROBOT_ROLE_SOURCE]
+        if self.feature_files is not None:
+            ref_grid, tgt_grid, tgt_depth = self.feature_files
+        else:
+            ref_grid, _ = render_reference(self.ref_scene or self.scene,
+                                           [kp for _, spec in roles for kp in spec.keypoints],
+                                           self.config.grounding.match.window_radius)
+            tgt_grid, tgt_depth = render_synthetic_features(self.scene, noise_tag=1)
+        for role, spec in roles:
             try:
                 grounded = ground_spec(spec, ref_grid, tgt_grid, tgt_depth,
                                        self.scene.intrinsics, self.config.grounding)

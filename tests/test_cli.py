@@ -252,6 +252,13 @@ def test_cmd_validate_small_and_empty(tmp_path):
     assert main(["validate", "--trials", "0", "--out", str(out0)]) == 0
     stats0 = read_json(out0 / "stats.json")
     assert stats0["keypoints"]["count"] == 0
+    # no trials: the keys of any other count, every summary empty
+    assert stats0.keys() == stats.keys()
+    assert stats0["per_axis_kind"] == {kind: {"count": 0} for kind in stats["per_axis_kind"]}
+    assert stats0["per_axis_kind"].keys() == {"from_keypoints", "surface_normal",
+                                              "edge_direction", "global"}
+    assert stats0["per_controller_kind"] == {kind: {"count": 0}
+                                             for kind in stats["per_controller_kind"]}
 
 
 @pytest.mark.parametrize("argv, message", [

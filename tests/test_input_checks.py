@@ -2,8 +2,9 @@
 
 A non-finite or out-of-range number in a --config, scene, spec or skill
 file stops `taskaxes run` at load (exit 2, file and key or line named,
-nothing written), as do a missing key, a value that does not cast and a
-contact probe that names no keypoint of its object. A negative seed
+nothing written), as do a missing key, a value that does not cast, a JSON
+null where a number belongs (named as null, not NaN), an input path that
+names a directory and a contact probe that names no keypoint of its object. A negative seed
 exits 2 from every command that takes one, and a skill binding that its
 role does not ground, or a grasp step that its role cannot take, fails
 when the SkillRunner is built, before any render. Inside the tick, frames are built and bindings looked up
@@ -14,6 +15,7 @@ test instead.
 import dataclasses
 import json
 import math
+import os
 import shutil
 
 import numpy as np
@@ -282,6 +284,7 @@ def test_missing_or_bad_key_exits_2_naming_file_and_key_path(bundle, tmp_path, c
     ([0.0, 0.0, 0.0, 1.0], "must hold a multiple of 3 numbers, got 4"),
     ([[0.0, 0.0, 0.0], [0.0, "x", 0.0]], "must be numbers ("),
     ([0.0, 0.0, "NaN"], "must be finite, got nan"),
+    ([[0.0, 0.0, 0.0], [0.0, None, 0.0]], "must be numbers, got null"),
 ])
 def test_bad_cloud_file_exits_2_naming_scene_object_and_file(bundle, tmp_path, capsys,
                                                              points, message):
@@ -295,6 +298,27 @@ def test_bad_cloud_file_exits_2_naming_scene_object_and_file(bundle, tmp_path, c
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: {path}: object 'desk': cloud_file desk_points.json {message}" in err
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("case", ["scene is a directory", "cloud_file is a directory",
+                                  "scene under a file"])
+def test_directory_or_file_in_the_path_exits_2_naming_it(bundle, tmp_path, capsys, case):
+    work = tmp_path / "bundle"
+    shutil.copytree(bundle, work)
+    scene = work / "scene.json"
+    if case == "scene is a directory":
+        named = scene = work
+    elif case == "scene under a file":
+        named = scene = work / "scene.json" / "x"
+    else:
+        _edit_json(scene, lambda s: _replace_desk_cloud(s, cloud_file="."), "0")
+        named = os.path.join(work, ".")
+    out = tmp_path / "out"
+    assert main(["run", "--skill", str(work / "scrape.skill"), "--scene", str(scene),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(named)) in err
     assert not (out / "result.json").exists()
 
 
@@ -836,8 +860,12 @@ MALFORMED_CASES = [
      _set("keypoints", 0, "pixel", value=[1, math.nan])),
     ("spatula.json", "keypoints[0].pixel must hold 2 numbers, got 1",
      _set("keypoints", 0, "pixel", value=[3])),
-    ("spatula.json", "keypoints[0].pixel must be finite, got nan",
+    ("spatula.json", "keypoints[0].pixel must be numbers, got null",
      _set("keypoints", 0, "pixel", value=None)),
+    ("spatula.json", "keypoints[0].pixel must be numbers, got null",
+     _set("keypoints", 0, "pixel", value=[None, 3])),
+    ("scene.json", "object 'pan': origin must be numbers, got null",
+     _set("objects", 2, "pose", "origin", value=[0.1, None, 0.4])),
     ("spatula.json", "keypoints[0].label must be a JSON string",
      _set("keypoints", 0, "label", value=["tip_pos"])),
     ("spatula.json", "axes[0] must be a JSON object", _set("axes", 0, value="tip_dir")),

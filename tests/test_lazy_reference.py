@@ -23,6 +23,7 @@ from taskaxes.simulator import (
     Scene,
     SceneObject,
     SkillRunner,
+    render_reference,
     render_synthetic_features,
 )
 from taskaxes.skill import parse_skill
@@ -138,6 +139,24 @@ def test_validation_reference_windows_average_as_the_full_render():
         for u, v in pixels:
             assert (window_average(lazy, u, v, radius).tobytes()
                     == window_average(full, u, v, radius).tobytes())
+
+
+def test_render_reference_carries_the_full_render_in_the_spec_windows():
+    bundle = build_task("scrape")
+    scene, _ = scene_from_json(bundle["ref_scene"])
+    keypoints = [kp for spec in bundle["specs"].values() for kp in spec.keypoints]
+    full, full_depth = render_synthetic_features(scene)
+    size = scene.intrinsics.width * scene.intrinsics.height
+    for radius in (0, 2):
+        ref, depth = render_reference(scene, keypoints, radius)
+        read = window_pixels([kp.pixel for kp in keypoints], scene.intrinsics.width,
+                             scene.intrinsics.height, radius)
+        assert read.size and np.array_equal(depth.depth, full_depth.depth, equal_nan=True)
+        rows, full_rows = ref.data.reshape(size, -1), full.data.reshape(size, -1)
+        assert rows[read].tobytes() == full_rows[read].tobytes()
+        rest = np.ones(size, dtype=bool)
+        rest[read] = False
+        assert not rows[rest].any()
 
 
 @pytest.mark.parametrize("pixel", [(-1, 200), (640, 10), (5, 480)])

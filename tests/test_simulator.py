@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -245,6 +246,24 @@ def test_run_twice_identical_logs(tmp_path):
     for name, result in (("1", r1), ("2", r2)):
         result.log.write(tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv")
     assert (tmp_path / "1.jsonl").read_bytes() == (tmp_path / "2.jsonl").read_bytes()
+
+
+def test_robot_role_declared_last_writes_the_same_log(tmp_path):
+    bundle = build_task("pour")
+    text = re.sub(r"budget=\d+", "budget=40", bundle["skill_text"])
+    first = "  uses gripper: robot\n"
+    last = text.replace(first, "").replace("  uses bowl: bowl.json\n",
+                                           "  uses bowl: bowl.json\n" + first)
+    assert first in text and text.index(first) < text.index("uses mug")
+    assert last.index(first) > last.index("uses bowl")
+    for name, source in (("first", text), ("last", last)):
+        scene, _ = scene_from_json(bundle["scene"])
+        ref_scene, _ = scene_from_json(bundle["ref_scene"])
+        result = SkillRunner(parse_skill(source), scene, bundle["specs"],
+                             ref_scene=ref_scene).run()
+        assert result.log.records
+        result.log.write(tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv")
+    assert (tmp_path / "first.jsonl").read_bytes() == (tmp_path / "last.jsonl").read_bytes()
 
 
 def test_force_align_steady_state_against_static_plane():
