@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FileFormatError, TaskAxesError, entry, finite, typed
+from .errors import ConfigError, FileFormatError, TaskAxesError, entry, pixel, typed
 from .evaluation import run_validation
 from .features import (
     MatchConfig,
@@ -50,7 +50,6 @@ from .scenes import (
 )
 from .simulator import RunConfig, SkillRunner
 from .skill import ROBOT_ROLE_SOURCE, parse_skill
-from .controllers import Gains
 
 
 def _sha256(path) -> str:
@@ -108,8 +107,7 @@ def _keypoint_pixels(data):
     pairs = []
     for i, kp in enumerate(typed(data, list, "keypoints")):
         entry(kp, "label", f"[{i}].label")
-        u, v = finite(f"[{i}].pixel", entry(kp, "pixel", f"[{i}].pixel"), (2,))
-        pairs.append((kp, (int(u), int(v))))
+        pairs.append((kp, pixel(f"[{i}].pixel", entry(kp, "pixel", f"[{i}].pixel"))))
     return pairs
 
 
@@ -149,28 +147,16 @@ def cmd_ground(flags, out_dir):
     return 0, [flags[k] for k in ("spec", "ref", "target", "depth", "intr")]
 
 
-def _run_config(flags, inputs):
-    """RunConfig and default controller gains: the class defaults, with
-    the --config JSON overlaid when one is given."""
-    def build(data):
-        gains = config_from_json(Gains(), typed(data, dict, "config").get("gains", {}),
-                                 "gains.")
-        return config_from_json(RunConfig(), {k: v for k, v in data.items() if k != "gains"}), gains
-
-    path = flags.get("config")
-    if not path:
-        return build({})
-    inputs.append(path)
-    return read_json(path, build)
-
-
 def cmd_run(flags, out_dir):
     skill_path = flags["skill"]
     inputs = [skill_path, flags["scene"]]
-    cfg, gains = _run_config(flags, inputs)
+    cfg = RunConfig()   # the class defaults, with the --config JSON overlaid
+    if flags.get("config"):
+        inputs.append(flags["config"])
+        cfg = read_json(flags["config"], lambda data: config_from_json(RunConfig(), data))
     text = read_text(skill_path)
     try:
-        skill = parse_skill(text, default_gains=gains, default_limits=cfg.limits)
+        skill = parse_skill(text, default_gains=cfg.gains, default_limits=cfg.limits)
     except TaskAxesError as err:
         raise err.annotate(skill_path) from None
     scene, ref_scene, feature_files, scene_paths = load_scene(flags["scene"])

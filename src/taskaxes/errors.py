@@ -5,6 +5,7 @@ Every error raised by the library derives from TaskAxesError so callers
 """
 
 import math
+from contextlib import suppress
 
 import numpy as np
 
@@ -65,18 +66,42 @@ def _holds_null(value) -> bool:
                              and any(_holds_null(v) for v in value))
 
 
-def entry(data, key, path, cast=lambda value: value):
-    """cast(data[key]) of a JSON object; FileFormatError naming the key
-    path `path` (the caller names the file) when the key is missing or
-    its value does not cast."""
+def entry(data, key, path, kind=None):
+    """data[key] of a JSON object, read as `scalar` reads a `kind` when
+    one is given; FileFormatError naming the key path `path` (the caller
+    names the file) when the key is missing."""
     try:
         value = data[key]
     except (KeyError, TypeError):
         raise FileFormatError(f"{path} is missing") from None
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise FileFormatError(f"{path}: expected {cast.__name__}, got {value!r}") from None
+    return value if kind is None else scalar(value, kind, path)
+
+
+def scalar(value, kind, path):
+    """JSON value `value` as `kind`, with nothing converted: an int takes
+    an integral number, a float any number, a bool a JSON boolean and a
+    str a string. Else FileFormatError `path: expected int, got 24.9`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    integral = number and (isinstance(value, int) or value.is_integer())
+    if {int: integral, float: number}.get(kind, isinstance(value, kind)):
+        with suppress(OverflowError):   # an int beyond the float range
+            return kind(value)
+    raise FileFormatError(f"{path}: expected {kind.__name__}, got {value!r}")
+
+
+def pixel(name, value) -> tuple:
+    """(u, v) of JSON pixel `value`: two numbers, as `finite` checks them,
+    each an int as `scalar` reads one."""
+    finite(name, value, (2,))
+    return tuple(scalar(x, int, name) for x in value)
+
+
+def known_keys(data, keys, prefix=""):
+    """FileFormatError naming, after `prefix`, each key of JSON object
+    `data` that is not one of `keys`: a misspelt key is never ignored."""
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise FileFormatError("unknown key " + ", ".join(repr(prefix + k) for k in unknown))
 
 
 _JSON_TYPES = {dict: "object", list: "list", str: "string"}

@@ -8,7 +8,7 @@ edge direction) around a transferred anchor point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .errors import (
     TaskAxesError,
     entry,
     finite,
+    known_keys,
     name_entry,
+    pixel,
     positive,
     typed,
 )
@@ -82,13 +84,11 @@ class GroundingSpec:
     axes: list
 
     def __post_init__(self):
-        labels = [kp.label for kp in self.keypoints]
-        if len(set(labels)) != len(labels):
-            raise ConfigError("keypoint labels must be unique within a spec")
-        axis_labels = [ax.label for ax in self.axes]
-        if len(set(axis_labels)) != len(axis_labels):
-            raise ConfigError("axis labels must be unique within a spec")
-        kp_set = set(labels)
+        for what, items in (("keypoint", self.keypoints), ("axis", self.axes)):
+            labels = [item.label for item in items]
+            if len(set(labels)) != len(labels):
+                raise ConfigError(f"{what} labels must be unique within a spec")
+        kp_set = {kp.label for kp in self.keypoints}
         for ax in self.axes:
             for ref in (ax.a, ax.b, ax.at):
                 if ref is not None and ref not in kp_set:
@@ -132,57 +132,51 @@ class GroundingConfig:
         positive("min_neighbors", self.min_neighbors)
 
 
+# the AxisSpec fields a spec file holds under an axis's "args"
+_AXIS_ARGS = tuple(f.name for f in fields(AxisSpec) if f.name not in ("label", "kind"))
+
+
 def spec_to_json(spec: GroundingSpec) -> dict:
-    axes = []
-    for ax in spec.axes:
-        if ax.kind == AXIS_GLOBAL:
-            args = {"dir": [float(x) for x in ax.dir]}
-        elif ax.kind == AXIS_FROM_KEYPOINTS:
-            args = {"a": ax.a, "b": ax.b}
-        else:
-            args = {"at": ax.at}
-        axes.append({"label": ax.label, "kind": ax.kind, "args": args})
     return {
         "reference_image": spec.reference_image_id,
-        "keypoints": [{"object": kp.object, "label": kp.label,
-                       "pixel": [kp.pixel[0], kp.pixel[1]]}
+        "keypoints": [{"object": kp.object, "label": kp.label, "pixel": list(kp.pixel)}
                       for kp in spec.keypoints],
-        "axes": axes,
+        "axes": [{"label": ax.label, "kind": ax.kind,
+                  "args": {key: list(value) if key == "dir" else value
+                           for key in _AXIS_ARGS if (value := getattr(ax, key)) is not None}}
+                 for ax in spec.axes],
     }
 
 
 def spec_from_json(data: dict) -> GroundingSpec:
     """Spec of a JSON object; a missing key, or a value of the wrong JSON
     type, is named by its path, such as keypoints[0].label."""
-    typed(data, dict, "spec")
+    known_keys(typed(data, dict, "spec"), ("reference_image", "keypoints", "axes"))
     keypoints = []
     for i, k in enumerate(typed(data.get("keypoints", []), list, "keypoints")):
         path = f"keypoints[{i}]"
-        typed(k, dict, path)
+        known_keys(typed(k, dict, path), ("object", "label", "pixel"), f"{path}.")
         keypoints.append(KeypointRef(
             name_entry(k, "object", f"{path}.object"), name_entry(k, "label", f"{path}.label"),
-            finite(f"{path}.pixel", entry(k, "pixel", f"{path}.pixel"), (2,))))
+            pixel(f"{path}.pixel", entry(k, "pixel", f"{path}.pixel"))))
     axes = []
     for i, ax in enumerate(typed(data.get("axes", []), list, "axes")):
         path = f"axes[{i}]"
-        args = typed(typed(ax, dict, path).get("args", {}), dict, f"{path}.args")
+        known_keys(typed(ax, dict, path), ("label", "kind", "args"), f"{path}.")
+        args = typed(ax.get("args", {}), dict, f"{path}.args")
+        known_keys(args, _AXIS_ARGS, f"{path}.args.")
         axes.append(AxisSpec(
             name_entry(ax, "label", f"{path}.label"), entry(ax, "kind", f"{path}.kind"),
-            dir=args.get("dir"),
-            **{key: name_entry(args, key, f"{path}.args.{key}") for key in ("a", "b", "at")
-               if key in args}))
+            **{key: args[key] if key == "dir" else name_entry(args, key, f"{path}.args.{key}")
+               for key in _AXIS_ARGS if key in args}))
     return GroundingSpec(reference_image_id=data.get("reference_image", ""),
                          keypoints=keypoints, axes=axes)
 
 
-def cloud_from_depth(mask: DepthMask, intr: CameraIntrinsics) -> np.ndarray:
-    """Back-project every valid depth pixel into a world point cloud."""
-    return _back_project(mask, intr)
-
-
-def _back_project(mask, intr, v0=0, v1=None, u0=0, u1=None) -> np.ndarray:
-    """World points of the valid pixels in rows v0:v1, columns u0:u1, in
-    row-major order."""
+def cloud_from_depth(mask: DepthMask, intr: CameraIntrinsics,
+                     v0=0, v1=None, u0=0, u1=None) -> np.ndarray:
+    """World points of the valid depth pixels in rows v0:v1, columns
+    u0:u1 (the whole image by default), in row-major order."""
     vv, uu = np.nonzero(mask.valid[v0:v1, u0:u1])
     vv += v0
     uu += u0
@@ -197,17 +191,17 @@ def _depth_window(mask, intr, at, radius) -> np.ndarray:
     point can lie within `radius` of `at` (the projected corners of the
     cube at +-radius around `at`, plus 1 px), or of the whole image when
     the cube reaches the camera plane: within `radius`, the same rows in
-    the same order as cloud_from_depth's."""
+    the same order as the whole image's."""
     x, y, z = at
     r = radius * (1 + 1e-9)     # covers rounding in the distance test
     if not z - r > 0:
-        return _back_project(mask, intr)
+        return cloud_from_depth(mask, intr)
     inv_depth = 1.0 / np.array([z - r, z + r])
     us = intr.cx + intr.fx * np.outer([x - r, x + r], inv_depth)
     vs = intr.cy + intr.fy * np.outer([y - r, y + r], inv_depth)
     u0, u1 = np.clip([np.floor(us.min()) - 1, np.ceil(us.max()) + 2], 0, mask.width)
     v0, v1 = np.clip([np.floor(vs.min()) - 1, np.ceil(vs.max()) + 2], 0, mask.height)
-    return _back_project(mask, intr, int(v0), int(v1), int(u0), int(u1))
+    return cloud_from_depth(mask, intr, int(v0), int(v1), int(u0), int(u1))
 
 
 def ground_keypoint(ref: FeatureGrid, kp: KeypointRef, target: FeatureGrid,

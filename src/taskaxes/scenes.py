@@ -32,7 +32,8 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, FileFormatError, entry, finite, name_entry, positive, typed
+from .errors import (ConfigError, FileFormatError, entry, finite, known_keys, name_entry,
+                     positive, scalar, typed)
 from .features import MatchConfig, read_depth_mask, read_feature_grid
 from .geometry import CameraIntrinsics, Frame, project_point
 from .grounding import AxisSpec, GroundingSpec, KeypointRef, spec_to_json
@@ -48,6 +49,7 @@ from .simulator import (
 DESK_Z = 0.45
 TASK_SEED = 7    # feature seed of the demo task scenes unless one is given
 MAX_PRIMITIVE_POINTS = 2_000_000
+_CLOUD_SOURCES = ("primitive", "cloud", "cloud_file")    # an object has one
 
 
 # ----------------------------------------------------------------------
@@ -67,31 +69,28 @@ def _cover(lo, hi, spacing):
     return np.linspace(lo, hi, max(2, int(round(n)) + 1))
 
 
+def _face(a, b, axis, value):
+    """Points of the grid of covers a x b, with coordinate `axis` held at `value`."""
+    ga, gb = np.meshgrid(a, b, indexing="ij")
+    columns = [ga.ravel(), gb.ravel()]
+    columns.insert(axis, np.full(ga.size, value))
+    return np.column_stack(columns)
+
+
 def sample_plane(size_x, size_y, spacing):
     xs = _cover(-size_x / 2, size_x / 2, spacing)
     ys = _cover(-size_y / 2, size_y / 2, spacing)
     _budget(xs.size * ys.size)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    return _face(xs, ys, 2, 0.0)
 
 
 def sample_box(size_x, size_y, size_z, spacing):
     hx, hy, hz = size_x / 2, size_y / 2, size_z / 2
     xs, ys, zs = (_cover(-h, h, spacing) for h in (hx, hy, hz))
     _budget(2 * (xs.size * ys.size + xs.size * zs.size + ys.size * zs.size))
-    faces = []
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    for z in (-hz, hz):
-        faces.append(np.column_stack([gx.ravel(), gy.ravel(),
-                                      np.full(gx.size, z)]))
-    gx, gz = np.meshgrid(xs, zs, indexing="ij")
-    for y in (-hy, hy):
-        faces.append(np.column_stack([gx.ravel(), np.full(gx.size, y),
-                                      gz.ravel()]))
-    gy, gz = np.meshgrid(ys, zs, indexing="ij")
-    for x in (-hx, hx):
-        faces.append(np.column_stack([np.full(gy.size, x), gy.ravel(),
-                                      gz.ravel()]))
+    faces = [_face(xs, ys, 2, z) for z in (-hz, hz)]
+    faces += [_face(xs, zs, 1, y) for y in (-hy, hy)]
+    faces += [_face(ys, zs, 0, x) for x in (-hx, hx)]
     return np.concatenate(faces)
 
 
@@ -195,6 +194,11 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
     """Build one object. With a `memo` dict, a primitive cloud and its
     snapped keypoints are made once per primitive JSON and keypoint
     coordinates, and shared read-only by every object the memo serves."""
+    known_keys(data, ("name", "pose", *_CLOUD_SOURCES, "keypoints", "surfaces", "graspable",
+                      "contact_probe"))
+    sources = [key for key in _CLOUD_SOURCES if key in data]
+    if len(sources) != 1:
+        raise FileFormatError(f"needs one of {', '.join(_CLOUD_SOURCES)}, got {sources}")
     source = None   # the primitive JSON, when the memo may share its cloud
     if "primitive" in data:
         primitive = typed(data["primitive"], dict, "primitive")
@@ -203,11 +207,9 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
         cloud = _shared(memo, source, lambda: sample_primitive(primitive))
     elif "cloud" in data:
         cloud = data["cloud"]   # SceneObject checks it
-    elif "cloud_file" in data:
+    else:
         name = typed(data["cloud_file"], str, "cloud_file")
         cloud = finite(f"cloud_file {name}", read_json(os.path.join(base_dir, name)), (-1, 3))
-    else:
-        raise ConfigError("no cloud source")
     pose = typed(data.get("pose", {}), dict, "pose")
     frame = Frame.from_rpy_deg(pose.get("origin", (0, 0, 0)),
                                pose.get("rpy_deg", (0, 0, 0)))
@@ -220,7 +222,7 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
     probe = data.get("contact_probe")
     obj = SceneObject(name=name_entry(data, "name", "name"), pose=frame, cloud=cloud,
                       truth_keypoints=keypoints, surfaces=surfaces,
-                      graspable=bool(data.get("graspable", False)),
+                      graspable=scalar(data.get("graspable", False), bool, "graspable"),
                       contact_probe=None if probe is None else typed(probe, str, "contact_probe"))
     # each keypoint snaps to the nearest point of the cloud the constructor checked
     for label, point in keypoints.items():
@@ -231,12 +233,12 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
 
 def config_from_json(base, data, prefix=""):
     """Copy of config dataclass `base` with the values of JSON object
-    `data`, each cast to the type of the default it replaces.
+    `data`, each read as the type of the default it replaces.
 
     A nested config takes a nested object, except MatchConfig, whose keys
-    sit beside the other grounding keys. Unknown keys, values that do not
-    cast and values the class rejects raise an error naming the dotted
-    key; the caller prefixes the file.
+    sit beside the other grounding keys. Unknown keys, values not of the
+    default's type (as `scalar` reads it) and values the class rejects
+    raise an error naming the dotted key; the caller prefixes the file.
     """
     data = dict(typed(data, dict, prefix[:-1] or "config"))
     changes = {}
@@ -250,15 +252,8 @@ def config_from_json(base, data, prefix=""):
         elif dataclasses.is_dataclass(old):
             changes[f.name] = config_from_json(old, data.pop(f.name), f"{prefix}{f.name}.")
         else:
-            value = data.pop(f.name)
-            try:
-                changes[f.name] = type(old)(value)
-            except (TypeError, ValueError, OverflowError):
-                raise FileFormatError(f"{prefix}{f.name}: expected "
-                                      f"{type(old).__name__}, got {value!r}") from None
-    if data:
-        raise FileFormatError("unknown key "
-                              + ", ".join(repr(prefix + k) for k in sorted(data)))
+            changes[f.name] = scalar(data.pop(f.name), type(old), prefix + f.name)
+    known_keys(data, (), prefix)    # the keys no field took
     # each class checks its fields one by one, so one value at a time names the key
     for key, value in changes.items():
         try:
@@ -271,8 +266,9 @@ def config_from_json(base, data, prefix=""):
 def scene_from_json(data: dict, base_dir=".", memo=None):
     """Build a Scene; returns (scene, reference_path_or_None). `memo` is
     passed to object_from_json."""
-    intr = CameraIntrinsics.from_json(entry(typed(data, dict, "scene"), "intrinsics",
-                                            "intrinsics"), "intrinsics.")
+    known_keys(typed(data, dict, "scene"), ("intrinsics", "ee_start", "features", "reference",
+                                            "objects", "feature_files"))
+    intr = CameraIntrinsics.from_json(entry(data, "intrinsics", "intrinsics"), "intrinsics.")
     ee = data.get("ee_start", {})
     try:
         if not isinstance(ee, dict):

@@ -29,6 +29,7 @@ from .controllers import (
     FORCE_ALIGN,
     ROTATIONAL,
     TRANSLATIONAL,
+    Gains,
     Limits,
     ObservationBundle,
 )
@@ -258,6 +259,7 @@ def render_reference(scene: Scene, keypoints, radius: int):
 class RunConfig:
     dt: float = 0.005
     grasp_tol: float = 0.005
+    gains: Gains = field(default_factory=Gains)     # a skill's unset controller gains
     limits: Limits = field(default_factory=Limits)
     # synthetic descriptors are exact, so the argmax transfer is too;
     # soft mode stays the default at the matching CLI where noisy

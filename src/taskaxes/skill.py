@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -270,7 +270,7 @@ class _Lexer:
 # DSL parser
 
 
-_PARAM_NAMES = ("theta", "kp", "kr", "kf", "v_max", "w_max", "done_tol")
+_PARAM_NAMES = ("theta", *(f.name for cls in (Gains, Limits) for f in fields(cls)), "done_tol")
 
 
 class _Parser:
@@ -425,11 +425,10 @@ class _Parser:
             self._expect("RPAREN", "')' or ','")
             break
         try:
-            gains = Gains(kp=params.get("kp", self.default_gains.kp),
-                          kr=params.get("kr", self.default_gains.kr),
-                          kf=params.get("kf", self.default_gains.kf))
-            limits = Limits(v_max=params.get("v_max", self.default_limits.v_max),
-                            w_max=params.get("w_max", self.default_limits.w_max))
+            # a parameter the source leaves out keeps the default gains' or limits' value
+            gains, limits = (replace(default, **{f.name: params[f.name]
+                                                 for f in fields(default) if f.name in params})
+                             for default in (self.default_gains, self.default_limits))
             cfg = ControllerConfig(kind=kind, bindings=tuple(bindings),
                                    theta=params.get("theta"), gains=gains, limits=limits,
                                    done_tol=params.get("done_tol"))
@@ -496,13 +495,10 @@ def _controller_source(cfg: ControllerConfig) -> str:
     parts = list(cfg.bindings)
     if cfg.theta != DEFAULT_THETA.get(cfg.kind):
         parts.append(f"theta={_fmt_value(cfg.theta)}")
-    for name, value, default in (("kp", cfg.gains.kp, Gains.kp),
-                                 ("kr", cfg.gains.kr, Gains.kr),
-                                 ("kf", cfg.gains.kf, Gains.kf),
-                                 ("v_max", cfg.limits.v_max, Limits.v_max),
-                                 ("w_max", cfg.limits.w_max, Limits.w_max),
-                                 ("done_tol", cfg.done_tol, DEFAULT_DONE_TOL.get(cfg.kind))):
-        if value != default:
+    values = {**asdict(cfg.gains), **asdict(cfg.limits), "done_tol": cfg.done_tol}
+    defaults = {**asdict(Gains()), **asdict(Limits()), "done_tol": DEFAULT_DONE_TOL.get(cfg.kind)}
+    for name, value in values.items():
+        if value != defaults[name]:
             parts.append(f"{name}={_fmt_number(value)}")
     return f"{cfg.kind}({', '.join(parts)})"
 

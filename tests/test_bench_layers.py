@@ -5,8 +5,9 @@ a layer that no longer resolves is only warned about on stderr and
 reported as zero, so a refactor could drop one unnoticed. A layer that
 resolves but is no longer called on the tick's path reads zero too, so
 the tick layers are also counted over short runs, and grounding is
-counted to scan only the depth window around each PCA anchor, never the
-whole back-projected cloud. The tracing module is executed from its
+counted to back-project, once per PCA scan through the traced
+cloud_from_depth, only the depth window around each PCA anchor, never
+the whole image. The tracing module is executed from its
 source here, without writing bytecode next to it.
 """
 
@@ -119,8 +120,8 @@ def _window_area(at, radius, intr):
 
 
 def _count_grounding(monkeypatch, intr, ground):
-    """(cloud_from_depth calls, [(points scanned, window area)] per PCA)
-    while ground() runs traced."""
+    """(cloud_from_depth layer stats, [(points scanned, window area)] per
+    PCA) while ground() runs traced."""
     scans = []
     with monkeypatch.context() as patch:
         for name in ("surface_normal", "edge_direction"):
@@ -134,21 +135,24 @@ def _count_grounding(monkeypatch, intr, ground):
             ground()
         finally:
             tracer.uninstall()
-    return tracer.layers["grounding.cloud_from_depth"].calls, scans
+    return tracer.layers["grounding.cloud_from_depth"], scans
 
 
 def test_validation_and_runner_grounding_scan_the_depth_window_only(monkeypatch):
-    calls, scans = _count_grounding(monkeypatch, evaluation._INTR,
+    cloud, scans = _count_grounding(monkeypatch, evaluation._INTR,
                                     lambda: evaluation.run_validation(1, noise_sigma=0.1))
-    assert calls == 0
     assert len(scans) == 2      # the validation spec's normal and edge axes
     bundle = build_task("scrape")
     scene, _ = scene_from_json(bundle["scene"])
     ref_scene, _ = scene_from_json(bundle["ref_scene"])
     runner = SkillRunner(skill.parse_skill(bundle["skill_text"]), scene, bundle["specs"],
                          ref_scene=ref_scene)
-    calls, runner_scans = _count_grounding(monkeypatch, scene.intrinsics, runner.ground_all)
-    assert calls == 0
+    runner_cloud, runner_scans = _count_grounding(monkeypatch, scene.intrinsics,
+                                                  runner.ground_all)
     assert runner_scans
+    # one back-projection per PCA scan, of exactly the points it scans
+    for stats, pcas in ((cloud, scans), (runner_cloud, runner_scans)):
+        assert stats.calls == len(pcas)
+        assert stats.counters["points"] == sum(scanned for scanned, _ in pcas)
     for scanned, area in scans + runner_scans:
         assert 0 < scanned <= area < 640 * 480 // 20

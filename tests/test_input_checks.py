@@ -40,6 +40,7 @@ from taskaxes.errors import (
     UnresolvedBinding,
     finite,
     positive,
+    scalar,
 )
 from taskaxes.features import (
     DepthMask,
@@ -506,7 +507,9 @@ def small_files(tmp_path_factory):
     ([{"label": "a", "pixel": [1, 1]}, {"label": "b"}], "[1].pixel is missing"),
     ([{"label": "a", "pixel": ["x", 1]}], "[0].pixel must be numbers ("),
     ([{"label": "a", "pixel": [1]}], "[0].pixel must hold 2 numbers, got 1"),
-], ids=["not a list", "no label", "no pixel", "pixel not numbers", "pixel length"])
+    ([{"label": "a", "pixel": [1.5, 1]}], "[0].pixel: expected int, got 1.5"),
+], ids=["not a list", "no label", "no pixel", "pixel not numbers", "pixel length",
+        "pixel not integral"])
 def test_match_keypoint_file_error_names_file_and_key(small_files, tmp_path, capsys,
                                                       keypoints, message):
     path = tmp_path / "keypoints.json"
@@ -951,3 +954,94 @@ def test_a_decoder_returns_or_raises_a_data_error_for_any_one_node(data):
         decode(edited)
     except (FileFormatError, ConfigError):
         pass
+
+
+def _rename(*keys, to):
+    """Edit renaming the key at key path `keys` to `to`, keeping its value."""
+    def edit(data):
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[to] = node.pop(keys[-1])
+        return data
+    return edit
+
+
+# (file, what its error names, edit) for a key that no decoder reads, at
+# each level of a scene and a spec, and for an object with two clouds
+UNKNOWN_KEY_CASES = [
+    ("scene.json", "unknown key 'refrence'", _rename("reference", to="refrence")),
+    ("scene.json", "object 'spatula': unknown key 'contact_prob'",
+     _rename("objects", 1, "contact_probe", to="contact_prob")),
+    ("scene.json", "object 'desk': needs one of primitive, cloud, cloud_file, "
+                   "got ['primitive', 'cloud']",
+     _set("objects", 0, "cloud", value=[[0.0, 0.0, 0.0]])),
+    ("spatula.json", "unknown key 'reference_imag'",
+     _rename("reference_image", to="reference_imag")),
+    ("spatula.json", "unknown key 'keypoints[0].lable'",
+     _set("keypoints", 0, "lable", value="tip_pos")),
+    ("spatula.json", "unknown key 'axes[0].arg'", _set("axes", 0, "arg", value={})),
+    ("spatula.json", "unknown key 'axes[0].args.att'",
+     _set("axes", 0, "args", "att", value="tip_pos")),
+]
+
+# (file, what its error names, edit) for a scalar of the wrong JSON type:
+# an int takes an integral number, a float a number, a bool a boolean
+SCALAR_CASES = [
+    ("scene.json", "features.dim: expected int, got 24.9", _set("features", "dim", value=24.9)),
+    ("scene.json", "features.seed: expected int, got 1.5", _set("features", "seed", value=1.5)),
+    ("config", "grounding.min_neighbors: expected int, got 8.7",
+     _set("grounding", value={"min_neighbors": 8.7})),
+    ("config", "grounding.window_radius: expected int, got True",
+     _set("grounding", value={"window_radius": True})),
+    ("scene.json", "intrinsics.width: expected int, got 640.7",
+     _set("intrinsics", "width", value=640.7)),
+    ("config", "dt: expected float, got '0.004'", _set("dt", value="0.004")),
+    ("config", "gains.kp: expected float, got True", _set("gains", value={"kp": True})),
+    ("scene.json", "object 'pan': surfaces[0].stiffness: expected float, got '5000'",
+     _set("objects", 2, "surfaces", 0, "stiffness", value="5000")),
+    ("scene.json", "object 'spatula': graspable: expected bool, got 'no'",
+     _set("objects", 1, "graspable", value="no")),
+    ("spatula.json", "keypoints[0].pixel: expected int, got 10.9",
+     _set("keypoints", 0, "pixel", value=[10.9, 3.2])),
+]
+
+
+@pytest.mark.parametrize("target, message, edit", UNKNOWN_KEY_CASES + SCALAR_CASES,
+                         ids=[message for _, message, _ in UNKNOWN_KEY_CASES + SCALAR_CASES])
+def test_unknown_key_or_scalar_of_the_wrong_type_exits_2_naming_file_and_key(
+        bundle, tmp_path, capsys, target, message, edit):
+    code, path, out = _run_edited(bundle, tmp_path, target, edit, "0")
+    assert code == 2
+    assert f"error: {path}: {message}\n" in capsys.readouterr().err
+    assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("gains, message", [
+    ({"kp": "x"}, "gains.kp: expected float, got 'x'"),
+    ({"kpp": 1.0}, "unknown key 'gains.kpp'"),
+    ([1.0], "gains must be a JSON object"),
+], ids=["value", "key", "container"])
+def test_run_config_gains_decode_as_a_run_config_field(bundle, tmp_path, capsys,
+                                                       gains, message):
+    code, path, _ = _run_edited(bundle, tmp_path, "config", _set("gains", value=gains), "0")
+    assert code == 2
+    assert f"error: {path}: {message}\n" in capsys.readouterr().err
+    assert config_from_json(RunConfig(), {"gains": {"kf": 0.5}}).gains == Gains(kf=0.5)
+
+
+@pytest.mark.parametrize("value, kind, read", [
+    (24, int, 24), (24.0, int, 24), (5000, float, 5000.0), (0.5, float, 0.5),
+    (math.nan, float, math.nan), (False, bool, False), ("hard", str, "hard"),
+    (24.9, int, None), (True, int, None), (math.inf, int, None), (True, float, None),
+    ("5", float, None), (None, float, None), (10 ** 400, float, None), ("no", bool, None),
+    (0, bool, None), (1, str, None),
+])
+def test_scalar_reads_a_json_value_as_what_it_is(value, kind, read):
+    if read is None:
+        with pytest.raises(FileFormatError, match=r"^k: expected "):
+            scalar(value, kind, "k")
+        return
+    got = scalar(value, kind, "k")
+    assert type(got) is kind
+    assert got == read or (math.isnan(got) and math.isnan(read))
