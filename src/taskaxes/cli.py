@@ -26,14 +26,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FileFormatError, TaskAxesError, entry, pixel, typed
+from .errors import ConfigError, FileFormatError, TaskAxesError, entry, known_keys, pixel, typed
 from .evaluation import run_validation
 from .features import (
     MatchConfig,
     cosine_map,
+    match_keypoint,
     read_depth_mask,
     read_feature_grid,
-    select_match,
     window_average,
 )
 from .geometry import CameraIntrinsics
@@ -106,6 +106,7 @@ def _keypoint_pixels(data):
     """(keypoint, (u, v) pixel) of each keypoint object of a JSON list."""
     pairs = []
     for i, kp in enumerate(typed(data, list, "keypoints")):
+        known_keys(typed(kp, dict, f"[{i}]"), ("object", "label", "pixel"), f"[{i}].")
         entry(kp, "label", f"[{i}].label")
         pairs.append((kp, pixel(f"[{i}].pixel", entry(kp, "pixel", f"[{i}].pixel"))))
     return pairs
@@ -119,16 +120,14 @@ def cmd_match(flags, out_dir):
     cfg = _match_config(flags)
     results = []
     for kp, px in keypoints:
-        # the map behind the match is also the one --dump-simmap writes
-        sim = cosine_map(window_average(ref, px[0], px[1], cfg.window_radius),
-                         target, depth)
-        m = select_match(sim, cfg)
+        m = match_keypoint(ref, px, target, depth, cfg)
         results.append({"object": kp.get("object", ""), "label": kp["label"],
                         "ref_pixel": list(px), "u": m.u, "v": m.v,
                         "pixel": list(m.pixel), "score": m.peak_score,
                         "mode": m.mode})
         if flags.get("dump_simmap"):
             name = f"simmap_{kp.get('object', 'obj')}_{kp['label']}.pgm"
+            sim = cosine_map(window_average(ref, *px, cfg.window_radius), target, depth)
             _write_pgm(os.path.join(out_dir, name), sim.score, sim.valid)
     write_json(os.path.join(out_dir, "matches.json"), results)
     return 0, [flags["ref"], flags["target"], flags["depth"], flags["keypoints"]]

@@ -132,14 +132,10 @@ class ControllerConfig:
 
 def _components(value, what):
     """value as a tuple of 3 finite floats; ConfigError for anything else."""
-    try:
-        comps = tuple(float(x) for x in value)
-    except (TypeError, ValueError):
-        comps = ()
-    if len(comps) != 3:
+    comps = finite(what, value)
+    if comps.shape != (3,):
         raise ConfigError(f"{what} must have 3 components")
-    finite(what, comps)
-    return comps
+    return tuple(comps.tolist())
 
 
 def _normalize_theta(kind, theta):

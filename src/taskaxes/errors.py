@@ -35,6 +35,10 @@ def positive(name, value):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
+# numpy kinds of a JSON array holding a string, or booleans alone
+_NOT_NUMBERS = {"U": "a string", "S": "a string", "b": "a boolean"}
+
+
 def finite(name, value, shape=None) -> np.ndarray:
     """`value` as a float64 array, reshaped to `shape` when one is given;
     ConfigError naming `name` and the first offending entry unless every
@@ -43,12 +47,15 @@ def finite(name, value, shape=None) -> np.ndarray:
     (-1, 3) of a point list, so the count must then be a multiple of the
     other dimensions' product."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        raw = np.asarray(value)
+        if raw.dtype.kind in _NOT_NUMBERS:
+            raise ConfigError(f"{name} must be numbers (got {_NOT_NUMBERS[raw.dtype.kind]})")
+        arr = raw.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{name} must be numbers ({err})") from None
     if not np.isfinite(arr).all():
         # numpy reads a JSON null as NaN
-        if _holds_null(value):
+        if raw.dtype.kind == "O" and any(x is None for x in raw.flat):
             raise ConfigError(f"{name} must be numbers, got null")
         raise ConfigError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
     if shape is None:
@@ -59,11 +66,6 @@ def finite(name, value, shape=None) -> np.ndarray:
     if -1 not in shape and arr.size != count:
         raise ConfigError(f"{name} must hold {count} numbers, got {arr.size}")
     return arr.reshape(shape)
-
-
-def _holds_null(value) -> bool:
-    return value is None or (isinstance(value, (list, tuple))
-                             and any(_holds_null(v) for v in value))
 
 
 def entry(data, key, path, kind=None):

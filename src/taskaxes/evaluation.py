@@ -151,7 +151,6 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = MatchConfi
     ref_grid_clean, ref_depth = render_reference(reference_scene(), spec.keypoints,
                                                  cfg.match.window_radius)
 
-    owner = {kp.label: kp.object for kp in spec.keypoints}
     kp_errors = []
     axis_errors = {ax.label: [] for ax in spec.axes}
     failures = 0
@@ -168,8 +167,8 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = MatchConfi
             failures += 1
             continue
 
-        truth_kp = {label: scene.find(owner[label]).world_keypoint(label)
-                    for label in grounded.keypoints}
+        truth_kp = {kp.label: scene.find(kp.object).world_keypoint(kp.label)
+                    for kp in spec.keypoints}
         for label, pos in grounded.keypoints.items():
             kp_errors.append(float(np.linalg.norm(pos - truth_kp[label])))
         for ax in spec.axes:

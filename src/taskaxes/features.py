@@ -301,14 +301,10 @@ def match_keypoint(ref: FeatureGrid, ref_px, target: FeatureGrid,
     """Transfer one reference pixel onto the target grid.
 
     Window-averages the reference descriptor, builds the cosine map over
-    valid target pixels, then applies the configured argmax.
+    valid target pixels, then applies the configured argmax (hard or soft).
     """
     ref_desc = window_average(ref, ref_px[0], ref_px[1], cfg.window_radius)
-    return select_match(cosine_map(ref_desc, target, target_mask), cfg)
-
-
-def select_match(sim: SimilarityMap, cfg: MatchConfig) -> PixelMatch:
-    """The configured argmax (hard or soft) of a similarity map."""
+    sim = cosine_map(ref_desc, target, target_mask)
     if cfg.mode == "hard":
         return hard_match(sim)
     return soft_match(sim, cfg.temperature)

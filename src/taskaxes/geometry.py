@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveDepth, OutOfBounds, entry, finite, positive
+from .errors import (ConfigError, NonPositiveDepth, OutOfBounds, entry, finite, known_keys,
+                     positive, typed)
 
 WORLD_X = np.array([1.0, 0.0, 0.0])
 WORLD_Y = np.array([0.0, 1.0, 0.0])
@@ -91,6 +92,7 @@ class CameraIntrinsics:
         """Intrinsics of a JSON object; an error names the key after `prefix`."""
         keys = (("fx", float), ("fy", float), ("cx", float), ("cy", float),
                 ("width", int), ("height", int))
+        known_keys(typed(data, dict, prefix[:-1] or "intrinsics"), (k for k, _ in keys), prefix)
         return cls(*(entry(data, key, prefix + key, cast) for key, cast in keys))
 
 

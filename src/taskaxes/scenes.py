@@ -119,16 +119,20 @@ def _extent(spec, key, shape, default=None):
     return value.tolist()
 
 
+_SIZE_KEYS = {"plane": ("size",), "box": ("size",), "cylinder": ("radius", "height")}
+
+
 def sample_primitive(spec: dict) -> np.ndarray:
     kind = spec.get("type")
+    if not (isinstance(kind, str) and kind in _SIZE_KEYS):
+        raise ConfigError(f"unknown primitive type {kind!r}")
+    known_keys(spec, ("type", "spacing", *_SIZE_KEYS[kind]), "primitive.")
     spacing = _extent(spec, "spacing", (), 0.0015)
     if kind == "plane":
         return sample_plane(*_extent(spec, "size", (2,)), spacing)
     if kind == "box":
         return sample_box(*_extent(spec, "size", (3,)), spacing)
-    if kind == "cylinder":
-        return sample_cylinder(*(_extent(spec, key, ()) for key in ("radius", "height")), spacing)
-    raise ConfigError(f"unknown primitive type {kind!r}")
+    return sample_cylinder(*(_extent(spec, key, ()) for key in _SIZE_KEYS[kind]), spacing)
 
 
 def snap_to_cloud(point, cloud) -> np.ndarray:
@@ -190,6 +194,17 @@ def _shared(memo, key, make):
     return memo[key]
 
 
+def _pose(data, key, origin=(0, 0, 0), rpy_deg=(0, 0, 0)) -> Frame:
+    """Frame of the pose object data[key], {"origin", "rpy_deg"}, each key
+    defaulting to the value given; an error in it names `key`."""
+    pose = typed(data.get(key, {}), dict, key)
+    known_keys(pose, ("origin", "rpy_deg"), f"{key}.")
+    try:
+        return Frame.from_rpy_deg(pose.get("origin", origin), pose.get("rpy_deg", rpy_deg))
+    except ConfigError as err:
+        raise err.annotate(key) from None
+
+
 def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
     """Build one object. With a `memo` dict, a primitive cloud and its
     snapped keypoints are made once per primitive JSON and keypoint
@@ -210,18 +225,18 @@ def object_from_json(data: dict, base_dir=".", memo=None) -> SceneObject:
     else:
         name = typed(data["cloud_file"], str, "cloud_file")
         cloud = finite(f"cloud_file {name}", read_json(os.path.join(base_dir, name)), (-1, 3))
-    pose = typed(data.get("pose", {}), dict, "pose")
-    frame = Frame.from_rpy_deg(pose.get("origin", (0, 0, 0)),
-                               pose.get("rpy_deg", (0, 0, 0)))
-    surfaces = [ContactSurface(entry(s, "point", f"surfaces[{i}].point"),
-                               entry(s, "normal", f"surfaces[{i}].normal"),
-                               entry(s, "stiffness", f"surfaces[{i}].stiffness", float))
-                for i, s in enumerate(typed(data.get("surfaces", []), list, "surfaces"))]
+    surfaces = []
+    for i, s in enumerate(typed(data.get("surfaces", []), list, "surfaces")):
+        path = f"surfaces[{i}]"
+        known_keys(typed(s, dict, path), ("point", "normal", "stiffness"), f"{path}.")
+        surfaces.append(ContactSurface(entry(s, "point", f"{path}.point"),
+                                       entry(s, "normal", f"{path}.normal"),
+                                       entry(s, "stiffness", f"{path}.stiffness", float)))
     keypoints = {label: finite(f"keypoints.{label}", p, (3,))
                  for label, p in typed(data.get("keypoints", {}), dict, "keypoints").items()}
     probe = data.get("contact_probe")
-    obj = SceneObject(name=name_entry(data, "name", "name"), pose=frame, cloud=cloud,
-                      truth_keypoints=keypoints, surfaces=surfaces,
+    obj = SceneObject(name=name_entry(data, "name", "name"), pose=_pose(data, "pose"),
+                      cloud=cloud, truth_keypoints=keypoints, surfaces=surfaces,
                       graspable=scalar(data.get("graspable", False), bool, "graspable"),
                       contact_probe=None if probe is None else typed(probe, str, "contact_probe"))
     # each keypoint snaps to the nearest point of the cloud the constructor checked
@@ -269,14 +284,7 @@ def scene_from_json(data: dict, base_dir=".", memo=None):
     known_keys(typed(data, dict, "scene"), ("intrinsics", "ee_start", "features", "reference",
                                             "objects", "feature_files"))
     intr = CameraIntrinsics.from_json(entry(data, "intrinsics", "intrinsics"), "intrinsics.")
-    ee = data.get("ee_start", {})
-    try:
-        if not isinstance(ee, dict):
-            raise FileFormatError("must be a JSON object")
-        ee_start = Frame.from_rpy_deg(ee.get("origin", EE_START_ORIGIN),
-                                      ee.get("rpy_deg", EE_START_RPY_DEG))
-    except (ConfigError, FileFormatError) as err:
-        raise err.annotate("ee_start") from None
+    ee_start = _pose(data, "ee_start", EE_START_ORIGIN, EE_START_RPY_DEG)
     features = config_from_json(FeatureRenderConfig(), data.get("features", {}),
                                 "features.")
     objects = []
@@ -311,9 +319,12 @@ def load_scene(path):
 
     def build(data):
         scene, ref_name = scene_from_json(data, base_dir, memo)
-        keys = () if data.get("feature_files") is None else ("ref", "target", "target_depth")
+        files, keys = data.get("feature_files"), ("ref", "target", "target_depth")
+        if files is None:
+            return scene, ref_name, []
+        known_keys(typed(files, dict, "feature_files"), keys, "feature_files.")
         return scene, ref_name, [os.path.join(base_dir, name_entry(
-            data["feature_files"], k, f"feature_files.{k}")) for k in keys]
+            files, k, f"feature_files.{k}")) for k in keys]
 
     scene, ref_name, grids = read_json(path, build)
     paths = []

@@ -478,7 +478,7 @@ class _PhaseTable:
         return template
 
     def lines(self, csv):
-        """(JSON line, CSV row or None) of each tick."""
+        """(JSON line, CSV row or None) of each tick, each ending in a newline."""
         rows = self.rows[:self.ticks + 1]
         flag_cols = [u + k for _, u in self.cols for k in (2, 3)]
         # JSON spells a non-finite value its own way; an inactive controller's
@@ -493,7 +493,7 @@ class _PhaseTable:
             template, args = self._templates.get(flags) or self._template(flags)
             t = str(self.t0 + k)
             yield (template % args((t, *js, *prev)),
-                   ",".join((t, *_TRAJECTORY_COLS(text))) if csv else None)
+                   ",".join((t, *_TRAJECTORY_COLS(text))) + "\n" if csv else None)
             prev = js[:_POSE_COLS]
 
 
@@ -568,15 +568,13 @@ class SimLog:
 
     def write(self, path, csv_path):
         """Write the JSON lines to `path` and the trajectory CSV (t, ee
-        origin, twist v and w, contact force) to `csv_path`."""
-        lines, rows = [], ["t,x,y,z,vx,vy,vz,wx,wy,wz,fx,fy,fz"]
-        for line, row in self._lines(csv=True):
-            lines.append(line)
-            rows.append(row)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(lines))
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        origin, twist v and w, contact force) to `csv_path`, as they are formatted."""
+        with open(path, "w", encoding="utf-8") as fh, \
+                open(csv_path, "w", encoding="utf-8") as csv:
+            csv.write("t,x,y,z,vx,vy,vz,wx,wy,wz,fx,fy,fz\n")
+            for line, row in self._lines(csv=True):
+                fh.write(line)
+                csv.write(row)
 
 
 @dataclass

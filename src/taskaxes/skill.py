@@ -306,27 +306,24 @@ class _Parser:
         self._expect_keyword("skill")
         name = self._expect("NAME", "skill name").value
         self._expect("LBRACE", "'{'")
-        uses = []
-        declared = set()
+        uses = {}   # role -> source, in declaration order
         while self._at_keyword("uses"):
             self._advance()
             role_tok = self._expect("NAME", "role name")
-            if role_tok.value in declared:
+            if role_tok.value in uses:
                 raise DuplicateLabel(f"role {role_tok.value!r} declared twice",
                                      role_tok.line, role_tok.col)
-            declared.add(role_tok.value)
             if self.tok.kind != "COLON":
                 self._fail("':'")
-            path = self.lex.rest_of_line().value
+            uses[role_tok.value] = self.lex.rest_of_line().value
             self._advance()
-            uses.append((role_tok.value, path))
         steps = []
         phase_names = set()
         while self.tok.kind != "RBRACE":
             if self._at_keyword("phase"):
-                steps.append(self._phase(declared, phase_names))
+                steps.append(self._phase(uses, phase_names))
             elif self._at_keyword("grasp"):
-                steps.append(self._grasp(declared))
+                steps.append(self._grasp(uses))
             else:
                 self._fail("'phase', 'grasp', or '}'")
         closing = self.tok
@@ -335,19 +332,19 @@ class _Parser:
         if not any(isinstance(s, SkillPhase) for s in steps):
             raise SkillValidationError("skill needs at least one phase",
                                        closing.line, closing.col)
-        return LiftedSkill(name=name, uses=tuple(uses), steps=tuple(steps))
+        return LiftedSkill(name=name, uses=tuple(uses.items()), steps=tuple(steps))
 
-    def _grasp(self, declared):
+    def _grasp(self, uses):
         self._advance()
         role_tok = self._expect("NAME", "role name")
-        if role_tok.value not in declared:
+        if role_tok.value not in uses:
             raise UnboundSymbol(f"role {role_tok.value!r} not declared with 'uses'",
                                 role_tok.line, role_tok.col)
         self._expect_keyword("at")
         label = self._expect("NAME", "keypoint label").value
         return GraspStep(role=role_tok.value, keypoint=label)
 
-    def _phase(self, declared, phase_names):
+    def _phase(self, uses, phase_names):
         self._advance()
         name_tok = self._expect("NAME", "phase name")
         if name_tok.value in phase_names:
@@ -360,12 +357,12 @@ class _Parser:
         if budget_tok.value < 0 or not float(budget_tok.value).is_integer():
             self._fail("a non-negative integer budget", budget_tok)
         self._expect("LBRACE", "'{'")
-        controllers = [self._controller(declared)]
+        controllers = [self._controller(uses)]
         while self.tok.kind == "SEMI":
             self._advance()
             if self.tok.kind == "RBRACE":
                 break
-            controllers.append(self._controller(declared))
+            controllers.append(self._controller(uses))
         self._expect("RBRACE", "'}' or ';'")
         trans, rot = [], []
         for cfg, line, col in controllers:
@@ -378,7 +375,7 @@ class _Parser:
         return SkillPhase(name=name_tok.value, translational=tuple(trans),
                           rotational=tuple(rot), step_budget=int(budget_tok.value))
 
-    def _controller(self, declared):
+    def _controller(self, uses):
         kind_tok = self._expect("NAME", "controller kind")
         if kind_tok.value not in KIND_CLASS:
             raise UnknownControllerKind(f"unknown controller kind {kind_tok.value!r}",
@@ -394,7 +391,7 @@ class _Parser:
                 if self.tok.kind == "DOT":
                     if params:
                         self._fail("a parameter, not a binding", name_tok)
-                    if name_tok.value not in declared:
+                    if name_tok.value not in uses:
                         raise UnboundSymbol(
                             f"role {name_tok.value!r} not declared with 'uses'",
                             name_tok.line, name_tok.col)

@@ -197,20 +197,43 @@ def test_cmd_run_scrape_bundle(scrape_dir, tmp_path):
     assert len(traj) == len(log_lines) + 1
 
 
-def test_cmd_run_misshaped_theta_exits_2_naming_file_and_line(scrape_dir, tmp_path,
-                                                              capsys):
+@pytest.mark.parametrize("controller, message", [
+    ("PosAlign(gripper.pos, spatula.grasp_pos, 0.5)", "PosAlign theta must have 3 components"),
+    ("PosAlign(gripper.pos)", "PosAlign takes 2 bindings, got 1"),
+], ids=["theta", "binding count"])
+def test_cmd_run_misshaped_controller_exits_2_naming_file_and_line(scrape_dir, tmp_path,
+                                                                   capsys, controller, message):
     # spec paths resolve relative to the skill file, so keep it in the bundle
-    bad = scrape_dir / "bad_theta.skill"
+    bad = scrape_dir / "bad_controller.skill"
     text = (scrape_dir / "scrape.skill").read_text()
-    bad.write_text(text.replace("PosAlign(gripper.pos, spatula.grasp_pos)",
-                                "PosAlign(gripper.pos, spatula.grasp_pos, 0.5)"))
-    out = tmp_path / "bad_theta_run"
+    bad.write_text(text.replace("PosAlign(gripper.pos, spatula.grasp_pos)", controller))
+    out = tmp_path / "bad_controller_run"
     code = main(["run", "--skill", str(bad),
                  "--scene", str(scrape_dir / "scene.json"), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"{bad}: line 12, col 5: PosAlign theta must have 3 components" in err
+    assert f"{bad}: line 12, col 5: {message}" in err
     assert not (out / "result.json").exists()
+
+
+def test_cmd_run_grasp_failure_mid_skill_exits_3_reporting_it(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    assert main(["gen", "--task", "pour", "--out", str(bundle)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grasp_tol": 1e-9}))
+    out = tmp_path / "run"
+    assert main(["run", "--skill", str(bundle / "pour.skill"),
+                 "--scene", str(bundle / "scene.json"), "--config", str(config),
+                 "--out", str(out)]) == 3
+    result = read_json(out / "result.json")
+    # the reach phase finished; the grasp after it raised GraspTooFar
+    assert result["success"] is False
+    assert re.fullmatch(r"gripper is \d+\.\d mm from mug\.handle_pos, tolerance 0\.0 mm",
+                        result["error"])
+    assert result["phases"] == [{"name": "reach", "outcome": "done",
+                                 "ticks": result["ticks_total"]}]
+    assert len((out / "log.jsonl").read_text().splitlines()) == result["ticks_total"]
+    assert "run failed: " in capsys.readouterr().err
 
 
 def test_cmd_run_zero_budget_exits_3(scrape_dir, tmp_path):
@@ -259,6 +282,18 @@ def test_cmd_validate_small_and_empty(tmp_path):
                                               "edge_direction", "global"}
     assert stats0["per_controller_kind"] == {kind: {"count": 0}
                                              for kind in stats["per_controller_kind"]}
+
+
+def test_cmd_validate_noise_sweep_equals_single_noise_runs(tmp_path):
+    assert main(["validate", "--trials", "1", "--noise-sweep", "0,0.1",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    singles = []
+    for sigma in ("0", "0.1"):
+        out = tmp_path / f"noise-{sigma}"
+        assert main(["validate", "--trials", "1", "--noise", sigma, "--out", str(out)]) == 0
+        singles.append(read_json(out / "stats.json"))
+    assert read_json(tmp_path / "sweep" / "stats.json") == {"sweep": singles}
+    assert [s["noise_sigma"] for s in singles] == [0.0, 0.1]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -10,7 +10,7 @@ from taskaxes.errors import (
     InsufficientNeighbors,
     MatchBelowThreshold,
 )
-from taskaxes.features import DepthMask, MatchConfig
+from taskaxes.features import DepthMask, FeatureGrid, MatchConfig
 from taskaxes.geometry import CameraIntrinsics, Frame, deproject_pixel, project_point
 from taskaxes.grounding import (
     AxisSpec,
@@ -189,6 +189,26 @@ def test_ground_keypoint_below_threshold():
     cfg = GroundingConfig(match=MatchConfig(mode="hard"), min_score=0.9)
     with pytest.raises(MatchBelowThreshold):
         ground_keypoint(grid, spec.keypoints[0], grid2, depth2, INTR, cfg)
+
+
+def test_soft_match_on_a_depth_hole_reads_the_nearest_valid_depth():
+    # two equal peaks at (u, v) = (1, 2) and (3, 2) put the soft match on
+    # the hole at (2, 2); of its four valid neighbours 1 px away, the
+    # row-major first, (2, 1), gives the depth
+    data = np.zeros((5, 5, 2), dtype=np.float32)
+    data[..., 1] = 1.0
+    data[2, 1] = data[2, 3] = (1.0, 0.0)
+    grid = FeatureGrid(data)
+    depth = 0.5 + 0.01 * np.arange(25.0).reshape(5, 5)
+    depth[2, 2] = np.nan
+    intr = CameraIntrinsics(fx=10.0, fy=10.0, cx=2.0, cy=2.0, width=5, height=5)
+    cfg = GroundingConfig(match=MatchConfig(mode="soft", window_radius=0))
+    kp = KeypointRef(object="o", label="k", pixel=(1, 2))
+    pos, score = ground_keypoint(grid, kp, grid, DepthMask(depth), intr, cfg)
+    assert score == 1.0
+    assert pos[2] == depth[1, 2]
+    np.testing.assert_allclose(pos, deproject_pixel(2.0, 2.0, depth[1, 2], intr),
+                               rtol=0, atol=1e-12)
 
 
 def test_ground_spec_global_axis_passthrough():

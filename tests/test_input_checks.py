@@ -209,9 +209,9 @@ KEY_CASES = [
     ("scene.json", "object 'pan': surfaces[0].stiffness: expected float, got 'abc'",
      lambda s: _pan_surface(s).update(stiffness="abc")),
     ("spatula.json", "keypoints[0].label is missing", lambda s: s["keypoints"][0].pop("label")),
-    ("scene.json", "object 'pan': origin must hold 3 numbers, got 2",
+    ("scene.json", "object 'pan': pose: origin must hold 3 numbers, got 2",
      lambda s: _pan_pose(s).update(origin=[0.0, 0.0])),
-    ("scene.json", "object 'pan': rpy_deg must hold 3 numbers, got 2",
+    ("scene.json", "object 'pan': pose: rpy_deg must hold 3 numbers, got 2",
      lambda s: _pan_pose(s).update(rpy_deg=[0.0, 0.0])),
     ("scene.json", "ee_start: origin must hold 3 numbers, got 4",
      lambda s: s["ee_start"].update(origin=[0.0, 0.0, 0.25, 1.0])),
@@ -221,7 +221,7 @@ KEY_CASES = [
      lambda s: _pan_surface(s).update(normal=[0.0, -1.0])),
     ("scene.json", "object 'pan': keypoints.center_pos must hold 3 numbers, got 2",
      lambda s: s["objects"][2]["keypoints"].update(center_pos=[0.0, 0.0])),
-    ("scene.json", "ee_start: must be a JSON object",
+    ("scene.json", "ee_start must be a JSON object",
      lambda s: s.update(ee_start=[0.0, 0.0, 0.25])),
     ("scene.json", "object 'pan': pose must be a JSON object",
      lambda s: s["objects"][2].update(pose=[0.0, 0.0, 0.0])),
@@ -246,17 +246,24 @@ def _desk_cloud(scene):
 NON_NUMERIC_CASES = [
     ("object 'pan': normal must be numbers",
      lambda s: _pan_surface(s).update(normal="abc")),
-    ("object 'pan': origin must be numbers", lambda s: _pan_pose(s).update(origin="xyz")),
-    ("object 'pan': rpy_deg must be numbers",
+    ("object 'pan': pose: origin must be numbers", lambda s: _pan_pose(s).update(origin="xyz")),
+    ("object 'pan': pose: rpy_deg must be numbers",
      lambda s: _pan_pose(s).update(rpy_deg=[0.0, {"deg": 1}, 0.0])),
     ("object 'desk': cloud must be numbers", _desk_cloud),
     ("ee_start: origin must be numbers", lambda s: s["ee_start"].update(origin="xyz")),
+    ("object 'pan': pose: origin must be numbers",
+     lambda s: _pan_pose(s).update(origin=["0", True, "0.4"])),
+    ("object 'desk': spacing must be numbers",
+     lambda s: s["objects"][0]["primitive"].update(spacing="0.001")),
+    ("object 'pan': normal must be numbers",
+     lambda s: _pan_surface(s).update(normal=[False, False, True])),
 ]
 
 
 @pytest.mark.parametrize("message, edit", NON_NUMERIC_CASES,
                          ids=["surface normal", "pose origin", "pose rpy_deg", "cloud",
-                              "ee_start origin"])
+                              "ee_start origin", "numeric strings", "spacing string",
+                              "booleans"])
 def test_non_numeric_value_exits_2_naming_file_and_key(bundle, tmp_path, capsys,
                                                        message, edit):
     code, path, out = _run_edited(bundle, tmp_path, "scene.json", edit, "0")
@@ -508,8 +515,10 @@ def small_files(tmp_path_factory):
     ([{"label": "a", "pixel": ["x", 1]}], "[0].pixel must be numbers ("),
     ([{"label": "a", "pixel": [1]}], "[0].pixel must hold 2 numbers, got 1"),
     ([{"label": "a", "pixel": [1.5, 1]}], "[0].pixel: expected int, got 1.5"),
+    ([{"label": "a", "pixel": [1, 1], "objct": "o"}], "unknown key '[0].objct'"),
+    (["a"], "[0] must be a JSON object"),
 ], ids=["not a list", "no label", "no pixel", "pixel not numbers", "pixel length",
-        "pixel not integral"])
+        "pixel not integral", "unknown key", "entry not an object"])
 def test_match_keypoint_file_error_names_file_and_key(small_files, tmp_path, capsys,
                                                       keypoints, message):
     path = tmp_path / "keypoints.json"
@@ -597,6 +606,26 @@ def test_key_or_value_error_of_the_program_propagates(monkeypatch, tmp_path, err
         main(["gen", "--task", "scrape", "--out", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("value, message", [
+    (["0", True, "0.4"], "got a string"), ("0.001", "got a string"),
+    ([[0, 0, 0], [0, "0", 0]], "got a string"), ([True, False, True], "got a boolean"),
+    (True, "got a boolean"),
+])
+def test_finite_reads_no_string_or_boolean_as_a_number(value, message):
+    with pytest.raises(ConfigError, match=rf"^x must be numbers \({message}\)$"):
+        finite("x", value)
+
+
+def test_finite_reads_null_as_null_and_a_boolean_among_numbers_as_one():
+    for value in (None, [0.0, None, 1.0], [[0.0, 1.0], [None, 2.0]]):
+        with pytest.raises(ConfigError, match=r"^x must be numbers, got null$"):
+            finite("x", value)
+    # numpy makes such a list float64: the documented limit of the dtype check
+    assert finite("x", [0, True, 0.4]).tolist() == [0.0, 1.0, 0.4]
+    # an int beyond int64 still converts
+    assert finite("x", [10 ** 30, 0]).tolist() == [1e30, 0.0]
+
+
 def test_finite_takes_any_number_of_rows_of_a_fixed_length():
     assert finite("cloud", [1, 2, 3, 4, 5, 6], (-1, 3)).shape == (2, 3)
     assert finite("cloud", [], (-1, 3)).shape == (0, 3)
@@ -654,6 +683,34 @@ def test_bad_binding_raises_before_any_render(monkeypatch, kind, slot, case):
     cls = KIND_CLASS[kind]
     assert str(err.value) == (f"phase 'reach' {cls}[0] {kind}: binding {label!r} "
                               f"is none of the grounded {slot_kind}")
+
+
+@pytest.mark.parametrize("kf, stable", [(2.0 ** -5, False), (0.03, True)])
+def test_force_loop_at_the_stiffness_bound_raises_before_any_render(monkeypatch, kf,
+                                                                    stable):
+    def render(*args, **kwargs):
+        raise AssertionError("rendered before the force gain was checked")
+
+    monkeypatch.setattr(simulator, "render_synthetic_features", render)
+    # kf * stiffness * dt is exactly 1 at kf = 2**-5: 2**-5 * 2**12 * 2**-7
+    surface = ContactSurface(np.zeros(3), np.array([0.0, 0.0, 1.0]), 4096.0)
+    block = SceneObject(name="block", pose=Frame(np.zeros(3), np.eye(3)),
+                        cloud=np.zeros((1, 3)), surfaces=[surface])
+    push = ControllerConfig(kind="ForceAlign", bindings=("o.dir",), gains=Gains(kf=kf))
+    skill = LiftedSkill(name="s", uses=(("o", "o.json"),),
+                        steps=(SkillPhase(name="push", translational=(push,), rotational=(),
+                                          step_budget=5),))
+
+    def build():
+        return SkillRunner(skill, Scene(objects=[block], intrinsics=INTR), {"o": _SPEC},
+                           config=RunConfig(dt=2.0 ** -7))
+
+    if stable:
+        build()
+        return
+    with pytest.raises(ConfigError, match=r"^phase 'push': kf\*stiffness\*dt >= 1, "
+                                          r"force loop unstable$"):
+        build()
 
 
 @pytest.fixture(scope="module")
@@ -867,7 +924,7 @@ MALFORMED_CASES = [
      _set("keypoints", 0, "pixel", value=None)),
     ("spatula.json", "keypoints[0].pixel must be numbers, got null",
      _set("keypoints", 0, "pixel", value=[None, 3])),
-    ("scene.json", "object 'pan': origin must be numbers, got null",
+    ("scene.json", "object 'pan': pose: origin must be numbers, got null",
      _set("objects", 2, "pose", "origin", value=[0.1, None, 0.4])),
     ("spatula.json", "keypoints[0].label must be a JSON string",
      _set("keypoints", 0, "label", value=["tip_pos"])),
@@ -983,6 +1040,21 @@ UNKNOWN_KEY_CASES = [
     ("spatula.json", "unknown key 'axes[0].arg'", _set("axes", 0, "arg", value={})),
     ("spatula.json", "unknown key 'axes[0].args.att'",
      _set("axes", 0, "args", "att", value="tip_pos")),
+    ("scene.json", "object 'pan': unknown key 'pose.rpy'",
+     _rename("objects", 2, "pose", "rpy_deg", to="rpy")),
+    ("scene.json", "unknown key 'ee_start.rpy'", _rename("ee_start", "rpy_deg", to="rpy")),
+    ("scene.json", "object 'desk': unknown key 'primitive.spacng'",
+     _rename("objects", 0, "primitive", "spacing", to="spacng")),
+    # a cylinder takes radius and height, not a box's size
+    ("scene.json", "object 'pan': unknown key 'primitive.size'",
+     _set("objects", 2, "primitive", "size", value=[0.1, 0.1, 0.1])),
+    ("scene.json", "object 'pan': unknown key 'surfaces[0].stifness'",
+     _rename("objects", 2, "surfaces", 0, "stiffness", to="stifness")),
+    ("scene.json", "unknown key 'intrinsics.skew'", _set("intrinsics", "skew", value=0.0)),
+    # named before the feature files, which do not exist, are read
+    ("scene.json", "unknown key 'feature_files.depth'",
+     _set("feature_files", value={"ref": "r.fgrd", "target": "t.fgrd",
+                                  "target_depth": "t.dpth", "depth": "t.dpth"})),
 ]
 
 # (file, what its error names, edit) for a scalar of the wrong JSON type:

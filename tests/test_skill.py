@@ -285,6 +285,20 @@ def test_syntax_errors_carry_line_and_col():
             assert isinstance(err.value.col, int) and err.value.col >= 1
 
 
+@pytest.mark.parametrize("args, col, expected", [
+    ("r.x, kf=1, kf=2", 27, "a single kf parameter"),
+    ("r.x, kf=[1, 2]", 21, "a scalar value"),
+    ("r.x, theta=1, 2", 30, "a named parameter (theta already given)"),
+    ("r.x, ;", 21, "a binding, value, or parameter"),
+], ids=["duplicate parameter", "non-scalar gain", "theta twice", "stray token"])
+def test_argument_list_errors_name_their_token(args, col, expected):
+    text = ("skill s {\n  uses r: robot\n  phase p budget=1 {\n"
+            f"    ForceAlign({args})\n  }}\n}}\n")
+    with pytest.raises(SkillSyntaxError) as err:
+        parse_skill(text)
+    assert (err.value.line, err.value.col, err.value.expected) == (4, col, expected)
+
+
 @pytest.mark.parametrize("controller, message", [
     ("PosAlign(r.pos, o.goal, 0.5)", "PosAlign theta must have 3 components"),
     ("PosAlign(r.pos, o.goal, [[0, 0, 1]])", "PosAlign theta must have 3 components"),
