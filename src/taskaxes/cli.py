@@ -26,10 +26,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, FileFormatError, TaskAxesError, entry, known_keys, pixel, typed
+from .errors import (ConfigError, FileFormatError, TaskAxesError, entry, known_keys,
+                     name_entry, pixel, typed)
 from .evaluation import run_validation
 from .features import (
-    MatchConfig,
     cosine_map,
     match_keypoint,
     read_depth_mask,
@@ -93,9 +93,9 @@ def _write_pgm(path, score, valid):
         fh.write(header + levels.tobytes())
 
 
-def _match_config(flags) -> MatchConfig:
-    return MatchConfig(mode=flags["mode"], temperature=flags["temp"],
-                       window_radius=flags["window"])
+def _grounding_config(flags, **thresholds) -> GroundingConfig:
+    return GroundingConfig(mode=flags["mode"], temperature=flags["temp"],
+                           window_radius=flags["window"], **thresholds)
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +107,8 @@ def _keypoint_pixels(data):
     pairs = []
     for i, kp in enumerate(typed(data, list, "keypoints")):
         known_keys(typed(kp, dict, f"[{i}]"), ("object", "label", "pixel"), f"[{i}].")
-        entry(kp, "label", f"[{i}].label")
+        typed(kp.get("object", ""), str, f"[{i}].object")
+        name_entry(kp, "label", f"[{i}].label")
         pairs.append((kp, pixel(f"[{i}].pixel", entry(kp, "pixel", f"[{i}].pixel"))))
     return pairs
 
@@ -117,7 +118,7 @@ def cmd_match(flags, out_dir):
     target = read_feature_grid(flags["target"])
     depth = read_depth_mask(flags["depth"])
     keypoints = read_json(flags["keypoints"], _keypoint_pixels)
-    cfg = _match_config(flags)
+    cfg = _grounding_config(flags)
     results = []
     for kp, px in keypoints:
         m = match_keypoint(ref, px, target, depth, cfg)
@@ -139,8 +140,7 @@ def cmd_ground(flags, out_dir):
     target = read_feature_grid(flags["target"])
     depth = read_depth_mask(flags["depth"])
     intr = read_json(flags["intr"], CameraIntrinsics.from_json)
-    cfg = GroundingConfig(match=_match_config(flags),
-                          min_score=flags["min_score"])
+    cfg = _grounding_config(flags, min_score=flags["min_score"])
     grounded = ground_spec(spec, ref, target, depth, intr, cfg)
     write_json(os.path.join(out_dir, "grounded.json"), grounded.to_json())
     return 0, [flags[k] for k in ("spec", "ref", "target", "depth", "intr")]
@@ -288,34 +288,16 @@ def _build_parser():
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_match_flags(p):
-        p.add_argument("--mode", choices=("hard", "soft"), default=MatchConfig.mode)
-        p.add_argument("--temp", type=float, default=MatchConfig.temperature,
-                       help="soft-argmax temperature (default %(default)s)")
-        p.add_argument("--window", type=int, default=MatchConfig.window_radius,
-                       help="reference window radius r in pixels, averaging "
-                            "(2r+1)x(2r+1) (default %(default)s)")
-
     p = sub.add_parser("match", help="transfer keypoints between feature grids")
-    p.add_argument("--ref", required=True, help="reference .fgrd")
     p.add_argument("--keypoints", required=True, help="reference keypoints JSON")
-    p.add_argument("--target", required=True, help="target .fgrd")
-    p.add_argument("--depth", required=True, help="target .dpth")
-    add_match_flags(p)
     p.add_argument("--dump-simmap", action="store_true", dest="dump_simmap",
                    help="also write one PGM similarity map per keypoint")
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("ground", help="ground a spec against feature files")
     p.add_argument("--spec", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--depth", required=True)
     p.add_argument("--intr", required=True, help="camera intrinsics JSON")
-    add_match_flags(p)
     p.add_argument("--min-score", type=float, default=GroundingConfig.min_score,
                    dest="min_score")
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="execute a skill in the simulator")
     p.add_argument("--skill", required=True)
@@ -323,26 +305,36 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="override the scene's feature seed")
     p.add_argument("--config", default=None, help="run configuration JSON")
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("validate", help="grounding accuracy statistics")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--mode", choices=("hard", "soft"), default=MatchConfig.mode)
-    p.add_argument("--temp", type=float, default=MatchConfig.temperature)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-sweep", dest="noise_sweep", default=None,
                    help="comma-separated sigma list; overrides --noise")
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("gen", help="write a demo task bundle")
     p.add_argument("--task", choices=TASKS, required=True)
     p.add_argument("--seed", type=int, default=TASK_SEED)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("replay", help="re-execute a recorded manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
+
+    for name in ("match", "ground"):
+        p = sub.choices[name]
+        p.add_argument("--ref", required=True, help="reference .fgrd")
+        p.add_argument("--target", required=True, help="target .fgrd")
+        p.add_argument("--depth", required=True, help="target .dpth")
+        p.add_argument("--window", type=int, default=GroundingConfig.window_radius,
+                       help="reference window radius r in pixels, averaging "
+                            "(2r+1)x(2r+1) (default %(default)s)")
+    for name in ("match", "ground", "validate"):
+        p = sub.choices[name]
+        p.add_argument("--mode", choices=("hard", "soft"), default=GroundingConfig.mode)
+        p.add_argument("--temp", type=float, default=GroundingConfig.temperature,
+                       help="soft-argmax temperature (default %(default)s)")
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     parser.commands = sub.choices
     return parser
 

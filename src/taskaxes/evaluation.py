@@ -144,12 +144,11 @@ def run_validation(trials: int, noise_sigma: float = 0.0, mode: str = MatchConfi
     for name, value in (("trials", trials), ("seed", seed)):
         if value < 0:
             raise ConfigError(f"{name} must be >= 0, got {value}")
-    cfg = GroundingConfig(match=MatchConfig(mode=mode, temperature=temperature),
-                          min_score=min_score)
+    cfg = GroundingConfig(mode=mode, temperature=temperature, min_score=min_score)
     features = replace(_FEATURES, noise_sigma=noise_sigma)
     spec = validation_spec()
     ref_grid_clean, ref_depth = render_reference(reference_scene(), spec.keypoints,
-                                                 cfg.match.window_radius)
+                                                 cfg.window_radius)
 
     kp_errors = []
     axis_errors = {ax.label: [] for ax in spec.axes}

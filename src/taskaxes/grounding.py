@@ -120,13 +120,13 @@ class GroundedParams:
 
 
 @dataclass
-class GroundingConfig:
-    match: MatchConfig = field(default_factory=MatchConfig)
+class GroundingConfig(MatchConfig):
     min_score: float = 0.4
     normal_radius: float = 0.02
     min_neighbors: int = 8
 
     def __post_init__(self):
+        super().__post_init__()
         finite("min_score", self.min_score)
         positive("normal_radius", self.normal_radius)
         positive("min_neighbors", self.min_neighbors)
@@ -169,7 +169,7 @@ def spec_from_json(data: dict) -> GroundingSpec:
             name_entry(ax, "label", f"{path}.label"), entry(ax, "kind", f"{path}.kind"),
             **{key: args[key] if key == "dir" else name_entry(args, key, f"{path}.args.{key}")
                for key in _AXIS_ARGS if key in args}))
-    return GroundingSpec(reference_image_id=data.get("reference_image", ""),
+    return GroundingSpec(typed(data.get("reference_image", ""), str, "reference_image"),
                          keypoints=keypoints, axes=axes)
 
 
@@ -214,7 +214,7 @@ def ground_keypoint(ref: FeatureGrid, kp: KeypointRef, target: FeatureGrid,
     quantization leaves a hole there (nearest by squared pixel distance,
     ties resolved in row-major order).
     """
-    m = match_keypoint(ref, kp.pixel, target, target_depth, cfg.match)
+    m = match_keypoint(ref, kp.pixel, target, target_depth, cfg)
     if m.peak_score < cfg.min_score:
         raise MatchBelowThreshold(
             f"peak score {m.peak_score:.3f} below threshold {cfg.min_score}",

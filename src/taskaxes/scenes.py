@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import (ConfigError, FileFormatError, entry, finite, known_keys, name_entry,
                      positive, scalar, typed)
-from .features import MatchConfig, read_depth_mask, read_feature_grid
+from .features import read_depth_mask, read_feature_grid
 from .geometry import CameraIntrinsics, Frame, project_point
 from .grounding import AxisSpec, GroundingSpec, KeypointRef, spec_to_json
 from .simulator import (
@@ -250,21 +250,17 @@ def config_from_json(base, data, prefix=""):
     """Copy of config dataclass `base` with the values of JSON object
     `data`, each read as the type of the default it replaces.
 
-    A nested config takes a nested object, except MatchConfig, whose keys
-    sit beside the other grounding keys. Unknown keys, values not of the
+    A nested config takes a nested object. Unknown keys, values not of the
     default's type (as `scalar` reads it) and values the class rejects
     raise an error naming the dotted key; the caller prefixes the file.
     """
     data = dict(typed(data, dict, prefix[:-1] or "config"))
     changes = {}
     for f in dataclasses.fields(base):
-        old = getattr(base, f.name)
-        if isinstance(old, MatchConfig):
-            keys = [g.name for g in dataclasses.fields(old) if g.name in data]
-            changes[f.name] = config_from_json(old, {k: data.pop(k) for k in keys}, prefix)
-        elif f.name not in data:
+        if f.name not in data:
             continue
-        elif dataclasses.is_dataclass(old):
+        old = getattr(base, f.name)
+        if dataclasses.is_dataclass(old):
             changes[f.name] = config_from_json(old, data.pop(f.name), f"{prefix}{f.name}.")
         else:
             changes[f.name] = scalar(data.pop(f.name), type(old), prefix + f.name)

@@ -42,7 +42,7 @@ from .errors import (
     finite,
     positive,
 )
-from .features import DepthMask, FeatureGrid, MatchConfig, add_noise, window_pixels
+from .features import DepthMask, FeatureGrid, add_noise, window_pixels
 from .geometry import CameraIntrinsics, Frame, rotvec_to_matrix, unit
 from .grounding import GroundedParams, GroundingConfig, ground_spec
 from .skill import ROBOT_ROLE_SOURCE, GraspStep, LiftedSkill, SkillPhase, Twist, run_phase
@@ -264,8 +264,7 @@ class RunConfig:
     # synthetic descriptors are exact, so the argmax transfer is too;
     # soft mode stays the default at the matching CLI where noisy
     # real-world grids are the expected input
-    grounding: GroundingConfig = field(
-        default_factory=lambda: GroundingConfig(match=MatchConfig(mode="hard")))
+    grounding: GroundingConfig = field(default_factory=lambda: GroundingConfig(mode="hard"))
 
     def __post_init__(self):
         positive("dt", self.dt)
@@ -685,7 +684,7 @@ class SkillRunner:
         else:
             ref_grid, _ = render_reference(self.ref_scene or self.scene,
                                            [kp for _, spec in roles for kp in spec.keypoints],
-                                           self.config.grounding.match.window_radius)
+                                           self.config.grounding.window_radius)
             tgt_grid, tgt_depth = render_synthetic_features(self.scene, noise_tag=1)
         for role, spec in roles:
             try:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import shutil
 
@@ -309,6 +310,19 @@ def test_cmd_validate_checks_settings_without_trials(tmp_path, capsys, argv, mes
     assert not (out / "stats.json").exists()
 
 
+def test_gen_twice_into_one_directory_lists_no_manifest_among_outputs(tmp_path):
+    out = tmp_path / "bundle"
+    for _ in range(2):
+        assert main(["gen", "--task", "scrape", "--out", str(out)]) == 0
+        outputs = read_json(out / "manifest.json")["outputs"]
+        assert "manifest.json" not in outputs and "scrape.skill" in outputs
+
+
+def test_help_returns_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "--skill" in capsys.readouterr().out
+
+
 def test_usage_error_returns_1():
     assert main(["run", "--scene", "missing-skill.json"]) == 1
     assert main(["nope"]) == 1
@@ -383,6 +397,27 @@ def test_replay_detects_modified_input(feature_files, tmp_path, scrape_dir):
     bad = tmp_path / "bad_manifest.json"
     bad.write_text(json.dumps(manifest))
     assert main(["replay", "--manifest", str(bad), "--out", str(tmp_path / "r2")]) == 2
+
+
+def test_replay_of_an_unknown_command_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "bogus", "flags": {}}))
+    assert main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "r")]) == 2
+    assert "error: manifest names unknown command 'bogus'" in capsys.readouterr().err
+
+
+def test_replay_of_a_deleted_input_exits_2_naming_it(feature_files, tmp_path, capsys):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(feature_files, inputs)
+    assert main(["match", "--ref", str(inputs / "ref.fgrd"),
+                 "--keypoints", str(inputs / "keypoints.json"),
+                 "--target", str(inputs / "target.fgrd"),
+                 "--depth", str(inputs / "target.dpth"), "--out", str(tmp_path / "m")]) == 0
+    (inputs / "keypoints.json").unlink()
+    assert main(["replay", "--manifest", str(tmp_path / "m" / "manifest.json"),
+                 "--out", str(tmp_path / "r")]) == 2
+    missing = os.path.join(tmp_path / "m", "../inputs/keypoints.json")
+    assert f"error: manifest input missing: {missing}" in capsys.readouterr().err
 
 
 def test_cmd_run_config_presets_gains_and_dt(scrape_dir, tmp_path):

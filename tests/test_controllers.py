@@ -36,6 +36,11 @@ def unit(rng):
     return v / np.linalg.norm(v)
 
 
+def test_unknown_controller_kind_is_rejected():
+    with pytest.raises(ConfigError, match="^unknown controller kind 'Bogus'$"):
+        ControllerConfig(kind="Bogus", bindings=("r.pos",))
+
+
 # ---------------------------------------------------------------- PosAlign
 
 

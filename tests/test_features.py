@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskaxes.errors import (
+    ConfigError,
     DimMismatch,
     FileFormatError,
     NonPositiveTemperature,
@@ -286,10 +287,25 @@ def test_truncated_header_and_bad_metadata_name_the_file(tmp_path):
     undecodable.write_bytes(raw[:-2] + b"\xff\xfe")
     with pytest.raises(FileFormatError, match="meta.fgrd: metadata is not UTF-8 JSON"):
         read_feature_grid(undecodable)
+    listed = tmp_path / "list.fgrd"
+    end = 20 + 4 * 2 * 2 * 2    # header and float32 descriptors
+    listed.write_bytes(raw[:end] + struct.pack("<I", 2) + b"[]")
+    with pytest.raises(FileFormatError, match="list.fgrd: metadata is not a JSON object"):
+        read_feature_grid(listed)
     depth = tmp_path / "short.dpth"
     depth.write_bytes(b"DPTH\x01\x00")
     with pytest.raises(FileFormatError, match="short.dpth: truncated header"):
         read_depth_mask(depth)
+
+
+def test_constructors_reject_a_misshaped_array_or_negative_radius():
+    with pytest.raises(ConfigError, match=r"^feature grid must be 3D, got shape \(3, 4\)$"):
+        FeatureGrid(np.zeros((3, 4)))
+    with pytest.raises(ConfigError, match=r"^depth map must be 2D, got shape \(4,\)$"):
+        DepthMask(np.ones(4))
+    grid = FeatureGrid(np.ones((3, 4, 2), dtype=np.float32))
+    with pytest.raises(ConfigError, match=r"^window radius must be >= 0$"):
+        window_average(grid, 1, 1, -1)
 
 
 # ------------------------------------------------- file io, property tests

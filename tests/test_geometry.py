@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskaxes.errors import NonPositiveDepth, OutOfBounds
+from taskaxes.errors import ConfigError, NonPositiveDepth, OutOfBounds
 from taskaxes.geometry import (
     CameraIntrinsics,
     Frame,
@@ -61,6 +61,14 @@ def test_deproject_errors():
         deproject_pixel(-1, 10, 1.0, INTR)
     with pytest.raises(OutOfBounds):
         deproject_pixel(10, 480, 1.0, INTR)
+
+
+def test_intrinsics_and_projection_errors():
+    with pytest.raises(ConfigError, match="^principal point must lie inside the image$"):
+        CameraIntrinsics(fx=4.0, fy=4.0, cx=4.0, cy=1.5, width=4, height=3)
+    for z in (0.0, -0.5):
+        with pytest.raises(NonPositiveDepth, match=f"^point depth must be > 0, got {z}$"):
+            project_point([0.1, 0.0, z], INTR)
 
 
 def test_deproject_reproject_roundtrip():

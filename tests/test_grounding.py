@@ -10,7 +10,7 @@ from taskaxes.errors import (
     InsufficientNeighbors,
     MatchBelowThreshold,
 )
-from taskaxes.features import DepthMask, FeatureGrid, MatchConfig
+from taskaxes.features import DepthMask, FeatureGrid
 from taskaxes.geometry import CameraIntrinsics, Frame, deproject_pixel, project_point
 from taskaxes.grounding import (
     AxisSpec,
@@ -74,6 +74,18 @@ def test_surface_normal_ground_plane_tie_breaks_up():
     pts = _plane_points([0, 0, 1], [0.0, 0.0, 0.0])
     n = surface_normal(pts, [0.0, 0.0, 0.0], radius=0.02)
     np.testing.assert_allclose(n, [0.0, 0.0, 1.0], atol=1e-9)
+
+
+def test_surface_normal_tangent_viewing_ray_prefers_up():
+    # the plane x = z holds the ray through `at`, and eigh gives -z here
+    at = np.array([0.5, 0.0, 0.5])
+    n = surface_normal(_plane_points([1, 0, -1], at), at)
+    np.testing.assert_allclose(n, np.array([-1.0, 0.0, 1.0]) / math.sqrt(2), atol=1e-9)
+
+
+def test_point_cloud_must_be_n_by_3():
+    with pytest.raises(ConfigError, match=r"^point cloud must have shape \(N, 3\)$"):
+        surface_normal(np.zeros((10, 2)), [0.0, 0.0, 0.0])
 
 
 def test_surface_normal_oblique_plane_points_toward_camera():
@@ -172,7 +184,7 @@ def test_ground_keypoint_identity_scene():
     scene = _flat_scene()
     grid, depth = render_synthetic_features(scene)
     spec = _spec_for(scene, ["tip"], [])
-    cfg = GroundingConfig(match=MatchConfig(mode="hard"))
+    cfg = GroundingConfig(mode="hard")
     pos, score = ground_keypoint(grid, spec.keypoints[0], grid, depth, INTR, cfg)
     px = spec.keypoints[0].pixel
     expected = deproject_pixel(px[0], px[1], depth.depth[px[1], px[0]], INTR)
@@ -186,7 +198,7 @@ def test_ground_keypoint_below_threshold():
     grid, depth = render_synthetic_features(scene)
     grid2, depth2 = render_synthetic_features(other)
     spec = _spec_for(scene, ["tip"], [])
-    cfg = GroundingConfig(match=MatchConfig(mode="hard"), min_score=0.9)
+    cfg = GroundingConfig(mode="hard", min_score=0.9)
     with pytest.raises(MatchBelowThreshold):
         ground_keypoint(grid, spec.keypoints[0], grid2, depth2, INTR, cfg)
 
@@ -202,7 +214,7 @@ def test_soft_match_on_a_depth_hole_reads_the_nearest_valid_depth():
     depth = 0.5 + 0.01 * np.arange(25.0).reshape(5, 5)
     depth[2, 2] = np.nan
     intr = CameraIntrinsics(fx=10.0, fy=10.0, cx=2.0, cy=2.0, width=5, height=5)
-    cfg = GroundingConfig(match=MatchConfig(mode="soft", window_radius=0))
+    cfg = GroundingConfig(mode="soft", window_radius=0)
     kp = KeypointRef(object="o", label="k", pixel=(1, 2))
     pos, score = ground_keypoint(grid, kp, grid, DepthMask(depth), intr, cfg)
     assert score == 1.0
@@ -217,7 +229,7 @@ def test_ground_spec_global_axis_passthrough():
     spec = _spec_for(scene, ["tip"],
                      [AxisSpec(label="down", kind="global", dir=(0.0, 0.0, 2.0))])
     grounded = ground_spec(spec, grid, grid, depth, INTR,
-                           GroundingConfig(match=MatchConfig(mode="hard")))
+                           GroundingConfig(mode="hard"))
     np.testing.assert_allclose(grounded.axes["down"], [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -228,7 +240,7 @@ def test_ground_spec_error_is_annotated_with_label():
                      [AxisSpec(label="edge", kind="edge_direction", at="tip")])
     # a micrometer neighborhood has no 8 points anywhere; the error must
     # name the failing axis label
-    cfg = GroundingConfig(match=MatchConfig(mode="hard"), normal_radius=1e-6)
+    cfg = GroundingConfig(mode="hard", normal_radius=1e-6)
     with pytest.raises(InsufficientNeighbors, match="edge"):
         ground_spec(spec, grid, grid, depth, INTR, cfg)
 
@@ -239,7 +251,7 @@ def test_ground_spec_deterministic():
     spec = _spec_for(scene, ["tip", "tail", "side"],
                      [AxisSpec(label="dir", kind="from_keypoints", a="tip", b="tail"),
                       AxisSpec(label="n", kind="surface_normal", at="side")])
-    cfg = GroundingConfig(match=MatchConfig(mode="hard"))
+    cfg = GroundingConfig(mode="hard")
     a = ground_spec(spec, grid, grid, depth, INTR, cfg)
     b = ground_spec(spec, grid, grid, depth, INTR, cfg)
     for label in a.keypoints:
@@ -276,7 +288,7 @@ def test_pixel_aligned_translation_is_exactly_equivariant():
                      [AxisSpec(label="dir", kind="from_keypoints", a="tip", b="tail"),
                       AxisSpec(label="n", kind="surface_normal", at="side"),
                       AxisSpec(label="e", kind="edge_direction", at="tip")])
-    cfg = GroundingConfig(match=MatchConfig(mode="hard"))
+    cfg = GroundingConfig(mode="hard")
     ref_g = ground_spec(spec, ref_grid, ref_grid, ref_depth, INTR, cfg)
     tgt_g = ground_spec(spec, ref_grid, tgt_grid, tgt_depth, INTR, cfg)
     for label in ref_g.keypoints:
@@ -293,7 +305,7 @@ def test_general_rigid_transform_equivariance():
     ref_grid, ref_depth = render_synthetic_features(ref_scene)
     spec = _spec_for(ref_scene, ["tip", "tail"],
                      [AxisSpec(label="dir", kind="from_keypoints", a="tip", b="tail")])
-    cfg = GroundingConfig(match=MatchConfig(mode="hard"))
+    cfg = GroundingConfig(mode="hard")
     quantum = depth0 * max(1.0 / INTR.fx, 1.0 / INTR.fy)
     baseline = np.linalg.norm(ref_scene.objects[0].truth_keypoints["tip"]
                               - ref_scene.objects[0].truth_keypoints["tail"])

@@ -58,7 +58,13 @@ from taskaxes.grounding import (
     spec_from_json,
     spec_to_json,
 )
-from taskaxes.scenes import build_task, config_from_json, sample_box, scene_from_json
+from taskaxes.scenes import (
+    build_task,
+    config_from_json,
+    make_grounding_spec,
+    sample_box,
+    scene_from_json,
+)
 from taskaxes.simulator import (
     ContactSurface,
     FeatureRenderConfig,
@@ -517,8 +523,11 @@ def small_files(tmp_path_factory):
     ([{"label": "a", "pixel": [1.5, 1]}], "[0].pixel: expected int, got 1.5"),
     ([{"label": "a", "pixel": [1, 1], "objct": "o"}], "unknown key '[0].objct'"),
     (["a"], "[0] must be a JSON object"),
+    ([{"object": {"a": 1}, "label": "a", "pixel": [1, 1]}], "[0].object must be a JSON string"),
+    ([{"object": "o", "label": [1, 2], "pixel": [1, 1]}], "[0].label must be a JSON string"),
 ], ids=["not a list", "no label", "no pixel", "pixel not numbers", "pixel length",
-        "pixel not integral", "unknown key", "entry not an object"])
+        "pixel not integral", "unknown key", "entry not an object", "object not a string",
+        "label not a string"])
 def test_match_keypoint_file_error_names_file_and_key(small_files, tmp_path, capsys,
                                                       keypoints, message):
     path = tmp_path / "keypoints.json"
@@ -528,6 +537,7 @@ def test_match_keypoint_file_error_names_file_and_key(small_files, tmp_path, cap
                  "--depth", str(small_files / "grid.dpth"),
                  "--out", str(tmp_path / "out")]) == 2
     assert f"error: {path}: {message}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").iterdir())
 
 
 def test_ground_takes_no_cloud_flag(bundle, small_files, tmp_path, capsys):
@@ -624,6 +634,22 @@ def test_finite_reads_null_as_null_and_a_boolean_among_numbers_as_one():
     assert finite("x", [0, True, 0.4]).tolist() == [0.0, 1.0, 0.4]
     # an int beyond int64 still converts
     assert finite("x", [10 ** 30, 0]).tolist() == [1e30, 0.0]
+
+
+def test_annotate_makes_the_context_the_message_of_an_error_without_one():
+    err = ConfigError().annotate("axis 'up'")
+    assert isinstance(err, ConfigError) and str(err) == "axis 'up'"
+
+
+def test_demo_builders_reject_an_unknown_task_or_a_keypoint_out_of_view():
+    with pytest.raises(ConfigError, match=r"^unknown task 'bogus'; expected one of "):
+        build_task("bogus")
+    box = SceneObject(name="box", pose=Frame(np.zeros(3), np.eye(3)),
+                      cloud=[[0.0, 0.0, 0.5]], truth_keypoints={"far": [1.0, 0.0, 0.5]})
+    scene = Scene(objects=[box], intrinsics=CameraIntrinsics(
+        fx=100.0, fy=100.0, cx=50.0, cy=40.0, width=100, height=80))
+    with pytest.raises(ConfigError, match=r"^box\.far projects outside the image$"):
+        make_grounding_spec(scene, "box", ["far"], [])
 
 
 def test_finite_takes_any_number_of_rows_of_a_fixed_length():
@@ -828,14 +854,11 @@ _REJECTED = {
 
 
 def _config_json(config):
-    """JSON object of every value of `config`, MatchConfig's keys beside
-    the keys of the config holding it, as config_from_json reads them."""
+    """JSON object of every value of `config`, as config_from_json reads them."""
     data = {}
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
-        if isinstance(value, MatchConfig):
-            data.update(_config_json(value))
-        elif dataclasses.is_dataclass(value):
+        if dataclasses.is_dataclass(value):
             data[f.name] = _config_json(value)
         else:
             data[f.name] = value
@@ -909,8 +932,9 @@ def _drop(*keys):
 
 # (file, what its error names, edit returning the new JSON root) for
 # containers of the wrong JSON type, names that are not strings, keypoint
-# pixels that are not two numbers, and primitive keys that are missing,
-# malformed, out of range or would sample too many points
+# pixels that are not two numbers, axes without the labels their kind
+# needs, and primitive keys that are missing, malformed, out of range or
+# would sample too many points
 MALFORMED_CASES = [
     ("spatula.json", "spec must be a JSON object", lambda s: [s]),
     ("spatula.json", "keypoints must be a JSON list", _set("keypoints", value={"a": 1})),
@@ -933,6 +957,11 @@ MALFORMED_CASES = [
      _set("axes", 0, "args", value=["tip_pos", "handle_pos"])),
     ("spatula.json", "axes[0].args.a must be a JSON string",
      _set("axes", 0, "args", "a", value=["tip_pos"])),
+    ("spatula.json", "reference_image must be a JSON string",
+     _set("reference_image", value=[1, 2])),
+    ("spatula.json", "axis 'tip_dir': needs two keypoint labels", _drop("axes", 0, "args", "b")),
+    ("pan.json", "axis 'surface_dir': needs an anchor keypoint label",
+     _drop("axes", 0, "args", "at")),
     ("scene.json", "objects must be a JSON list", _set("objects", value={})),
     ("scene.json", "objects[1] must be a JSON object", _set("objects", 1, value="spatula")),
     ("scene.json", "object 'spatula': primitive must be a JSON object",

@@ -299,6 +299,14 @@ def test_argument_list_errors_name_their_token(args, col, expected):
     assert (err.value.line, err.value.col, err.value.expected) == (4, col, expected)
 
 
+def test_binding_after_a_parameter_fails_at_the_binding():
+    text = ("skill s {\n  uses r: robot\n  uses o: robot\n  phase p budget=1 {\n"
+            "    PosAlign(r.pos, kp=1, o.goal)\n  }\n}\n")
+    with pytest.raises(SkillSyntaxError) as err:
+        parse_skill(text)
+    assert str(err.value) == "line 5, col 27: expected a parameter, not a binding"
+
+
 @pytest.mark.parametrize("controller, message", [
     ("PosAlign(r.pos, o.goal, 0.5)", "PosAlign theta must have 3 components"),
     ("PosAlign(r.pos, o.goal, [[0, 0, 1]])", "PosAlign theta must have 3 components"),
